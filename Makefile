@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench bench-smoke bench-nrhs clean obs-smoke service-smoke crash-drill cluster-drill compare-baseline chaos prof-overhead-guard
+.PHONY: all build test race vet fmt lint check bench bench-smoke bench-nrhs clean obs-smoke service-smoke crash-drill cluster-drill compare-baseline chaos prof-overhead-guard fuzz-smoke
 
 all: check
 
@@ -107,3 +107,11 @@ chaos:
 
 clean:
 	$(GO) clean ./...
+
+# Fuzz smoke: each native fuzz target runs for 10s on top of its seed
+# corpus. The targets feed untrusted bytes (MatrixMarket files, store entry
+# payloads) to the decoders and assert they never panic and only return
+# structurally valid matrices. -fuzz takes one target per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/

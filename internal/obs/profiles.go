@@ -1,6 +1,6 @@
 // HTTP surface of the continuous profiler (internal/prof): a JSON index of
-// captured windows, per-window top-N summaries with per-job/per-phase CPU
-// attribution, and raw .pb.gz downloads for `go tool pprof`.
+// captured windows, per-window metadata, and raw .pb.gz downloads for
+// `go tool pprof` (`-tags` gives the per-job/per-phase CPU attribution).
 package obs
 
 import (
@@ -42,15 +42,11 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 
 // profileDetail is the GET /profiles/<id> payload.
 type profileDetail struct {
-	Window  *prof.Window  `json:"window"`
-	Summary *prof.Summary `json:"summary,omitempty"`
-	// SummaryError explains a missing summary (e.g. the window's CPU
-	// capture was skipped).
-	SummaryError string `json:"summary_error,omitempty"`
+	Window *prof.Window `json:"window"`
 }
 
-// handleProfileByID serves /profiles/<id> (JSON summary) and
-// /profiles/<id>/{cpu,heap,goroutine,mutex} (raw gzipped pprof protos).
+// handleProfileByID serves /profiles/<id> (JSON window metadata) and
+// /profiles/<id>/{cpu,heap,goroutine} (raw gzipped pprof protos).
 func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
 	sp := s.opt.Profiles
 	if sp == nil {
@@ -78,8 +74,6 @@ func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
 			raw = win.Heap
 		case "goroutine":
 			raw = win.Goroutine
-		case "mutex":
-			raw = win.Mutex
 		default:
 			http.NotFound(w, r)
 			return
@@ -94,16 +88,10 @@ func (s *Server) handleProfileByID(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(raw)
 		return
 	}
-	det := profileDetail{Window: win}
-	if sum, err := sp.Summary(win); err != nil {
-		det.SummaryError = err.Error()
-	} else {
-		det.Summary = &sum
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(det)
+	_ = enc.Encode(profileDetail{Window: win})
 }
 
 // handleRoofline serves the live roofline summary.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/prof"
+	"repro/internal/prof/proftest"
 	"repro/internal/roofline"
 	"repro/internal/telemetry"
 )
@@ -38,8 +39,9 @@ func TestProfilesEndpointNilSampler(t *testing.T) {
 	}
 }
 
-// TestProfilesEndpointServesWindows: index, per-window detail with summary,
-// raw profile downloads, and 404s for missing windows and unknown kinds.
+// TestProfilesEndpointServesWindows: index, per-window metadata, raw profile
+// downloads that `go tool pprof` reads, and 404s for missing windows and
+// unknown kinds (mutex included: the sampler takes no mutex snapshot).
 func TestProfilesEndpointServesWindows(t *testing.T) {
 	sampler := prof.NewSampler(prof.Options{Capacity: 4})
 	srv := NewServer(Options{Profiles: sampler})
@@ -92,12 +94,10 @@ func TestProfilesEndpointServesWindows(t *testing.T) {
 		if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
 			t.Fatalf("/profiles/1/%s content-type %q", kind, ct)
 		}
-		if _, err := prof.Parse([]byte(raw)); err != nil {
-			t.Fatalf("/profiles/1/%s does not parse: %v", kind, err)
-		}
+		proftest.Raw(t, []byte(raw))
 	}
 
-	for _, path := range []string{"/profiles/99", "/profiles/1/bogus", "/profiles/notanumber"} {
+	for _, path := range []string{"/profiles/99", "/profiles/1/bogus", "/profiles/1/mutex", "/profiles/notanumber"} {
 		if code, _, _ := get(t, hs.URL+path); code != 404 {
 			t.Fatalf("%s: status %d, want 404", path, code)
 		}

@@ -177,9 +177,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /traces           finished request traces (JSON; /traces/<trace-id> for the
                     span tree; add ?stream=1 for SSE of new traces)
   /slo              per-fingerprint latency objectives, burn rate, error budget
-  /profiles         continuous profiler: window index; /profiles/<id> for the
-                    top-N summary with per-job CPU attribution;
-                    /profiles/<id>/{cpu,heap,goroutine,mutex} for raw .pb.gz
+  /profiles         continuous profiler: window index; /profiles/<id> for one
+                    window's metadata; /profiles/<id>/{cpu,heap,goroutine} for
+                    raw .pb.gz (go tool pprof -tags: per-job CPU attribution)
   /roofline         live roofline: achieved GB/s and GFLOP/s per kernel vs the
                     machine roofs, per-matrix bandwidth baselines and flags
   /version          build info (module, version, go toolchain, vcs revision);

@@ -110,10 +110,16 @@ func (p *Pattern) String() string {
 
 // Validate checks structural invariants (sorted unique in-range rows).
 func (p *Pattern) Validate() error {
+	if p.Rows < 0 || p.NCols < 0 {
+		return fmt.Errorf("pattern: negative dimension")
+	}
 	if len(p.RowPtr) != p.Rows+1 || p.RowPtr[0] != 0 || p.RowPtr[p.Rows] != len(p.Cols) {
 		return fmt.Errorf("pattern: inconsistent row pointers")
 	}
 	for i := 0; i < p.Rows; i++ {
+		if lo, hi := p.RowPtr[i], p.RowPtr[i+1]; lo > hi || hi > len(p.Cols) {
+			return fmt.Errorf("pattern: row %d has extent [%d,%d) outside [0,%d)", i, lo, hi, len(p.Cols))
+		}
 		prev := -1
 		for _, j := range p.Row(i) {
 			if j < 0 || j >= p.NCols {

@@ -6,8 +6,8 @@ import (
 )
 
 // Window is one captured profiling window: a CPU profile covering
-// [Start, End] plus point-in-time heap/goroutine/mutex snapshots and
-// allocation deltas taken over the same interval.
+// [Start, End] plus point-in-time heap/goroutine snapshots and allocation
+// deltas taken over the same interval.
 type Window struct {
 	// ID is a monotonically increasing window id, unique for the life of
 	// the sampler. IDs survive eviction: after the ring wraps, the index
@@ -22,11 +22,10 @@ type Window struct {
 	// window's CPU capture was skipped (e.g. /debug/pprof/profile held the
 	// process-wide profiler).
 	CPU []byte `json:"-"`
-	// Heap, Goroutine and Mutex are raw gzipped pprof snapshots taken at
-	// the end of the window.
+	// Heap and Goroutine are raw gzipped pprof snapshots taken at the end
+	// of the window.
 	Heap      []byte `json:"-"`
 	Goroutine []byte `json:"-"`
-	Mutex     []byte `json:"-"`
 
 	// CPUSkipped reports that the CPU capture could not start because
 	// another CPU profile was active process-wide.
@@ -41,16 +40,6 @@ type Window struct {
 	AllocDeltaBytes uint64 `json:"alloc_delta_bytes"`
 	// GCCount is the number of GC cycles completed during the window.
 	GCCount uint32 `json:"gc_count"`
-
-	// Jobs lists the distinct job_id label values observed in the CPU
-	// samples, so the /profiles index can answer "which window covers job
-	// X" without re-parsing every profile.
-	Jobs []string `json:"jobs,omitempty"`
-	// Phases lists the distinct phase label values observed.
-	Phases []string `json:"phases,omitempty"`
-
-	// CPUSamples is the number of CPU samples in the window's profile.
-	CPUSamples int `json:"cpu_samples"`
 }
 
 // ring is a bounded FIFO of captured windows. When full, adding a window

@@ -1,8 +1,17 @@
+// Package prof is the continuous-profiling subsystem: a background sampler
+// that captures windowed CPU profiles (runtime/pprof start/stop cycles) plus
+// heap/goroutine snapshots and allocation deltas into a bounded ring buffer.
+// Windows are kept as the raw gzipped pprof protobufs the runtime writes;
+// `go tool pprof` reads them as-is (`-tags` for the per-label breakdown).
+//
+// Solve jobs run under pprof labels (job_id, trace_id, fingerprint, phase —
+// see Do/WithPhase), so any captured window attributes its CPU samples to
+// the jobs and solver phases that were running, joinable against the request
+// traces of internal/trace by the shared ids.
 package prof
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -22,8 +31,6 @@ type Options struct {
 	Gap time.Duration
 	// Capacity is the maximum number of retained windows. Default 32.
 	Capacity int
-	// TopN bounds the flat summary length served per window. Default 20.
-	TopN int
 	// Registry receives prof.* metrics (nil-safe).
 	Registry *telemetry.Registry
 }
@@ -39,9 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Capacity <= 0 {
 		o.Capacity = 32
-	}
-	if o.TopN <= 0 {
-		o.TopN = 20
 	}
 	return o
 }
@@ -191,15 +195,6 @@ func (s *Sampler) capture(d time.Duration, stop <-chan struct{}) *Window {
 	w.GCCount = msAfter.NumGC - msBefore.NumGC
 	w.Heap = snapshot("heap")
 	w.Goroutine = snapshot("goroutine")
-	w.Mutex = snapshot("mutex")
-
-	if len(w.CPU) > 0 {
-		if p, perr := Parse(w.CPU); perr == nil {
-			w.CPUSamples = len(p.Samples)
-			w.Jobs = LabelValues(p, LabelJobID)
-			w.Phases = LabelValues(p, LabelPhase)
-		}
-	}
 
 	w.End = time.Now()
 	w.Dur = w.End.Sub(w.Start)
@@ -239,18 +234,6 @@ func (s *Sampler) Windows() []*Window { return s.ring.list() }
 // Window returns the retained window with the given id, or nil.
 func (s *Sampler) Window(id uint64) *Window { return s.ring.get(id) }
 
-// Summary parses the window's CPU profile and returns its digest.
-func (s *Sampler) Summary(w *Window) (Summary, error) {
-	if len(w.CPU) == 0 {
-		return Summary{}, fmt.Errorf("prof: window %d has no CPU profile", w.ID)
-	}
-	p, err := Parse(w.CPU)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summarize(p, s.opt.TopN), nil
-}
-
 // MeasuredOverheadPct returns the sampler's cumulative bookkeeping time as
 // a percent of wall time since Start (or construction). This is the value
 // the CI overhead guard asserts stays under 2%.
@@ -263,7 +246,7 @@ func (s *Sampler) MeasuredOverheadPct() float64 {
 }
 
 // BookkeepingPerWindow returns the average non-sleep time spent per
-// captured window (profile start/stop, snapshots, parsing). Most of it is
+// captured window (profile start/stop, snapshots). Most of it is
 // StopCPUProfile's flush wait, which is latency in the sampler goroutine
 // rather than CPU stolen from solves, so treat it as an upper bound.
 func (s *Sampler) BookkeepingPerWindow() time.Duration {

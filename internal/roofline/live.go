@@ -47,15 +47,6 @@ const (
 	KernelBLAS1  = "blas1"
 )
 
-// spmvSweep returns nominal flops and bytes of one sweep of m, matching
-// sparse.countSpMV: 2 flops per stored entry; 12 B per entry + 4 B per row
-// pointer of matrix traffic; nominal vector traffic (input read once,
-// output written once).
-func spmvSweep(m *sparse.CSR) (flops, bytes float64) {
-	nnz := float64(m.NNZ())
-	return 2 * nnz, 12*nnz + 4*float64(m.Rows) + 8*float64(m.Cols+m.Rows)
-}
-
 // SolveEstimate computes the achieved roofline placement of a finished PCG
 // solve from its kernel-class wall times (krylov.Timing, in nanoseconds —
 // plain int64s so this package needs no krylov import).
@@ -66,51 +57,13 @@ func spmvSweep(m *sparse.CSR) (flops, bytes float64) {
 //   - blas1: per iteration the fused engine does 12n flops over 104n bytes
 //     (dot 2n/16n, fused x/r update 6n/48n, dot 2n/16n, xpay 2n/24n)
 //
-// Kernel classes with zero measured time (timing not collected) are
-// omitted, so an empty slice means "no attribution possible".
+// A sweep costs 2 flops per stored entry, the matrix's StreamBytes (the
+// same accounting as the sparse op counters) and nominal vector traffic
+// (input read once, output written once). Kernel classes with zero
+// measured time (timing not collected) are omitted, so an empty slice means
+// "no attribution possible".
 func SolveEstimate(a, g *sparse.CSR, iters int, spmvNS, precondNS, blas1NS int64, machine arch.Arch) []Achieved {
-	if a == nil || iters <= 0 {
-		return nil
-	}
-	out := make([]Achieved, 0, 3)
-	add := func(name string, calls int64, flops, bytes float64, ns int64) {
-		if ns <= 0 || flops <= 0 {
-			return
-		}
-		sec := float64(ns) / 1e9
-		k := Kernel{Name: name, Flops: flops, Bytes: bytes}
-		att := Attainable(k, machine)
-		e := Achieved{
-			Kernel:                 name,
-			Calls:                  calls,
-			Flops:                  flops,
-			Bytes:                  bytes,
-			Seconds:                sec,
-			AchievedFlops:          flops / sec,
-			AchievedBandwidthBytes: bytes / sec,
-			AI:                     k.AI(),
-			AttainableFlops:        att,
-			Bound:                  "compute",
-		}
-		if BandwidthBound(k, machine) {
-			e.Bound = "bandwidth"
-		}
-		if att > 0 {
-			e.PctOfAttainable = 100 * e.AchievedFlops / att
-		}
-		out = append(out, e)
-	}
-
-	it := float64(iters)
-	af, ab := spmvSweep(a)
-	add(KernelSpMV, int64(iters), it*af, it*ab, spmvNS)
-	if g != nil {
-		gf, gb := spmvSweep(g)
-		add(KernelApplyG, int64(iters), it*2*gf, it*2*gb, precondNS)
-	}
-	n := float64(a.Rows)
-	add(KernelBLAS1, int64(iters), it*12*n, it*104*n, blas1NS)
-	return out
+	return estimate(KernelSpMV, a, g, iters, int64(iters), spmvNS, precondNS, blas1NS, machine)
 }
 
 // KernelSpMM is the kernel-class name of the batched multi-vector product
@@ -125,52 +78,56 @@ const KernelSpMM = "spmm"
 // colIters, so the spmm entry's AI reports the batch's achieved arithmetic
 // intensity: it rises with the effective block width colIters/sweeps.
 func BlockSolveEstimate(a, g *sparse.CSR, sweeps int, colIters int64, spmvNS, precondNS, blas1NS int64, machine arch.Arch) []Achieved {
+	return estimate(KernelSpMM, a, g, sweeps, colIters, spmvNS, precondNS, blas1NS, machine)
+}
+
+// estimate prices a solve of sweeps matrix passes serving colIters column
+// iterations; a one-column solve is sweeps == colIters. product names the
+// A-product kernel class (spmv or spmm).
+func estimate(product string, a, g *sparse.CSR, sweeps int, colIters int64, spmvNS, precondNS, blas1NS int64, machine arch.Arch) []Achieved {
 	if a == nil || sweeps <= 0 || colIters <= 0 {
 		return nil
 	}
-	out := make([]Achieved, 0, 3)
-	add := func(name string, calls int64, flops, bytes float64, ns int64) {
-		if ns <= 0 || flops <= 0 {
-			return
-		}
-		sec := float64(ns) / 1e9
-		k := Kernel{Name: name, Flops: flops, Bytes: bytes}
-		att := Attainable(k, machine)
-		e := Achieved{
-			Kernel:                 name,
-			Calls:                  calls,
-			Flops:                  flops,
-			Bytes:                  bytes,
-			Seconds:                sec,
-			AchievedFlops:          flops / sec,
-			AchievedBandwidthBytes: bytes / sec,
-			AI:                     k.AI(),
-			AttainableFlops:        att,
-			Bound:                  "compute",
-		}
-		if BandwidthBound(k, machine) {
-			e.Bound = "bandwidth"
-		}
-		if att > 0 {
-			e.PctOfAttainable = 100 * e.AchievedFlops / att
-		}
-		out = append(out, e)
-	}
-
 	sw := float64(sweeps)
 	ci := float64(colIters)
-	nnz := float64(a.NNZ())
+	out := make([]Achieved, 0, 3)
 	// Matrix stream once per sweep; per-column vector gathers per column-iter.
-	matBytes := (12*nnz + 4*float64(a.Rows)) * sw
-	vecBytes := 8 * float64(a.Cols+a.Rows) * ci
-	add(KernelSpMM, int64(sweeps), 2*nnz*ci, matBytes+vecBytes, spmvNS)
+	out = place(out, machine, product, int64(sweeps), 2*float64(a.NNZ())*ci,
+		float64(a.StreamBytes())*sw+8*float64(a.Cols+a.Rows)*ci, spmvNS)
 	if g != nil {
-		gnnz := float64(g.NNZ())
-		gm := 2 * (12*gnnz + 4*float64(g.Rows)) * sw
-		gv := 2 * 8 * float64(g.Cols+g.Rows) * ci
-		add(KernelApplyG, int64(sweeps), 2*2*gnnz*ci, gm+gv, precondNS)
+		out = place(out, machine, KernelApplyG, int64(sweeps), 2*2*float64(g.NNZ())*ci,
+			2*float64(g.StreamBytes())*sw+2*8*float64(g.Cols+g.Rows)*ci, precondNS)
 	}
 	n := float64(a.Rows)
-	add(KernelBLAS1, int64(sweeps), 12*n*ci, 104*n*ci, blas1NS)
-	return out
+	return place(out, machine, KernelBLAS1, int64(sweeps), 12*n*ci, 104*n*ci, blas1NS)
+}
+
+// place appends one kernel class's achieved placement on the machine's
+// roofline; a class with no measured time or no work is skipped.
+func place(out []Achieved, machine arch.Arch, name string, calls int64, flops, bytes float64, ns int64) []Achieved {
+	if ns <= 0 || flops <= 0 {
+		return out
+	}
+	sec := float64(ns) / 1e9
+	k := Kernel{Name: name, Flops: flops, Bytes: bytes}
+	att := Attainable(k, machine)
+	e := Achieved{
+		Kernel:                 name,
+		Calls:                  calls,
+		Flops:                  flops,
+		Bytes:                  bytes,
+		Seconds:                sec,
+		AchievedFlops:          flops / sec,
+		AchievedBandwidthBytes: bytes / sec,
+		AI:                     k.AI(),
+		AttainableFlops:        att,
+		Bound:                  "compute",
+	}
+	if BandwidthBound(k, machine) {
+		e.Bound = "bandwidth"
+	}
+	if att > 0 {
+		e.PctOfAttainable = 100 * e.AchievedFlops / att
+	}
+	return append(out, e)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/prof"
+	"repro/internal/prof/proftest"
 	"repro/internal/roofline"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -83,39 +85,35 @@ func TestConcurrentSolvesAttributedInProfileWindow(t *testing.T) {
 
 	// CPU sampling is statistical (100 Hz): retry short windows until one
 	// catches both workers, bounded so a pass stays fast and a real
-	// label-propagation break still fails loudly.
-	seen := func(w *prof.Window, set map[string]bool) bool {
-		for _, id := range w.Jobs {
+	// label-propagation break still fails loudly. The labels are read back
+	// with `go tool pprof -tags`, the operator's own view of a window.
+	seen := func(ids []string, set map[string]bool) bool {
+		for _, id := range ids {
 			if set[id] {
 				return true
 			}
 		}
 		return false
 	}
-	hasPhase := func(w *prof.Window, phase string) bool {
-		for _, p := range w.Phases {
-			if p == phase {
-				return true
-			}
-		}
-		return false
-	}
 	deadline := time.Now().Add(30 * time.Second)
-	var last *prof.Window
+	var last map[string][]string
 	for time.Now().Before(deadline) {
 		w := s.Prof().Capture(1200 * time.Millisecond)
-		last = w
+		if len(w.CPU) == 0 {
+			continue
+		}
+		last = proftest.Tags(t, w.CPU)
 		mu.Lock()
-		both := seen(w, jobs[0]) && seen(w, jobs[1])
+		both := seen(last[prof.LabelJobID], jobs[0]) && seen(last[prof.LabelJobID], jobs[1])
 		mu.Unlock()
-		if both && hasPhase(w, prof.PhaseCG) {
+		if both && slices.Contains(last[prof.LabelPhase], prof.PhaseCG) {
 			return
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	t.Fatalf("no window captured both workers' job ids with phase=cg; last window jobs=%v phases=%v (worker0=%v worker1=%v)",
-		last.Jobs, last.Phases, keys(jobs[0]), keys(jobs[1]))
+		last[prof.LabelJobID], last[prof.LabelPhase], keys(jobs[0]), keys(jobs[1]))
 }
 
 func keys(m map[string]bool) []string {
@@ -261,9 +259,7 @@ func TestProfilesAndRooflineEndpoints(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(pr.Body)
 	pr.Body.Close()
-	if _, err := prof.Parse(raw); err != nil {
-		t.Fatalf("downloaded CPU profile does not parse: %v", err)
-	}
+	proftest.Raw(t, raw)
 
 	// No observability route may answer 5xx — same invariant the smoke
 	// script asserts against a running daemon.

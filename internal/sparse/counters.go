@@ -1,14 +1,18 @@
 package sparse
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Op/byte counters for the SpMV kernels. When enabled, every MulVec /
 // MulVecParallel / MulVecT call adds its nominal work — flops and memory
 // traffic computed from the matrix shape, not measured per element — to a
-// set of package-level atomics. The accounting matches the roofline
-// descriptors of internal/roofline (2 flops per stored entry; 12 B per
-// entry + 4 B per row pointer of matrix traffic) so measured totals can be
-// laid against the perfmodel/roofline estimates and drift becomes visible.
+// set of package-level atomics: 2 flops per stored entry and StreamBytes of
+// matrix traffic, the same accounting as the live roofline of
+// internal/roofline. The offline paper model (roofline.SpMVKernel,
+// perfmodel) keeps the paper's 12 B per entry, so laying measured totals
+// against it shows the drift between the paper's layout and this one.
 //
 // Vector traffic is counted at its *nominal* minimum (each input element
 // read once, each output element written once). The model's line-visit and
@@ -147,35 +151,37 @@ func AccountBlas1(flops, bytes int64) {
 	classCounters.blas1.add(1, flops, 0, bytes)
 }
 
-// countSpMV charges one sweep of m to the op counters (no-op when disabled).
-func (m *CSR) countSpMV() {
-	if !opCounters.enabled.Load() {
-		return
-	}
-	nnz := int64(m.NNZ())
-	opCounters.calls.Add(1)
-	opCounters.flops.Add(2 * nnz)
-	opCounters.matrixBytes.Add(12*nnz + 4*int64(m.Rows))
-	opCounters.vectorBytes.Add(8 * int64(m.Cols+m.Rows))
-	classCounters.spmv.add(1, 2*nnz, 12*nnz+4*int64(m.Rows), 8*int64(m.Cols+m.Rows))
+// StreamBytes returns the matrix traffic of one sweep of m: every stored
+// value and column index plus every row pointer, read once. Element sizes
+// come from the field types, so the count follows the storage layout: with
+// []int indices and float64 values it is 16 B per entry and 8 B per row
+// pointer.
+func (m *CSR) StreamBytes() int64 {
+	perNNZ := int64(unsafe.Sizeof(m.Val[0]) + unsafe.Sizeof(m.ColIdx[0]))
+	perPtr := int64(unsafe.Sizeof(m.RowPtr[0]))
+	return int64(m.NNZ())*perNNZ + int64(m.Rows+1)*perPtr
 }
+
+// countSpMV charges one sweep of m to the op counters (no-op when disabled).
+func (m *CSR) countSpMV() { m.countSweep(&classCounters.spmv, 1) }
 
 // countSpMM charges one k-column block sweep of m: the matrix stream is
 // read once, the vector traffic scales with k. The same work lands in the
 // aggregate counters (as one call) so existing totals keep covering all
 // sparse sweeps.
-func (m *CSR) countSpMM(k int) {
+func (m *CSR) countSpMM(k int) { m.countSweep(&classCounters.spmm, k) }
+
+func (m *CSR) countSweep(class *classCounter, k int) {
 	if !opCounters.enabled.Load() {
 		return
 	}
-	nnz := int64(m.NNZ())
 	kk := int64(k)
-	flops := 2 * nnz * kk
-	mb := 12*nnz + 4*int64(m.Rows)
+	flops := 2 * int64(m.NNZ()) * kk
+	mb := m.StreamBytes()
 	vb := 8 * int64(m.Cols+m.Rows) * kk
 	opCounters.calls.Add(1)
 	opCounters.flops.Add(flops)
 	opCounters.matrixBytes.Add(mb)
 	opCounters.vectorBytes.Add(vb)
-	classCounters.spmm.add(1, flops, mb, vb)
+	class.add(1, flops, mb, vb)
 }

@@ -40,11 +40,12 @@ func TestOpCountersAccounting(t *testing.T) {
 	if c.SpMVCalls != 3 {
 		t.Errorf("calls = %d, want 3", c.SpMVCalls)
 	}
-	// Per sweep: flops = 2*7, matrix = 12*7 + 4*3, vector = 8*(3+3).
+	// Per sweep: flops = 2*7, matrix = 16*7 + 8*4 ([]int indices, float64
+	// values, 4 row pointers), vector = 8*(3+3).
 	if want := int64(3 * 2 * 7); c.Flops != want {
 		t.Errorf("flops = %d, want %d", c.Flops, want)
 	}
-	if want := int64(3 * (12*7 + 4*3)); c.MatrixBytes != want {
+	if want := int64(3 * (16*7 + 8*4)); c.MatrixBytes != want {
 		t.Errorf("matrix bytes = %d, want %d", c.MatrixBytes, want)
 	}
 	if want := int64(3 * 8 * 6); c.VectorBytes != want {

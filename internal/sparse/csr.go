@@ -100,8 +100,8 @@ func (m *CSR) Validate() error {
 	}
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		if lo > hi {
-			return fmt.Errorf("sparse: row %d has negative extent", i)
+		if lo > hi || hi > len(m.ColIdx) {
+			return fmt.Errorf("sparse: row %d has extent [%d,%d) outside [0,%d)", i, lo, hi, len(m.ColIdx))
 		}
 		prev := -1
 		for k := lo; k < hi; k++ {

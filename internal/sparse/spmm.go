@@ -5,8 +5,8 @@ import "fmt"
 // SpMM (multi-vector SpMV) kernels: Y = A X for a block X of k dense
 // vectors stored column-major (column j of X is x[j*Cols:(j+1)*Cols], of Y
 // is y[j*Rows:(j+1)*Rows]). One pass over the matrix serves all k columns,
-// so the dominant CSR stream (values + column indices, 12 B per stored
-// entry) is read once instead of k times — the same bandwidth→compute shift
+// so the dominant CSR stream (values + column indices, StreamBytes) is read
+// once instead of k times — the same bandwidth→compute shift
 // the paper's cache-aware patterns buy inside one SpMV, applied across
 // right-hand sides. Per-RHS matrix traffic drops k-fold; only the k column
 // gathers remain per-vector.

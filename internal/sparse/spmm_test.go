@@ -115,7 +115,7 @@ func TestSpMMOpClassCounters(t *testing.T) {
 	if cls.SpMM.SpMVCalls != 1 || cls.SpMM.Flops != 2*nnz*k {
 		t.Fatalf("spmm class: %+v", cls.SpMM)
 	}
-	if want := 12*nnz + 4*3; cls.SpMM.MatrixBytes != want {
+	if want := 16*nnz + 8*4; cls.SpMM.MatrixBytes != want {
 		t.Fatalf("spmm matrix bytes: got %d want %d (must not scale with k)", cls.SpMM.MatrixBytes, want)
 	}
 	if want := int64(8*(3+3)) * k; cls.SpMM.VectorBytes != want {

@@ -208,10 +208,11 @@ func (d *dec) csr(what string) *sparse.CSR {
 	if d.err != nil {
 		return nil
 	}
-	if m.Rows < 0 || m.Cols < 0 || len(m.RowPtr) != m.Rows+1 ||
-		len(m.ColIdx) != len(m.Val) ||
-		(m.Rows > 0 && m.RowPtr[m.Rows] != len(m.ColIdx)) {
-		d.fail(what + " structure")
+	// A checksum-valid entry can still be structurally invalid (a column
+	// index out of range, decreasing row pointers): quarantine it here
+	// rather than let its first SpMV panic.
+	if err := m.Validate(); err != nil {
+		d.err = fmt.Errorf("%w: %s: %v", errCorrupt, what, err)
 		return nil
 	}
 	return m
@@ -239,9 +240,8 @@ func (d *dec) pat(what string) *pattern.Pattern {
 	if d.err != nil {
 		return nil
 	}
-	if p.Rows < 0 || len(p.RowPtr) != p.Rows+1 ||
-		(p.Rows > 0 && p.RowPtr[p.Rows] != len(p.Cols)) {
-		d.fail(what + " structure")
+	if err := p.Validate(); err != nil {
+		d.err = fmt.Errorf("%w: %s: %v", errCorrupt, what, err)
 		return nil
 	}
 	return p

@@ -161,10 +161,12 @@ done
 json_ok "$workdir/profiles.json" || { echo "FAIL: /profiles is not well-formed JSON"; cat "$workdir/profiles.json"; fail=1; }
 grep -q '"enabled": *true' "$workdir/profiles.json" || { echo "FAIL: /profiles reports sampler disabled"; cat "$workdir/profiles.json"; fail=1; }
 [ "$profiled" = "1" ] || { echo "FAIL: no profiling window captured"; cat "$workdir/profiles.json"; fail=1; }
-curl -fsS "http://$addr/profiles/1" >"$workdir/window.json"
-json_ok "$workdir/window.json" || { echo "FAIL: /profiles/1 is not well-formed JSON"; fail=1; }
-curl -fsS "http://$addr/profiles/1/heap" >"$workdir/heap.pb.gz"
-[ -s "$workdir/heap.pb.gz" ] || { echo "FAIL: /profiles/1/heap empty"; fail=1; }
+# The raw windows are read by the toolchain's own pprof, the way an operator
+# reads them (`go tool pprof -tags cpu.pb.gz` for the per-job breakdown).
+for kind in cpu heap; do
+    curl -fsS "http://$addr/profiles/1/$kind" >"$workdir/$kind.pb.gz" || { echo "FAIL: /profiles/1/$kind download failed"; fail=1; }
+    go tool pprof -symbolize=none -raw "$workdir/$kind.pb.gz" >/dev/null || { echo "FAIL: go tool pprof cannot read /profiles/1/$kind"; fail=1; }
+done
 
 echo "== no observability route may answer 5xx =="
 for route in / /metrics /healthz /debug/solve /runs /traces /slo /profiles /roofline; do
@@ -296,7 +298,7 @@ fi
 # run reports for upload; the ephemeral workdir is deleted either way.
 if [ -n "${SMOKE_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$SMOKE_ARTIFACTS_DIR"
-    cp -f "$workdir"/*.json "$workdir"/heap.pb.gz "$SMOKE_ARTIFACTS_DIR"/ 2>/dev/null || true
+    cp -f "$workdir"/*.json "$workdir"/*.pb.gz "$SMOKE_ARTIFACTS_DIR"/ 2>/dev/null || true
     cp -rf "$workdir/runs" "$SMOKE_ARTIFACTS_DIR"/ 2>/dev/null || true
     echo "smoke artifacts kept in $SMOKE_ARTIFACTS_DIR"
 fi

@@ -110,8 +110,10 @@ clean:
 
 # Fuzz smoke: each native fuzz target runs for 10s on top of its seed
 # corpus. The targets feed untrusted bytes (MatrixMarket files, store entry
-# payloads) to the decoders and assert they never panic and only return
-# structurally valid matrices. -fuzz takes one target per invocation.
+# envelopes and payloads) to the decoders and assert they never panic, only
+# return structurally valid matrices, and accept only envelopes sealFile
+# writes. -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/store/

@@ -248,7 +248,6 @@ func main() {
 	}
 	if watcher != nil {
 		watcher.Begin(fmt.Sprintf("%s/%s", filepath.Base(flag.Arg(0)), *precName), *tol, *maxIter)
-		opts.Progress = watcher.Progress
 		opts.ProgressDetail = watcher.ProgressDetail
 	}
 
@@ -513,30 +512,12 @@ func buildPreconditioner(name string, a *sparse.CSR, fo fsai.Options) (krylov.Pr
 		}
 		m, err := precond.NewChebyshev(a, 8, ext.Min*0.3, ext.Max*1.05)
 		return m, nil, err
-	case "fsai":
-		fo.Variant = fsai.VariantFSAI
-		p, err := fsai.Compute(a, fo)
-		return p, p, err
-	case "fsaie-sp":
-		fo.Variant = fsai.VariantSp
-		p, err := fsai.Compute(a, fo)
-		return p, p, err
-	case "fsaie":
-		fo.Variant = fsai.VariantFull
-		p, err := fsai.Compute(a, fo)
-		return p, p, err
-	case "adaptive":
-		p, err := fsai.ComputeAdaptive(a, fsai.AdaptiveOptions{
-			MaxPerRow:   12,
-			Tol:         0.02,
-			CacheExtend: fo.LineBytes,
-			AlignElems:  fo.AlignElems,
-			Filter:      fo.Filter,
-		})
-		return p, p, err
-	default:
+	}
+	if !fsai.IsFamily(name) {
 		return nil, nil, fmt.Errorf("unknown preconditioner %q", name)
 	}
+	p, err := fsai.ComputeNamed(name, a, fo)
+	return p, p, err
 }
 
 func readVector(path string, n int) ([]float64, error) {

@@ -41,6 +41,42 @@ func (v Variant) String() string {
 	}
 }
 
+// familyVariants maps the FSAI-family preconditioner names — the spelling
+// of fsaisolve -precond, the daemon's "precond" field and the recovery
+// chain's rungs — to their Compute variant. "adaptive" is the fourth
+// family name; it builds with ComputeAdaptive instead.
+var familyVariants = map[string]Variant{"fsai": VariantFSAI, "fsaie-sp": VariantSp, "fsaie": VariantFull}
+
+// IsFamily reports whether ComputeNamed builds name: "fsai", "fsaie-sp",
+// "fsaie" or "adaptive".
+func IsFamily(name string) bool {
+	_, ok := familyVariants[name]
+	return ok || name == "adaptive"
+}
+
+// ComputeNamed builds the FSAI-family preconditioner called name from the
+// setup knobs in fo (fo.Variant is overridden). "adaptive" runs
+// ComputeAdaptive with at most 12 entries per row and a 0.02 residual
+// tolerance, cache-extended by fo.LineBytes and filtered by fo.Filter.
+func ComputeNamed(name string, a *sparse.CSR, fo Options) (*Preconditioner, error) {
+	if name == "adaptive" {
+		return ComputeAdaptive(a, AdaptiveOptions{
+			MaxPerRow:   12,
+			Tol:         0.02,
+			CacheExtend: fo.LineBytes,
+			AlignElems:  fo.AlignElems,
+			Filter:      fo.Filter,
+			Workers:     fo.Workers,
+		})
+	}
+	v, ok := familyVariants[name]
+	if !ok {
+		return nil, fmt.Errorf("fsai: %q is not an FSAI-family preconditioner", name)
+	}
+	fo.Variant = v
+	return Compute(a, fo)
+}
+
 // Options configures a preconditioner setup.
 type Options struct {
 	// Variant selects FSAI / FSAIE(sp) / FSAIE(full).
@@ -239,8 +275,7 @@ type Preconditioner struct {
 	// the stack treated it as "all CPUs"; the mismatch is fixed.)
 	Workers int
 
-	tmp  []float64
-	btmp []float64 // block-apply scratch (rows × k), from the size-keyed pool
+	tmp  []float64 // apply scratch (rows × k), from the size-keyed pool
 	eng  *kernels.Engine
 	lctx context.Context // pprof label context for Apply's pooled sweeps
 }
@@ -255,72 +290,40 @@ func (p *Preconditioner) SetLabelContext(ctx context.Context) {
 	}
 }
 
-// Apply computes z = Gᵀ(G r), the FSAI preconditioning operation: two SpMV
-// products scheduled on the persistent worker pool with per-matrix
-// nnz-balanced partition plans. The scratch vector and kernel engine are
-// reused across calls (Compute pre-allocates them), so steady-state
-// applications perform no heap allocations.
-//
-// Apply is not safe for concurrent use of one Preconditioner; concurrent
-// solves need their own instance (or their own clone of G/GT).
-func (p *Preconditioner) Apply(z, r []float64) {
-	w := p.Workers
-	if w <= 0 {
-		w = parallel.MaxWorkers()
-	}
-	if p.tmp == nil || len(p.tmp) != p.G.Rows {
-		p.tmp = make([]float64, p.G.Rows)
-	}
-	if w == 1 {
-		p.G.MulVec(p.tmp, r)
-		p.GT.MulVec(z, p.tmp)
-		return
-	}
-	if p.eng == nil || p.eng.Workers() != w {
-		p.eng = kernels.New(p.G.Rows, w)
-		p.eng.SetLabelContext(p.lctx)
-	}
-	p.eng.SpMV(p.G, p.tmp, r)
-	p.eng.SpMV(p.GT, z, p.tmp)
-}
+// Apply computes z = Gᵀ(G r), the FSAI preconditioning operation: the
+// k = 1 ApplyBlock.
+func (p *Preconditioner) Apply(z, r []float64) { p.ApplyBlock(z, r, 1) }
 
 // ApplyBlock computes Z = Gᵀ(G R) for k column-major residual vectors in
-// two SpMM sweeps: the factors' CSR streams are read once for all k
-// columns instead of once per column, which is where the batched solve
-// path earns its per-RHS speedup. Column j of the result is bit-identical
-// to Apply on column j (the SpMM kernels preserve the per-column
-// accumulation order), and k = 1 is exactly Apply. The (rows × k) scratch
-// comes from the kernels size-keyed pool, so steady-state block
-// applications at a fixed k allocate nothing.
+// two sparse product sweeps scheduled on the persistent worker pool with
+// per-matrix nnz-balanced partition plans: the factors' CSR streams are
+// read once for all k columns instead of once per column, which is where
+// the batched solve path earns its per-RHS speedup. Column j of the result
+// is bit-identical to Apply on column j (the product kernels preserve the
+// per-column accumulation order). The (rows × k) scratch comes from the
+// kernels size-keyed pool and the engine is reused across calls (Compute
+// pre-allocates both for k = 1), so steady-state applications at a fixed k
+// perform no heap allocations.
 //
-// Like Apply, ApplyBlock is not safe for concurrent use of one
-// Preconditioner.
+// ApplyBlock is not safe for concurrent use of one Preconditioner;
+// concurrent solves need their own instance (see CloneForApply).
 func (p *Preconditioner) ApplyBlock(z, r []float64, k int) {
-	if k == 1 {
-		p.Apply(z, r)
-		return
-	}
 	w := p.Workers
 	if w <= 0 {
 		w = parallel.MaxWorkers()
 	}
-	if need := p.G.Rows * k; len(p.btmp) != need {
-		if p.btmp != nil {
-			kernels.PutBlockScratch(p.btmp)
+	if need := p.G.Rows * k; len(p.tmp) != need {
+		if p.tmp != nil {
+			kernels.PutBlockScratch(p.tmp)
 		}
-		p.btmp = kernels.GetBlockScratch(need)
-	}
-	if w == 1 {
-		p.G.MulMat(p.btmp, r, k)
-		p.GT.MulMat(z, p.btmp, k)
-		return
+		p.tmp = kernels.GetBlockScratch(need)
 	}
 	if p.eng == nil || p.eng.Workers() != w {
 		p.eng = kernels.New(p.G.Rows, w)
 		p.eng.SetLabelContext(p.lctx)
 	}
-	p.eng.SpMM(p.G, p.btmp, r, k)
-	p.eng.SpMM(p.GT, z, p.btmp, k)
+	p.eng.SpMM(p.G, p.tmp, r, k)
+	p.eng.SpMM(p.GT, z, p.tmp, k)
 }
 
 // initApply pre-allocates Apply's scratch and engine (and the partition
@@ -334,9 +337,9 @@ func (p *Preconditioner) initApply() {
 	if w <= 0 {
 		w = parallel.MaxWorkers()
 	}
-	p.tmp = make([]float64, p.G.Rows)
+	p.tmp = kernels.GetBlockScratch(p.G.Rows)
+	p.eng = kernels.New(p.G.Rows, w)
 	if w > 1 {
-		p.eng = kernels.New(p.G.Rows, w)
 		p.G.PartitionPlan(w)
 		p.GT.PartitionPlan(w)
 	}

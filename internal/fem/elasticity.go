@@ -7,7 +7,8 @@ import "repro/internal/sparse"
 // global numbering as 2*node+dof. This is the assembly pipeline behind the
 // paper's dominant "Structural" matrix family (shipsec/bcsstk-class
 // matrices come from exactly such element loops); rows arrive in natural
-// 2×2 blocks, the structure BSR storage and block preconditioners exploit.
+// 2×2 blocks, the structure block storage formats and block
+// preconditioners exploit.
 
 // Material holds isotropic elastic constants.
 type Material struct {

@@ -43,21 +43,6 @@ func BenchmarkFusedBlas1(b *testing.B) {
 			_ = e.XRUpdate(alpha, p, ap, x, r)
 		}
 	})
-	b.Run("separate-axpy-dot", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(n * 8 * 3))
-		for i := 0; i < b.N; i++ {
-			e.Axpy(alpha, p, x)
-			_ = e.Dot(x, r)
-		}
-	})
-	b.Run("fused-axpydot", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(n * 8 * 3))
-		for i := 0; i < b.N; i++ {
-			_ = e.AxpyDot(alpha, p, x, r)
-		}
-	})
 }
 
 func BenchmarkEngineDot(b *testing.B) {

@@ -1,43 +1,10 @@
-// Block (multi-right-hand-side) kernels: SpMM dispatch over column-major
-// n×k vector blocks (column j of an n×k block b is b[j*n:(j+1)*n], the
-// layout shared with internal/sparse and krylov) and the size-keyed
-// scratch pool for the block solver's work vectors. SpMM powers
-// krylov.SolveBlock: one pass over the matrix serves all k columns. The
-// per-column BLAS-1 of the block solver runs on the scalar kernels, so a
-// column of a block solve is bit-identical to a one-column solve.
+// Block (multi-right-hand-side) scratch: the size-keyed pool for the block
+// solver's column-major n×k work vectors (column j of an n×k block b is
+// b[j*n:(j+1)*n], the layout shared with internal/sparse and krylov) and
+// for the factor's block-apply scratch.
 package kernels
 
-import (
-	"sync"
-
-	"repro/internal/sparse"
-)
-
-// SpMM computes the k-column block product Y = m X (column-major),
-// scheduling the matrix's nnz-balanced partition plan on the pool exactly
-// like SpMV. Column j of the result is bit-identical to SpMV with column j
-// for any worker count; k == 1 is the scalar SpMV.
-func (e *Engine) SpMM(m *sparse.CSR, y, x []float64, k int) {
-	if k == 1 {
-		e.SpMV(m, y, x)
-		return
-	}
-	m.AccountSpMM(k)
-	if e.workers <= 1 {
-		m.MulMatRange(y, x, k, 0, m.Rows)
-		return
-	}
-	pl := m.PartitionPlan(e.workers)
-	if pl.NChunks() <= 1 {
-		m.MulMatRange(y, x, k, 0, m.Rows)
-		return
-	}
-	e.sm, e.sy, e.sx, e.sk = m, y, x, k
-	if err := e.pool.RunLabeled(pl.Bounds, e.spmmBody, e.lctx); err != nil {
-		panic(err)
-	}
-	e.sm, e.sy, e.sx = nil, nil, nil
-}
+import "sync"
 
 // blockScratch pools float64 buffers keyed by exact length, so repeated
 // block solves at the same (rows × k) reuse their work blocks instead of

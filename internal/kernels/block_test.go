@@ -31,8 +31,8 @@ func testMatrix(n int) *sparse.CSR {
 }
 
 // TestSpMMBitIdenticalToSpMV proves the pooled block product reproduces the
-// pooled single-vector product bit-for-bit per column, on the forced-pooled
-// path (parallelMinLen lowered) and across worker counts.
+// serial single-vector product (MulVec) bit-for-bit per column, on the
+// forced-pooled path (parallelMinLen lowered) and across worker counts.
 func TestSpMMBitIdenticalToSpMV(t *testing.T) {
 	old := parallelMinLen
 	parallelMinLen = 64
@@ -48,7 +48,7 @@ func TestSpMMBitIdenticalToSpMV(t *testing.T) {
 			e.SpMM(m, y, x, k)
 			ref := make([]float64, n)
 			for j := 0; j < k; j++ {
-				e.SpMV(m, ref, x[j*n:(j+1)*n])
+				m.MulVec(ref, x[j*n:(j+1)*n])
 				for i := range ref {
 					if y[j*n+i] != ref[i] {
 						t.Fatalf("w=%d k=%d col %d row %d: %v != %v", w, k, j, i, y[j*n+i], ref[i])

@@ -1,7 +1,8 @@
 // Package kernels is the high-performance execution layer of the solve hot
-// path. It provides pooled, allocation-free vector (BLAS-1) and SpMV kernels
-// built on the persistent worker pool of internal/parallel and the
-// nnz-balanced partition plans of internal/sparse.
+// path. It provides pooled, allocation-free vector (BLAS-1) and sparse
+// product (SpMM; SpMV is its k = 1 case) kernels built on the persistent
+// worker pool of internal/parallel and the nnz-balanced partition plans of
+// internal/sparse.
 //
 // The package exists because the PCG loop of Section 2.1 is a handful of
 // memory-bound sweeps repeated thousands of times: three SpMV products (one
@@ -11,9 +12,9 @@
 //
 //   - kernel bodies are bound once at construction, so a dispatch performs
 //     zero heap allocations;
-//   - the fused kernels (AxpyDot, XRUpdate) merge the x/r updates and the
-//     residual norm into single sweeps, dropping the PCG iteration from
-//     ~8 full-vector passes to ~5 (see docs/performance.md for the map);
+//   - the fused XRUpdate merges the x/r updates and the residual norm into
+//     a single sweep, dropping the PCG iteration from ~8 full-vector passes
+//     to ~5 (see docs/performance.md for the map);
 //   - reductions combine per-chunk partials in chunk order, so results are
 //     deterministic for a fixed worker count, and vectors below
 //     ParallelMinLen stay on the bit-identical serial path.
@@ -68,7 +69,7 @@ type Engine struct {
 	// solver phase); nil means unlabeled. See SetLabelContext.
 	lctx context.Context
 
-	dotBody, axpyBody, xpayBody, xrBody, axpyDotBody, spmvBody, spmmBody func(chunk, lo, hi int)
+	dotBody, axpyBody, xpayBody, xrBody, spmmBody func(chunk, lo, hi int)
 }
 
 // New returns an engine for vectors of length n using the given worker
@@ -124,19 +125,6 @@ func NewWithPool(n, workers int, pool *parallel.Pool) *Engine {
 		}
 		e.parts[c] = s
 	}
-	e.axpyDotBody = func(c, lo, hi int) {
-		alpha, x, y, w := e.alpha, e.ax, e.ay, e.ra
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			yi := y[i] + alpha*x[i]
-			y[i] = yi
-			s += yi * w[i]
-		}
-		e.parts[c] = s
-	}
-	e.spmvBody = func(_, lo, hi int) {
-		e.sm.MulVecRange(e.sy, e.sx, lo, hi)
-	}
 	e.spmmBody = func(_, lo, hi int) {
 		e.sm.MulMatRange(e.sy, e.sx, e.sk, lo, hi)
 	}
@@ -176,22 +164,23 @@ func (e *Engine) sumParts() float64 {
 	return s
 }
 
-// SpMV computes y = m x, scheduling the matrix's nnz-balanced partition
-// plan on the pool (serial for one worker). Results are bit-identical to
-// m.MulVec for any worker count.
-func (e *Engine) SpMV(m *sparse.CSR, y, x []float64) {
-	m.AccountSpMV()
+// SpMM computes the k-column block product Y = m X (column-major; k = 1
+// is the single-vector SpMV), scheduling the matrix's nnz-balanced
+// partition plan on the pool (serial for one worker). Column j of the
+// result is bit-identical to m.MulVec on column j for any worker count.
+func (e *Engine) SpMM(m *sparse.CSR, y, x []float64, k int) {
+	m.AccountSweep(k)
 	if e.workers <= 1 {
-		m.MulVecRange(y, x, 0, m.Rows)
+		m.MulMatRange(y, x, k, 0, m.Rows)
 		return
 	}
 	pl := m.PartitionPlan(e.workers)
 	if pl.NChunks() <= 1 {
-		m.MulVecRange(y, x, 0, m.Rows)
+		m.MulMatRange(y, x, k, 0, m.Rows)
 		return
 	}
-	e.sm, e.sy, e.sx = m, y, x
-	if err := e.pool.RunLabeled(pl.Bounds, e.spmvBody, e.lctx); err != nil {
+	e.sm, e.sy, e.sx, e.sk = m, y, x, k
+	if err := e.pool.RunLabeled(pl.Bounds, e.spmmBody, e.lctx); err != nil {
 		panic(err)
 	}
 	e.sm, e.sy, e.sx = nil, nil, nil
@@ -236,18 +225,6 @@ func (e *Engine) Xpay(x []float64, beta float64, y []float64) {
 	e.ax, e.ay = nil, nil
 }
 
-// AxpyDot computes y += alpha x and returns yᵀw in the same sweep.
-func (e *Engine) AxpyDot(alpha float64, x, y, w []float64) float64 {
-	sparse.AccountBlas1(4*int64(len(x)), 32*int64(len(x)))
-	if !e.parallelVec(len(x)) {
-		return SerialAxpyDot(alpha, x, y, w)
-	}
-	e.alpha, e.ax, e.ay, e.ra = alpha, x, y, w
-	e.run(e.axpyDotBody)
-	e.ax, e.ay, e.ra = nil, nil, nil
-	return e.sumParts()
-}
-
 // XRUpdate is the fused PCG iterate/residual update: x += alpha p,
 // r -= alpha ap, returning rᵀr — one sweep where the textbook loop spends
 // three (two AXPYs plus a norm). On the serial path the per-element
@@ -290,17 +267,6 @@ func SerialXpay(x []float64, beta float64, y []float64) {
 	for i := range x {
 		y[i] = x[i] + beta*y[i]
 	}
-}
-
-// SerialAxpyDot computes y += alpha x and returns yᵀw.
-func SerialAxpyDot(alpha float64, x, y, w []float64) float64 {
-	s := 0.0
-	for i := range x {
-		yi := y[i] + alpha*x[i]
-		y[i] = yi
-		s += yi * w[i]
-	}
-	return s
 }
 
 // SerialXRUpdate computes x += alpha p, r -= alpha ap and returns rᵀr.

@@ -114,7 +114,7 @@ func TestEngineFusedMatchesSerialSequence(t *testing.T) {
 		for _, w := range []int{1, 2, 4} {
 			e := NewWithPool(n, w, pool)
 			p, ap := randVec(rng, n), randVec(rng, n)
-			x0, r0, wv := randVec(rng, n), randVec(rng, n), randVec(rng, n)
+			x0, r0 := randVec(rng, n), randVec(rng, n)
 			alpha := rng.NormFloat64()
 
 			// XRUpdate vs the unfused three-kernel sequence.
@@ -130,14 +130,6 @@ func TestEngineFusedMatchesSerialSequence(t *testing.T) {
 				if !relClose(x1[i], x2[i], tol) || !relClose(r1[i], r2[i], tol) {
 					t.Fatalf("n=%d w=%d XRUpdate[%d]: x %g/%g r %g/%g", n, w, i, x1[i], x2[i], r1[i], r2[i])
 				}
-			}
-
-			// AxpyDot vs Axpy followed by Dot.
-			y1, y2 := append([]float64(nil), r0...), append([]float64(nil), r0...)
-			got := e.AxpyDot(alpha, p, y1, wv)
-			SerialAxpy(alpha, p, y2)
-			if want := SerialDot(y2, wv); !relClose(got, want, tol) {
-				t.Fatalf("n=%d w=%d AxpyDot: got %g want %g", n, w, got, want)
 			}
 		}
 	}
@@ -155,7 +147,7 @@ func TestEngineSpMVMatchesMulVec(t *testing.T) {
 		for _, w := range []int{1, 2, 3, 8} {
 			e := NewWithPool(n, w, pool)
 			got := make([]float64, n)
-			e.SpMV(m, got, x)
+			e.SpMM(m, got, x, 1)
 			for i := range want {
 				// The unrolled kernel sums each row in the same order on
 				// every path, so parallel SpMV is bit-identical to serial.
@@ -185,7 +177,7 @@ func TestEngineConcurrentSolvesRace(t *testing.T) {
 			p, ap := randVec(rng, n), randVec(rng, n)
 			r := randVec(rng, n)
 			for iter := 0; iter < 100; iter++ {
-				e.SpMV(m, y, x)
+				e.SpMM(m, y, x, 1)
 				_ = e.Dot(x, y)
 				_ = e.XRUpdate(0.01, p, ap, x, r)
 				e.Xpay(y, 0.5, p)

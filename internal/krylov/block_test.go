@@ -9,52 +9,30 @@ import (
 	"repro/internal/sparse"
 )
 
-// fsaiLike is a two-factor test preconditioner applying z = Gᵀ(G r) with
-// the same engine kernel sequence the FSAI preconditioner uses, including
-// the batched BlockPreconditioner path. It lets this package prove the
-// block solver's bit-identity claims without importing internal/core.
+// fsaiLike is a two-factor test preconditioner applying Z = Gᵀ(G R) with
+// the same one-body shape the FSAI preconditioner uses: Apply is the k = 1
+// ApplyBlock, and ApplyBlock is two engine SpMM sweeps. It lets this
+// package prove the block solver's bit-identity claims without importing
+// internal/core.
 type fsaiLike struct {
 	g, gt *sparse.CSR
 	eng   *kernels.Engine
-	w     int
 	tmp   []float64
-	btmp  []float64
 }
 
 func newFsaiLike(n, w int) *fsaiLike {
 	g := tridiag(n, -0.2, 1, 0)
-	f := &fsaiLike{g: g, gt: g.Transpose(), w: w, tmp: make([]float64, n)}
-	if w > 1 {
-		f.eng = kernels.New(n, w)
-	}
-	return f
+	return &fsaiLike{g: g, gt: g.Transpose(), eng: kernels.New(n, w)}
 }
 
-func (f *fsaiLike) Apply(z, r []float64) {
-	if f.w == 1 {
-		f.g.MulVec(f.tmp, r)
-		f.gt.MulVec(z, f.tmp)
-		return
-	}
-	f.eng.SpMV(f.g, f.tmp, r)
-	f.eng.SpMV(f.gt, z, f.tmp)
-}
+func (f *fsaiLike) Apply(z, r []float64) { f.ApplyBlock(z, r, 1) }
 
 func (f *fsaiLike) ApplyBlock(z, r []float64, k int) {
-	if k == 1 {
-		f.Apply(z, r)
-		return
+	if len(f.tmp) != f.g.Rows*k {
+		f.tmp = make([]float64, f.g.Rows*k)
 	}
-	if len(f.btmp) != f.g.Rows*k {
-		f.btmp = make([]float64, f.g.Rows*k)
-	}
-	if f.w == 1 {
-		f.g.MulMat(f.btmp, r, k)
-		f.gt.MulMat(z, f.btmp, k)
-		return
-	}
-	f.eng.SpMM(f.g, f.btmp, r, k)
-	f.eng.SpMM(f.gt, z, f.btmp, k)
+	f.eng.SpMM(f.g, f.tmp, r, k)
+	f.eng.SpMM(f.gt, z, f.tmp, k)
 }
 
 func randVec(rng *rand.Rand, n int) []float64 {

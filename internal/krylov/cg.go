@@ -22,9 +22,10 @@ type Preconditioner interface {
 }
 
 // BlockPreconditioner is a Preconditioner that can apply itself to a
-// column-major block of k residuals in one batched pass. SolveBlock uses
-// it when available; otherwise it falls back to column-wise Apply (which
-// is arithmetically identical, just without the batched matrix traffic).
+// column-major block of k residuals in one batched pass (its Apply is then
+// the k = 1 case). SolveBlock uses it when available; otherwise it falls
+// back to column-wise Apply (which is arithmetically identical, just
+// without the batched matrix traffic).
 type BlockPreconditioner interface {
 	Preconditioner
 	ApplyBlock(z, r []float64, k int)
@@ -35,9 +36,6 @@ type Identity struct{}
 
 // Apply copies r into z.
 func (Identity) Apply(z, r []float64) { copy(z, r) }
-
-// ApplyBlock copies each residual column (plain CG).
-func (Identity) ApplyBlock(z, r []float64, k int) { copy(z, r) }
 
 // Jacobi is the diagonal (point Jacobi) preconditioner z_i = r_i / a_ii.
 type Jacobi struct {
@@ -94,14 +92,6 @@ func (j *Jacobi) Apply(z, r []float64) {
 	}
 }
 
-// ApplyBlock applies the diagonal scaling to each column.
-func (j *Jacobi) ApplyBlock(z, r []float64, k int) {
-	n := len(j.InvDiag)
-	for c := 0; c < k; c++ {
-		j.Apply(z[c*n:(c+1)*n], r[c*n:(c+1)*n])
-	}
-}
-
 // Options configures a CG/PCG solve (Solve) or block solve (SolveBlock).
 type Options struct {
 	// Tol is the convergence threshold on ||r_k||₂ / ||r₀||₂. The paper
@@ -116,19 +106,15 @@ type Options struct {
 	// RecordHistory stores ||r_k||/||r₀|| per iteration in each column's
 	// Result.History, for the iterations the column was active.
 	RecordHistory bool
-	// Progress, when non-nil, is called after every completed iteration
-	// with the 1-based iteration number and the current relative residual
-	// (for a block: the worst over the columns that completed the
-	// iteration). It runs on the solver goroutine; keep it cheap.
-	Progress func(iter int, relres float64)
 	// ProgressDetail, when non-nil, is called after every completed
-	// iteration (after Progress) with a richer snapshot: the running
-	// kernel-class timing breakdown is populated when CollectTiming is set,
-	// zero otherwise. Every column that ends in a breakdown, stagnation or
-	// cancellation gets one final snapshot with Status set, so stream
-	// watchers never see a solve vanish mid-flight. It runs on the solver
-	// goroutine; keep it cheap. This is the hook live observability
-	// (obs.SolveWatcher) plugs into.
+	// iteration with the 1-based iteration number, the current relative
+	// residual (for a block: the worst over the columns that completed the
+	// iteration) and the running kernel-class timing breakdown (populated
+	// when CollectTiming is set, zero otherwise). Every column that ends in
+	// a breakdown, stagnation or cancellation gets one final snapshot with
+	// Status set, so stream watchers never see a solve vanish mid-flight.
+	// It runs on the solver goroutine; keep it cheap. This is the hook live
+	// observability (obs.SolveWatcher) plugs into.
 	ProgressDetail func(ProgressInfo)
 	// CollectTiming enables the per-iteration wall-clock breakdown (SpMV
 	// vs. preconditioner-apply vs. BLAS-1) returned in Result.Timing. Off
@@ -494,7 +480,7 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 				copy(rs, cp.R)
 			} else {
 				// Recompute r = b - A x from the restored iterate.
-				eng.SpMV(a, col(q, s), xs)
+				eng.SpMM(a, col(q, s), xs, 1)
 				for i := range rs {
 					rs[i] = bc[i] - q[s*n+i]
 				}
@@ -650,14 +636,9 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 			reported = true
 			worst = math.Max(worst, rel)
 		}
-		if reported {
-			if opt.Progress != nil {
-				opt.Progress(it+1, worst)
-			}
-			if opt.ProgressDetail != nil {
-				opt.ProgressDetail(ProgressInfo{
-					Iteration: it + 1, RelRes: worst, Converged: worst <= opt.Tol, Timing: running()})
-			}
+		if reported && opt.ProgressDetail != nil {
+			opt.ProgressDetail(ProgressInfo{
+				Iteration: it + 1, RelRes: worst, Converged: worst <= opt.Tol, Timing: running()})
 		}
 		retire()
 		if nact == 0 {

@@ -272,9 +272,12 @@ func TestSolveProgressCallback(t *testing.T) {
 	x := make([]float64, 30)
 	var iters []int
 	var rels []float64
-	res := Solve(a, x, rhs, nil, Options{Tol: 1e-8, MaxIter: 200, Progress: func(it int, rel float64) {
-		iters = append(iters, it)
-		rels = append(rels, rel)
+	res := Solve(a, x, rhs, nil, Options{Tol: 1e-8, MaxIter: 200, ProgressDetail: func(pi ProgressInfo) {
+		if pi.Status != StatusUnknown {
+			return
+		}
+		iters = append(iters, pi.Iteration)
+		rels = append(rels, pi.RelRes)
 	}})
 	if !res.Converged {
 		t.Fatalf("not converged: %+v", res)

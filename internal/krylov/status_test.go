@@ -224,12 +224,12 @@ func TestSolveCancellation(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ctx = ctx
 	opt.CancelCheckEvery = 1
-	opt.Progress = func(iter int, _ float64) {
-		if iter == 10 {
+	opt.ProgressDetail = func(pi ProgressInfo) {
+		last = pi
+		if pi.Status == StatusUnknown && pi.Iteration == 10 {
 			cancel()
 		}
 	}
-	opt.ProgressDetail = func(pi ProgressInfo) { last = pi }
 	res := Solve(a, x, rhs, nil, opt)
 	if res.Status != StatusCancelled || res.Converged {
 		t.Fatalf("status=%v want cancelled", res.Status)
@@ -267,8 +267,8 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Ctx = ctx
 	opt.CancelCheckEvery = 1
-	opt.Progress = func(iter int, _ float64) {
-		if iter == resRef.Iterations/2 {
+	opt.ProgressDetail = func(pi ProgressInfo) {
+		if pi.Status == StatusUnknown && pi.Iteration == resRef.Iterations/2 {
 			cancel()
 		}
 	}

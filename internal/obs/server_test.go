@@ -76,7 +76,7 @@ func TestServerMetricsNilRegistry(t *testing.T) {
 func TestServerSolveSnapshot(t *testing.T) {
 	w := NewSolveWatcher()
 	w.Begin("lap/FSAI", 1e-8, 100)
-	w.Progress(7, 1e-3)
+	w.ProgressDetail(krylov.ProgressInfo{Iteration: 7, RelRes: 1e-3})
 	srv := httptest.NewServer(NewServer(Options{Watcher: w}).Handler())
 	defer srv.Close()
 
@@ -338,7 +338,6 @@ func TestServerConcurrentScrapeDuringSolve(t *testing.T) {
 		opt.MaxIter = 1000
 		opt.CollectTiming = true
 		opt.Metrics = reg
-		opt.Progress = w.Progress
 		opt.ProgressDetail = w.ProgressDetail
 		res := krylov.Solve(m, x, b, krylov.NewJacobi(m), opt)
 		w.End(res)

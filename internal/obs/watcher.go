@@ -53,16 +53,17 @@ type SolveState struct {
 	Seq uint64 `json:"seq"`
 }
 
-// SolveWatcher turns the krylov progress callbacks into a live, subscribable
+// SolveWatcher turns the krylov progress callback into a live, subscribable
 // solve state. Wire it into a solve with:
 //
 //	w.Begin("matrix/variant", opt.Tol, opt.MaxIter)
-//	opt.ProgressDetail = w.ProgressDetail   // or opt.Progress = w.Progress
+//	opt.ProgressDetail = w.ProgressDetail
 //	res := krylov.Solve(a, x, b, m, opt)
 //	w.End(res)
 //
-// Begin/End are optional: progress callbacks on an idle watcher auto-begin
-// an unlabelled solve, so campaign drivers can wire only ProgressDetail.
+// Begin/End are optional: a progress callback on an idle watcher
+// auto-begins an unlabelled solve, so campaign drivers can wire only
+// ProgressDetail.
 // All methods are nil-safe and safe for concurrent use with State and
 // Subscribe.
 type SolveWatcher struct {
@@ -89,14 +90,6 @@ func (w *SolveWatcher) Begin(label string, tol float64, maxIter int) {
 	w.state = SolveState{Active: true, Label: label, Tol: tol, MaxIter: maxIter, RelRes: 1, Seq: seq}
 	w.start = w.now()
 	w.publishLocked()
-}
-
-// Progress is a krylov.Options.Progress-compatible callback.
-func (w *SolveWatcher) Progress(iter int, relres float64) {
-	if w == nil {
-		return
-	}
-	w.ProgressDetail(krylov.ProgressInfo{Iteration: iter, RelRes: relres})
 }
 
 // ProgressDetail is a krylov.Options.ProgressDetail-compatible callback.

@@ -10,7 +10,6 @@ import (
 func TestWatcherNilSafe(t *testing.T) {
 	var w *SolveWatcher
 	w.Begin("x", 1e-8, 100)
-	w.Progress(1, 0.5)
 	w.ProgressDetail(krylov.ProgressInfo{Iteration: 2, RelRes: 0.25})
 	w.End(krylov.Result{})
 	if st := w.State(); st != (SolveState{}) {
@@ -33,8 +32,8 @@ func TestWatcherLifecycle(t *testing.T) {
 	if !st.Active || st.Done || st.Label != "lap/FSAI" || st.Tol != 1e-8 || st.MaxIter != 500 || st.RelRes != 1 {
 		t.Fatalf("post-Begin state: %+v", st)
 	}
-	w.Progress(1, 1e-2)
-	w.Progress(2, 1e-4)
+	w.ProgressDetail(krylov.ProgressInfo{Iteration: 1, RelRes: 1e-2})
+	w.ProgressDetail(krylov.ProgressInfo{Iteration: 2, RelRes: 1e-4})
 	st = w.State()
 	if st.Iteration != 2 || st.RelRes != 1e-4 {
 		t.Fatalf("post-progress state: %+v", st)
@@ -81,7 +80,7 @@ func TestWatcherAutoBegin(t *testing.T) {
 func TestWatcherETAClampedToMaxIter(t *testing.T) {
 	w := NewSolveWatcher()
 	w.Begin("slow", 1e-8, 10)
-	w.Progress(5, 0.99) // would extrapolate to thousands of iterations
+	w.ProgressDetail(krylov.ProgressInfo{Iteration: 5, RelRes: 0.99}) // would extrapolate to thousands of iterations
 	st := w.State()
 	if st.ETAIterations != 5 {
 		t.Errorf("ETAIterations = %d, want clamp to MaxIter-Iteration = 5", st.ETAIterations)
@@ -92,7 +91,7 @@ func TestWatcherETAUndefinedCases(t *testing.T) {
 	w := NewSolveWatcher()
 	w.Begin("div", 1e-8, 100)
 	for _, rel := range []float64{1.5, 1.0, 0} { // diverged, stalled at 1, exact zero
-		w.Progress(3, rel)
+		w.ProgressDetail(krylov.ProgressInfo{Iteration: 3, RelRes: rel})
 		if st := w.State(); st.ETAIterations != 0 || st.ETANS != 0 {
 			t.Errorf("relres=%g: ETA = (%d, %d), want zero", rel, st.ETAIterations, st.ETANS)
 		}
@@ -108,7 +107,7 @@ func TestWatcherSubscribe(t *testing.T) {
 		t.Fatalf("initial snapshot: %+v", first)
 	}
 	w.Begin("sub", 1e-8, 10)
-	w.Progress(1, 0.5)
+	w.ProgressDetail(krylov.ProgressInfo{Iteration: 1, RelRes: 0.5})
 	w.End(krylov.Result{Iterations: 1, RelResidual: 0.5})
 	var got []SolveState
 	for len(got) < 3 {
@@ -137,7 +136,7 @@ func TestWatcherSlowSubscriberKeepsLatest(t *testing.T) {
 	defer cancel()
 	w.Begin("burst", 1e-8, 1000)
 	for i := 1; i <= 500; i++ { // far beyond the 64-entry buffer
-		w.Progress(i, 1.0/float64(i+1))
+		w.ProgressDetail(krylov.ProgressInfo{Iteration: i, RelRes: 1.0 / float64(i+1)})
 	}
 	var last SolveState
 	for {

@@ -248,8 +248,8 @@ func TestChaosCancellationAndResume(t *testing.T) {
 	x := make([]float64, a.Rows)
 	opt := Options{}
 	opt.Solve.CancelCheckEvery = 1
-	opt.Solve.Progress = func(iter int, _ float64) {
-		if iter == ref.Result.Iterations/2 {
+	opt.Solve.ProgressDetail = func(pi krylov.ProgressInfo) {
+		if pi.Status == krylov.StatusUnknown && pi.Iteration == ref.Result.Iterations/2 {
 			cancel()
 		}
 	}

@@ -265,18 +265,15 @@ func (o *Outcome) buildRung(a *sparse.CSR, rung string, opt *Options, reg *telem
 		o.record(opt, Attempt{Stage: "setup", Precond: rung, Status: status, NS: time.Since(t0).Nanoseconds()})
 		return j, nil, 0, nil
 	}
-	variant, ok := variantOf(rung)
-	if !ok {
+	if !fsai.IsFamily(rung) {
 		return nil, nil, 0, fmt.Errorf("resilience: unknown rung %q", rung)
 	}
-	fo := opt.Setup
-	fo.Variant = variant
 	shift := 0.0
 	as := a
 	maxd := -1.0
 	for try := 0; ; try++ {
 		t0 := time.Now()
-		p, err := fsai.Compute(as, fo)
+		p, err := fsai.ComputeNamed(rung, as, opt.Setup)
 		ns := time.Since(t0).Nanoseconds()
 		if err == nil {
 			o.record(opt, Attempt{Stage: "setup", Precond: rung, Shift: shift, Status: "ok", NS: ns})
@@ -308,18 +305,6 @@ func (o *Outcome) buildRung(a *sparse.CSR, rung string, opt *Options, reg *telem
 		reg.Counter("resilience.retries").Inc()
 		as = a.AddDiag(shift)
 	}
-}
-
-func variantOf(rung string) (fsai.Variant, bool) {
-	switch rung {
-	case PrecondFSAIEFull:
-		return fsai.VariantFull, true
-	case PrecondFSAIESp:
-		return fsai.VariantSp, true
-	case PrecondFSAI:
-		return fsai.VariantFSAI, true
-	}
-	return 0, false
 }
 
 func maxAbsDiag(a *sparse.CSR) float64 {

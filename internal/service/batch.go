@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	fsai "repro/internal/core"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -117,12 +118,7 @@ func (b *batcher) groupable(req *SolveRequest, rm *RegisteredMatrix) bool {
 	if b.window <= 0 || req.Resilient || req.HoldMS > 0 || req.SetupOnly {
 		return false
 	}
-	switch req.Precond {
-	case "fsai", "fsaie-sp", "fsaie", "adaptive":
-	default:
-		return false
-	}
-	return b.s.cache.Contains(PrecondKey(rm.Info.Fingerprint, req))
+	return fsai.IsFamily(req.Precond) && b.s.cache.Contains(PrecondKey(rm.Info.Fingerprint, req))
 }
 
 // submit hands j to its group. A job that cannot group runs at once as a

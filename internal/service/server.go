@@ -414,9 +414,7 @@ func normalizeSolveRequest(req *SolveRequest) error {
 	if req.Precond == "" {
 		req.Precond = "fsaie"
 	}
-	switch req.Precond {
-	case "none", "jacobi", "fsai", "fsaie-sp", "fsaie", "adaptive":
-	default:
+	if req.Precond != "none" && req.Precond != "jacobi" && !fsai.IsFamily(req.Precond) {
 		return fmt.Errorf("unknown preconditioner %q", req.Precond)
 	}
 	if req.Resilient && resilience.Chain(req.Precond) == nil {
@@ -426,7 +424,7 @@ func normalizeSolveRequest(req *SolveRequest) error {
 		switch {
 		case req.Resilient:
 			return errors.New("setup_only is incompatible with resilient (the recovery chain owns setup)")
-		case req.Precond == "none" || req.Precond == "jacobi":
+		case !fsai.IsFamily(req.Precond):
 			return fmt.Errorf("setup_only needs a cacheable FSAI-family preconditioner, not %q", req.Precond)
 		}
 	}
@@ -978,7 +976,6 @@ func (s *Server) solveOptions(ctx context.Context, req *SolveRequest) krylov.Opt
 		CollectTiming:  true,
 		Metrics:        s.reg,
 		Ctx:            ctx,
-		Progress:       s.watcher.Progress,
 		ProgressDetail: s.watcher.ProgressDetail,
 	}
 }
@@ -1013,7 +1010,7 @@ func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, re
 	}
 	entry, hit, err := s.cache.GetOrBuild(ctx, key, func() (*CachedPrecond, error) {
 		t0 := time.Now()
-		p, err := buildFSAIFamily(req.Precond, rm.A, s.fsaiOptions(ctx, req))
+		p, err := fsai.ComputeNamed(req.Precond, rm.A, s.fsaiOptions(ctx, req))
 		if err != nil {
 			return nil, err
 		}
@@ -1344,30 +1341,6 @@ func watcherResult(br krylov.BlockResult) krylov.Result {
 		}
 	}
 	return out
-}
-
-// buildFSAIFamily constructs the cacheable preconditioners.
-func buildFSAIFamily(name string, a *sparse.CSR, fo fsai.Options) (*fsai.Preconditioner, error) {
-	switch name {
-	case "fsai":
-		fo.Variant = fsai.VariantFSAI
-	case "fsaie-sp":
-		fo.Variant = fsai.VariantSp
-	case "fsaie":
-		fo.Variant = fsai.VariantFull
-	case "adaptive":
-		return fsai.ComputeAdaptive(a, fsai.AdaptiveOptions{
-			MaxPerRow:   12,
-			Tol:         0.02,
-			CacheExtend: fo.LineBytes,
-			AlignElems:  fo.AlignElems,
-			Filter:      fo.Filter,
-			Workers:     fo.Workers,
-		})
-	default:
-		return nil, fmt.Errorf("%q is not an FSAI-family preconditioner", name)
-	}
-	return fsai.Compute(a, fo)
 }
 
 // writeJobReport emits the job's run report into RunsDir, returning the

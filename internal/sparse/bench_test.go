@@ -82,7 +82,7 @@ func BenchmarkSpMVSkewed(b *testing.B) {
 	})
 	b.Run("pool-equalrows", func(b *testing.B) {
 		bounds := parallel.Chunks(m.Rows, w)
-		body := func(_, lo, hi int) { m.MulVecRange(y, x, lo, hi) }
+		body := func(_, lo, hi int) { m.MulMatRange(y, x, 1, lo, hi) }
 		b.ReportAllocs()
 		b.SetBytes(int64(m.NNZ() * 12))
 		for i := 0; i < b.N; i++ {
@@ -99,78 +99,6 @@ func BenchmarkSpMVSkewed(b *testing.B) {
 			m.MulVecParallel(y, x, w)
 		}
 	})
-}
-
-func BenchmarkSpMVT(b *testing.B) {
-	m := benchMatrix(20000)
-	x := make([]float64, m.Rows)
-	y := make([]float64, m.Cols)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecT(y, x)
-	}
-	b.SetBytes(int64(m.NNZ() * 12))
-}
-
-// BenchmarkSpMVTZeroSkip measures MulVecT's zero-skip branch: with a mostly
-// zero x the scatter loop body is skipped for the zero rows, so the sparse
-// case should run far under the dense case.
-func BenchmarkSpMVTZeroSkip(b *testing.B) {
-	m := benchMatrix(20000)
-	y := make([]float64, m.Cols)
-	dense := make([]float64, m.Rows)
-	for i := range dense {
-		dense[i] = float64(i%7) + 1
-	}
-	mostlyZero := make([]float64, m.Rows)
-	for i := 0; i < len(mostlyZero); i += 100 {
-		mostlyZero[i] = 1
-	}
-	b.Run("dense-x", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(m.NNZ() * 12))
-		for i := 0; i < b.N; i++ {
-			m.MulVecT(y, dense)
-		}
-	})
-	b.Run("zero-skip-x", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(m.NNZ() * 12))
-		for i := 0; i < b.N; i++ {
-			m.MulVecT(y, mostlyZero)
-		}
-	})
-}
-
-func BenchmarkSpMVTParallel(b *testing.B) {
-	m := benchMatrix(20000)
-	x := make([]float64, m.Rows)
-	y := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = float64(i%7) + 1
-	}
-	w := parallel.MaxWorkers()
-	m.PartitionPlan(w)
-	b.ReportAllocs()
-	b.SetBytes(int64(m.NNZ() * 12))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecTParallel(y, x, w)
-	}
-}
-
-func BenchmarkSpMVCSC(b *testing.B) {
-	m := CSCFromCSR(benchMatrix(20000))
-	x := make([]float64, m.Cols)
-	y := make([]float64, m.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(y, x)
-	}
-	b.SetBytes(int64(m.NNZ() * 12))
 }
 
 func BenchmarkTranspose(b *testing.B) {

@@ -5,14 +5,16 @@ import (
 	"unsafe"
 )
 
-// Op/byte counters for the SpMV kernels. When enabled, every MulVec /
-// MulVecParallel / MulVecT call adds its nominal work — flops and memory
-// traffic computed from the matrix shape, not measured per element — to a
-// set of package-level atomics: 2 flops per stored entry and StreamBytes of
-// matrix traffic, the same accounting as the live roofline of
-// internal/roofline. The offline paper model (roofline.SpMVKernel,
-// perfmodel) keeps the paper's 12 B per entry, so laying measured totals
-// against it shows the drift between the paper's layout and this one.
+// Op/byte counters for the sparse products. When enabled, every product
+// sweep (MulMat and its k = 1 forms MulVec / MulVecParallel, and the pooled
+// kernels that charge AccountSweep) adds its nominal work — flops and
+// memory traffic computed from the matrix shape, not measured per element —
+// to a per-kernel-class tally: 2 flops per stored entry per column and
+// StreamBytes of matrix traffic per sweep, the same accounting as the live
+// roofline of internal/roofline. The offline paper model
+// (roofline.SpMVKernel, perfmodel) keeps the paper's 12 B per entry, so
+// laying measured totals against it shows the drift between the paper's
+// layout and this one.
 //
 // Vector traffic is counted at its *nominal* minimum (each input element
 // read once, each output element written once). The model's line-visit and
@@ -21,19 +23,12 @@ import (
 //
 // The disabled path costs one atomic load per kernel call, which is not
 // measurable against a sweep over thousands of entries.
-var opCounters struct {
-	enabled     atomic.Bool
-	calls       atomic.Int64
-	flops       atomic.Int64
-	matrixBytes atomic.Int64
-	vectorBytes atomic.Int64
-}
+var countingEnabled atomic.Bool
 
-// classCounter is one per-kernel-class tally. The aggregate opCounters
-// above keep the historical "everything the sparse kernels did" totals;
-// the class counters split the same work by kernel family so the roofline
-// attribution can distinguish single-vector SpMV sweeps from batched SpMM
-// sweeps and from the dense BLAS-1 traffic the solver engine reports.
+// classCounter is one per-kernel-class tally. The classes split the counted
+// work by kernel family so the roofline attribution can distinguish
+// single-vector SpMV sweeps from batched SpMM sweeps and from the dense
+// BLAS-1 traffic the solver engine reports.
 type classCounter struct {
 	calls       atomic.Int64
 	flops       atomic.Int64
@@ -70,20 +65,20 @@ var classCounters struct {
 	blas1 classCounter
 }
 
-// OpCounts is a snapshot of the SpMV op/byte counters.
+// OpCounts is a snapshot of the sparse-product op/byte counters.
 type OpCounts struct {
-	SpMVCalls   int64 // kernel invocations (MulVec, MulVecParallel, MulVecT)
-	Flops       int64 // 2 × stored entries per sweep
+	SpMVCalls   int64 // kernel invocations (one per sweep, whatever its k)
+	Flops       int64 // 2 × stored entries per sweep and column
 	MatrixBytes int64 // entry values+indices and row pointers streamed
 	VectorBytes int64 // nominal input reads + output writes
 }
 
 // OpClassCounts splits the counted work by kernel class: single-vector
 // SpMV sweeps, batched k-column SpMM sweeps, and BLAS-1 vector traffic
-// reported by the solver engine via AccountBlas1. The aggregate counters
-// of ReadOpCounters equal SpMV + SpMM (BLAS-1 is tallied only here: the
-// aggregate is documented as sparse-kernel traffic and feeds the existing
-// roofline drift comparison, which must not change meaning).
+// reported by the solver engine via AccountBlas1. ReadOpCounters is
+// SpMV + SpMM (BLAS-1 is tallied only here: the aggregate is documented as
+// sparse-kernel traffic and feeds the existing roofline drift comparison,
+// which must not change meaning).
 type OpClassCounts struct {
 	SpMV  OpCounts
 	SpMM  OpCounts
@@ -103,30 +98,28 @@ func (c OpCounts) AI() float64 {
 }
 
 // EnableOpCounters turns kernel op counting on or off.
-func EnableOpCounters(on bool) { opCounters.enabled.Store(on) }
+func EnableOpCounters(on bool) { countingEnabled.Store(on) }
 
 // OpCountersEnabled reports whether kernel op counting is on.
-func OpCountersEnabled() bool { return opCounters.enabled.Load() }
+func OpCountersEnabled() bool { return countingEnabled.Load() }
 
-// ResetOpCounters zeroes the aggregate and per-class counters (the enabled
-// flag is unchanged).
+// ResetOpCounters zeroes the per-class counters (the enabled flag is
+// unchanged).
 func ResetOpCounters() {
-	opCounters.calls.Store(0)
-	opCounters.flops.Store(0)
-	opCounters.matrixBytes.Store(0)
-	opCounters.vectorBytes.Store(0)
 	classCounters.spmv.reset()
 	classCounters.spmm.reset()
 	classCounters.blas1.reset()
 }
 
-// ReadOpCounters returns the current counter values.
+// ReadOpCounters returns the sparse-product totals: the spmv and spmm
+// classes summed.
 func ReadOpCounters() OpCounts {
+	v, m := classCounters.spmv.read(), classCounters.spmm.read()
 	return OpCounts{
-		SpMVCalls:   opCounters.calls.Load(),
-		Flops:       opCounters.flops.Load(),
-		MatrixBytes: opCounters.matrixBytes.Load(),
-		VectorBytes: opCounters.vectorBytes.Load(),
+		SpMVCalls:   v.SpMVCalls + m.SpMVCalls,
+		Flops:       v.Flops + m.Flops,
+		MatrixBytes: v.MatrixBytes + m.MatrixBytes,
+		VectorBytes: v.VectorBytes + m.VectorBytes,
 	}
 }
 
@@ -145,7 +138,7 @@ func ReadOpClassCounters() OpClassCounts {
 // work is deliberately kept out of the aggregate SpMV counters, whose
 // meaning (sparse-sweep traffic vs the perfmodel estimate) predates it.
 func AccountBlas1(flops, bytes int64) {
-	if !opCounters.enabled.Load() {
+	if !countingEnabled.Load() {
 		return
 	}
 	classCounters.blas1.add(1, flops, 0, bytes)
@@ -162,26 +155,19 @@ func (m *CSR) StreamBytes() int64 {
 	return int64(m.NNZ())*perNNZ + int64(m.Rows+1)*perPtr
 }
 
-// countSpMV charges one sweep of m to the op counters (no-op when disabled).
-func (m *CSR) countSpMV() { m.countSweep(&classCounters.spmv, 1) }
-
-// countSpMM charges one k-column block sweep of m: the matrix stream is
-// read once, the vector traffic scales with k. The same work lands in the
-// aggregate counters (as one call) so existing totals keep covering all
-// sparse sweeps.
-func (m *CSR) countSpMM(k int) { m.countSweep(&classCounters.spmm, k) }
-
-func (m *CSR) countSweep(class *classCounter, k int) {
-	if !opCounters.enabled.Load() {
+// AccountSweep charges one product sweep of m over k vectors to the op
+// counters (no-op when counting is disabled): the matrix stream is read
+// once, the flops and vector traffic scale with k. A k = 1 sweep lands in
+// the spmv class, a wider one in spmm. MulMat charges itself; callers that
+// drive MulMatRange over partition-plan chunks call it once per sweep.
+func (m *CSR) AccountSweep(k int) {
+	if !countingEnabled.Load() {
 		return
 	}
+	class := &classCounters.spmv
+	if k > 1 {
+		class = &classCounters.spmm
+	}
 	kk := int64(k)
-	flops := 2 * int64(m.NNZ()) * kk
-	mb := m.StreamBytes()
-	vb := 8 * int64(m.Cols+m.Rows) * kk
-	opCounters.calls.Add(1)
-	opCounters.flops.Add(flops)
-	opCounters.matrixBytes.Add(mb)
-	opCounters.vectorBytes.Add(vb)
-	class.add(1, flops, mb, vb)
+	class.add(1, 2*int64(m.NNZ())*kk, m.StreamBytes(), 8*int64(m.Cols+m.Rows)*kk)
 }

@@ -34,7 +34,7 @@ func TestOpCountersAccounting(t *testing.T) {
 	y, x := make([]float64, 3), []float64{1, 2, 3}
 	a.MulVec(y, x)
 	a.MulVecParallel(y, x, 2)
-	a.MulVecT(y, x)
+	a.MulMat(y, x, 1)
 
 	c := ReadOpCounters()
 	if c.SpMVCalls != 3 {

@@ -1,7 +1,8 @@
 // Package sparse implements the sparse-matrix substrate of the FSAI
-// reproduction: CSR/CSC/COO storage, sparse matrix-vector products (the
-// SpMV kernel the paper's analysis revolves around), transposition,
-// triangular extraction, thresholding and symbolic utilities.
+// reproduction: CSR storage (built through a COO builder), the sparse
+// products Y = A X over k column-major vectors (k = 1 is the SpMV kernel
+// the paper's analysis revolves around), transposition, triangular
+// extraction, thresholding and symbolic utilities.
 //
 // Matrices are real, double precision. Row/column indices are 0-based.
 // CSR matrices keep the column indices of every row sorted ascending; all

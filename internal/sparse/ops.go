@@ -1,164 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"math"
-	"sync"
-
-	"repro/internal/parallel"
-)
-
-// MulVecRange computes y[lo:hi] = (A x)[lo:hi] for the row range [lo,hi)
-// with a 4-way unrolled gather loop. It performs no dimension checks and no
-// op-counting: it is the building block the pooled SpMV kernels (and
-// internal/kernels) schedule over partition-plan chunks; such callers charge
-// the sweep themselves via AccountSpMV.
-//
-// The unrolled accumulation order is shared by MulVec and MulVecParallel,
-// so serial and parallel products are bit-identical for any worker count.
-func (m *CSR) MulVecRange(y, x []float64, lo, hi int) {
-	rp, ci, v := m.RowPtr, m.ColIdx, m.Val
-	for i := lo; i < hi; i++ {
-		k, end := rp[i], rp[i+1]
-		var s0, s1, s2, s3 float64
-		for ; k+4 <= end; k += 4 {
-			s0 += v[k] * x[ci[k]]
-			s1 += v[k+1] * x[ci[k+1]]
-			s2 += v[k+2] * x[ci[k+2]]
-			s3 += v[k+3] * x[ci[k+3]]
-		}
-		for ; k < end; k++ {
-			s0 += v[k] * x[ci[k]]
-		}
-		y[i] = (s0 + s1) + (s2 + s3)
-	}
-}
-
-// AccountSpMV charges one full SpMV sweep of m to the package op counters
-// (no-op when counting is disabled). Callers that drive MulVecRange directly
-// — one sweep split across chunks — use it to keep the measured op/byte
-// totals consistent with MulVec.
-func (m *CSR) AccountSpMV() { m.countSpMV() }
-
-// MulVec computes y = A x serially. y must have length A.Rows and x length
-// A.Cols. This is the reference SpMV kernel: it streams RowPtr/ColIdx/Val
-// with stride-1 accesses and gathers from x at the column indices, which is
-// exactly the access pattern whose cache behaviour the paper optimizes.
-func (m *CSR) MulVec(y, x []float64) {
-	if len(y) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("sparse: MulVec dimensions y=%d x=%d for %s", len(y), len(x), m))
-	}
-	m.countSpMV()
-	m.MulVecRange(y, x, 0, m.Rows)
-}
-
-// MulVecParallel computes y = A x using the given number of workers
-// (<=0 means all CPUs). Rows are split by the cached nnz-balanced partition
-// plan (see PartitionPlan) and dispatched on the persistent worker pool, so
-// repeated products on the same matrix pay neither goroutine spawning nor
-// partition recomputation. Results are bit-identical to MulVec.
-func (m *CSR) MulVecParallel(y, x []float64, workers int) {
-	if len(y) != m.Rows || len(x) != m.Cols {
-		panic(fmt.Sprintf("sparse: MulVecParallel dimensions y=%d x=%d for %s", len(y), len(x), m))
-	}
-	m.countSpMV()
-	pl := m.PartitionPlan(workers)
-	if pl.NChunks() <= 1 {
-		m.MulVecRange(y, x, 0, m.Rows)
-		return
-	}
-	if err := parallel.Default().Run(pl.Bounds, func(_, lo, hi int) {
-		m.MulVecRange(y, x, lo, hi)
-	}); err != nil {
-		panic(err)
-	}
-}
-
-// MulVecT computes y = Aᵀ x without materializing the transpose, by
-// scattering row contributions into y. y must have length A.Cols and x
-// length A.Rows. Rows whose x entry is exactly zero are skipped — a real
-// win when x is sparse (partially converged residuals, unit vectors).
-func (m *CSR) MulVecT(y, x []float64) {
-	if len(y) != m.Cols || len(x) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecT dimensions y=%d x=%d for %s", len(y), len(x), m))
-	}
-	m.countSpMV()
-	for i := range y {
-		y[i] = 0
-	}
-	m.scatterRange(y, x, 0, m.Rows)
-}
-
-// scatterRange adds Σ_{i in [lo,hi)} x[i]·A(i,·) into y (no zeroing).
-func (m *CSR) scatterRange(y, x []float64, lo, hi int) {
-	rp, ci, v := m.RowPtr, m.ColIdx, m.Val
-	for i := lo; i < hi; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := rp[i]; k < rp[i+1]; k++ {
-			y[ci[k]] += v[k] * xi
-		}
-	}
-}
-
-// mulVecTScratch pools the per-chunk scatter buffers of MulVecTParallel so
-// steady-state transposed products allocate nothing.
-var mulVecTScratch = sync.Pool{New: func() any { return new([][]float64) }}
-
-// MulVecTParallel computes y = Aᵀ x with the given worker count (<=0: all
-// CPUs). The scatter races on y if rows are naively split, so each chunk
-// scatters into a pooled private buffer and a second parallel pass reduces
-// the buffers column-wise into y. That costs O(chunks × Cols) extra traffic,
-// which only pays off when the matrix is dense enough; small or thin
-// matrices (and workers == 1) fall back to the serial MulVecT.
-func (m *CSR) MulVecTParallel(y, x []float64, workers int) {
-	if len(y) != m.Cols || len(x) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecTParallel dimensions y=%d x=%d for %s", len(y), len(x), m))
-	}
-	pl := m.PartitionPlan(workers)
-	k := pl.NChunks()
-	// The private-buffer scheme moves ~2k×Cols extra elements; demand the
-	// scatter itself be comfortably larger before paying that.
-	if k <= 1 || m.NNZ() < 4*k*m.Cols {
-		m.MulVecT(y, x)
-		return
-	}
-	m.countSpMV()
-	bufs := *mulVecTScratch.Get().(*[][]float64)
-	for len(bufs) < k {
-		bufs = append(bufs, nil)
-	}
-	for c := 0; c < k; c++ {
-		if len(bufs[c]) < m.Cols {
-			bufs[c] = make([]float64, m.Cols)
-		}
-	}
-	pool := parallel.Default()
-	if err := pool.Run(pl.Bounds, func(c, lo, hi int) {
-		buf := bufs[c][:m.Cols]
-		for j := range buf {
-			buf[j] = 0
-		}
-		m.scatterRange(buf, x, lo, hi)
-	}); err != nil {
-		panic(err)
-	}
-	colBounds := parallel.Chunks(m.Cols, k)
-	if err := pool.Run(colBounds, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			s := bufs[0][j]
-			for c := 1; c < k; c++ {
-				s += bufs[c][j]
-			}
-			y[j] = s
-		}
-	}); err != nil {
-		panic(err)
-	}
-	mulVecTScratch.Put(&bufs)
-}
+import "math"
 
 // Transpose returns Aᵀ as a new CSR matrix (equivalently, A reinterpreted
 // in CSC). Column indices of the result are sorted because the counting

@@ -69,26 +69,6 @@ func TestMulVecParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMulVecTMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		m := randomCSR(rng, 10+rng.Intn(10), 10+rng.Intn(10), 0.3)
-		x := make([]float64, m.Rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y1 := make([]float64, m.Cols)
-		y2 := make([]float64, m.Cols)
-		m.MulVecT(y1, x)
-		m.Transpose().MulVec(y2, x)
-		for i := range y1 {
-			if math.Abs(y1[i]-y2[i]) > 1e-12 {
-				t.Fatalf("MulVecT mismatch at %d: %g vs %g", i, y1[i], y2[i])
-			}
-		}
-	}
-}
-
 func TestMulVecPanicsOnBadSizes(t *testing.T) {
 	m := Identity(3)
 	defer func() {

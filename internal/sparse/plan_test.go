@@ -129,43 +129,3 @@ func TestPartitionPlanEmptyAndSingleRow(t *testing.T) {
 		t.Fatalf("single-row plan = %v", pl.Bounds)
 	}
 }
-
-func TestMulVecTParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {40, 60}, {200, 150}}
-	for _, sh := range shapes {
-		m := randomCSR(rng, sh[0], sh[1], 0.3)
-		x := make([]float64, m.Rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, m.Cols)
-		m.MulVecT(want, x)
-		for _, w := range []int{2, 3, 8} {
-			got := make([]float64, m.Cols)
-			m.MulVecTParallel(got, x, w)
-			for j := range want {
-				diff := math.Abs(got[j] - want[j])
-				tol := 1e-13 * math.Max(1, math.Abs(want[j]))
-				if diff > tol {
-					t.Fatalf("%dx%d w=%d: col %d got %g want %g", sh[0], sh[1], w, j, got[j], want[j])
-				}
-			}
-		}
-	}
-	// Skewed + large enough to clear the cost heuristic and actually fan out.
-	m := skewedCSR(600, 20, 300, 3)
-	x := make([]float64, m.Rows)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, m.Cols)
-	got := make([]float64, m.Cols)
-	m.MulVecT(want, x)
-	m.MulVecTParallel(got, x, 4)
-	for j := range want {
-		if math.Abs(got[j]-want[j]) > 1e-13*math.Max(1, math.Abs(want[j])) {
-			t.Fatalf("skewed col %d: got %g want %g", j, got[j], want[j])
-		}
-	}
-}

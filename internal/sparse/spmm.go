@@ -1,31 +1,38 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
 
-// SpMM (multi-vector SpMV) kernels: Y = A X for a block X of k dense
-// vectors stored column-major (column j of X is x[j*Cols:(j+1)*Cols], of Y
-// is y[j*Rows:(j+1)*Rows]). One pass over the matrix serves all k columns,
-// so the dominant CSR stream (values + column indices, StreamBytes) is read
-// once instead of k times — the same bandwidth→compute shift
-// the paper's cache-aware patterns buy inside one SpMV, applied across
-// right-hand sides. Per-RHS matrix traffic drops k-fold; only the k column
-// gathers remain per-vector.
+	"repro/internal/parallel"
+)
+
+// Sparse products Y = A X for a block X of k dense vectors stored
+// column-major (column j of X is x[j*Cols:(j+1)*Cols], of Y is
+// y[j*Rows:(j+1)*Rows]). MulMatRange is the one product body: the
+// single-vector SpMV is its k = 1 case. One pass over the matrix serves all
+// k columns, so the dominant CSR stream (values + column indices,
+// StreamBytes) is read once instead of k times — the same
+// bandwidth→compute shift the paper's cache-aware patterns buy inside one
+// SpMV, applied across right-hand sides. Per-RHS matrix traffic drops
+// k-fold; only the k column gathers remain per-vector.
 //
-// Bit-identity: each column of MulMat uses exactly the accumulation order
-// of MulVecRange (4-way unrolled over the row's entries, combined as
-// (s0+s1)+(s2+s3)), so column j of a k-column product is bit-identical to
-// the single-vector product with that column for every k. The batched solve
-// paths rely on this to return the same bits as unbatched solves.
+// Bit-identity: every column accumulates its row in the same order (4-way
+// unrolled over the row's entries, combined as (s0+s1)+(s2+s3)) whatever
+// column group it falls in, so column j of a k-column product is
+// bit-identical to the k = 1 product with that column for every k, and
+// row-chunked (parallel) evaluation is bit-identical to serial evaluation
+// for any worker count. The batched solve paths rely on this to return the
+// same bits as unbatched solves.
 
 // MulMatRange computes Y[lo:hi, :] = (A X)[lo:hi, :] for the row range
-// [lo,hi) over k column-major vectors. Like MulVecRange it performs no
-// dimension checks and no op-counting; pooled callers schedule it over
-// partition-plan chunks and charge the sweep via AccountSpMM.
+// [lo,hi) over k column-major vectors. It performs no dimension checks and
+// no op-counting: it is the building block the pooled kernels (here and in
+// internal/kernels) schedule over partition-plan chunks; such callers
+// charge the sweep themselves via AccountSweep.
 //
 // Columns are processed in groups of four so the row's value/index stream
 // is loaded once per group; the remainder runs a two-column group and then
-// delegates single columns to MulVecRange (which makes k = 1 trivially the
-// scalar kernel).
+// a single column (all of k = 1).
 func (m *CSR) MulMatRange(y, x []float64, k, lo, hi int) {
 	rp, ci, v := m.RowPtr, m.ColIdx, m.Val
 	rows, cols := m.Rows, m.Cols
@@ -110,66 +117,59 @@ func (m *CSR) MulMatRange(y, x []float64, k, lo, hi int) {
 		j += 2
 	}
 	if j < k {
-		m.MulVecRange(y[j*rows:(j+1)*rows], x[j*cols:(j+1)*cols], lo, hi)
+		x0 := x[j*cols : (j+1)*cols]
+		y0 := y[j*rows : (j+1)*rows]
+		for i := lo; i < hi; i++ {
+			p, end := rp[i], rp[i+1]
+			var a0, a1, a2, a3 float64
+			for ; p+4 <= end; p += 4 {
+				a0 += v[p] * x0[ci[p]]
+				a1 += v[p+1] * x0[ci[p+1]]
+				a2 += v[p+2] * x0[ci[p+2]]
+				a3 += v[p+3] * x0[ci[p+3]]
+			}
+			for ; p < end; p++ {
+				a0 += v[p] * x0[ci[p]]
+			}
+			y0[i] = (a0 + a1) + (a2 + a3)
+		}
 	}
 }
 
-// AccountSpMM charges one k-column SpMM sweep of m to the package op
-// counters (no-op when counting is disabled). Callers driving MulMatRange
-// over partition-plan chunks use it exactly like AccountSpMV.
-func (m *CSR) AccountSpMM(k int) { m.countSpMM(k) }
-
-// MulMat computes Y = A X for k column-major vectors. y must have length
-// k*A.Rows and x length k*A.Cols. Column j of the result is bit-identical
-// to MulVec applied to column j of X.
+// MulMat computes Y = A X serially for k column-major vectors. y must have
+// length k*A.Rows and x length k*A.Cols. It streams RowPtr/ColIdx/Val with
+// stride-1 accesses and gathers from X at the column indices, which is
+// exactly the access pattern whose cache behaviour the paper optimizes.
 func (m *CSR) MulMat(y, x []float64, k int) {
 	if k < 1 || len(y) != k*m.Rows || len(x) != k*m.Cols {
 		panic(fmt.Sprintf("sparse: MulMat dimensions y=%d x=%d k=%d for %s", len(y), len(x), k, m))
 	}
-	m.countSpMM(k)
+	m.AccountSweep(k)
 	m.MulMatRange(y, x, k, 0, m.Rows)
 }
 
-// MulMatT computes Y = Aᵀ X for k column-major vectors without
-// materializing the transpose, scattering row contributions into all k
-// output columns in one pass over the matrix. y must have length k*A.Cols
-// and x length k*A.Rows. Like MulVecT, rows whose x entries are all zero
-// are skipped.
-func (m *CSR) MulMatT(y, x []float64, k int) {
-	if k < 1 || len(y) != k*m.Cols || len(x) != k*m.Rows {
-		panic(fmt.Sprintf("sparse: MulMatT dimensions y=%d x=%d k=%d for %s", len(y), len(x), k, m))
+// MulVec computes y = A x serially: the k = 1 MulMat. y must have length
+// A.Rows and x length A.Cols.
+func (m *CSR) MulVec(y, x []float64) { m.MulMat(y, x, 1) }
+
+// MulVecParallel computes y = A x using the given number of workers
+// (<=0 means all CPUs). Rows are split by the cached nnz-balanced partition
+// plan (see PartitionPlan) and dispatched on the persistent worker pool, so
+// repeated products on the same matrix pay neither goroutine spawning nor
+// partition recomputation. Results are bit-identical to MulVec.
+func (m *CSR) MulVecParallel(y, x []float64, workers int) {
+	if len(y) != m.Rows || len(x) != m.Cols {
+		panic(fmt.Sprintf("sparse: MulVecParallel dimensions y=%d x=%d for %s", len(y), len(x), m))
 	}
-	m.countSpMM(k)
-	for i := range y {
-		y[i] = 0
+	m.AccountSweep(1)
+	pl := m.PartitionPlan(workers)
+	if pl.NChunks() <= 1 {
+		m.MulMatRange(y, x, 1, 0, m.Rows)
+		return
 	}
-	rp, ci, v := m.RowPtr, m.ColIdx, m.Val
-	rows, cols := m.Rows, m.Cols
-	j := 0
-	for ; j+4 <= k; j += 4 {
-		x0 := x[j*rows : (j+1)*rows]
-		x1 := x[(j+1)*rows : (j+2)*rows]
-		x2 := x[(j+2)*rows : (j+3)*rows]
-		x3 := x[(j+3)*rows : (j+4)*rows]
-		y0 := y[j*cols : (j+1)*cols]
-		y1 := y[(j+1)*cols : (j+2)*cols]
-		y2 := y[(j+2)*cols : (j+3)*cols]
-		y3 := y[(j+3)*cols : (j+4)*cols]
-		for i := 0; i < rows; i++ {
-			xi0, xi1, xi2, xi3 := x0[i], x1[i], x2[i], x3[i]
-			if xi0 == 0 && xi1 == 0 && xi2 == 0 && xi3 == 0 {
-				continue
-			}
-			for p := rp[i]; p < rp[i+1]; p++ {
-				vp, c := v[p], ci[p]
-				y0[c] += vp * xi0
-				y1[c] += vp * xi1
-				y2[c] += vp * xi2
-				y3[c] += vp * xi3
-			}
-		}
-	}
-	for ; j < k; j++ {
-		m.scatterRange(y[j*cols:(j+1)*cols], x[j*rows:(j+1)*rows], 0, rows)
+	if err := parallel.Default().Run(pl.Bounds, func(_, lo, hi int) {
+		m.MulMatRange(y, x, 1, lo, hi)
+	}); err != nil {
+		panic(err)
 	}
 }

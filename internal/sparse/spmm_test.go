@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -29,34 +28,6 @@ func TestMulMatMatchesMulVec(t *testing.T) {
 						t.Fatalf("%dx%d k=%d col %d row %d: got %v want %v (not bit-identical)",
 							dims[0], dims[1], k, j, i, got, want)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestMulMatTMatchesMulVecT checks the transposed block product against
-// per-column MulVecT within floating-point tolerance (the multi-column
-// scatter does not skip individual zero rows, so accumulation may differ
-// in the last bits only through signed zeros — values must agree exactly
-// here because both paths add the same terms in the same row order).
-func TestMulMatTMatchesMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randomCSR(rng, 45, 60, 0.12)
-	for _, k := range []int{1, 2, 4, 6, 9} {
-		x := make([]float64, k*m.Rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y := make([]float64, k*m.Cols)
-		m.MulMatT(y, x, k)
-		ref := make([]float64, m.Cols)
-		for j := 0; j < k; j++ {
-			m.MulVecT(ref, x[j*m.Rows:(j+1)*m.Rows])
-			for i, want := range ref {
-				got := y[j*m.Cols+i]
-				if math.Abs(got-want) > 1e-13*math.Max(1, math.Abs(want)) {
-					t.Fatalf("k=%d col %d entry %d: got %v want %v", k, j, i, got, want)
 				}
 			}
 		}

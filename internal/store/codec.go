@@ -51,13 +51,17 @@ func sealFile(kind byte, payload []byte) []byte {
 	return out
 }
 
-// openFile verifies the envelope and returns the kind and payload.
+// openFile verifies the envelope and returns the kind and payload. It
+// accepts exactly the files sealFile writes.
 func openFile(data []byte) (kind byte, payload []byte, err error) {
 	if len(data) < headerLen+sumLen || string(data[:4]) != fileMagic {
 		return 0, nil, fmt.Errorf("%w: bad magic or truncated header", errCorrupt)
 	}
 	if v := binary.LittleEndian.Uint16(data[4:]); v != fileVersion {
 		return 0, nil, fmt.Errorf("%w: unknown version %d", errCorrupt, v)
+	}
+	if data[7] != 0 {
+		return 0, nil, fmt.Errorf("%w: nonzero header pad", errCorrupt)
 	}
 	paylen := binary.LittleEndian.Uint64(data[8:])
 	if paylen != uint64(len(data)-headerLen-sumLen) {

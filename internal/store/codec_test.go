@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"testing"
 
@@ -81,6 +83,44 @@ func FuzzDecodePayload(f *testing.F) {
 			if verr := pt.Validate(); verr != nil {
 				t.Fatalf("decodeFactor returned an invalid pattern: %v", verr)
 			}
+		}
+	})
+}
+
+// FuzzOpenFile: the envelope check never panics on arbitrary bytes, and it
+// accepts exactly what sealFile writes — an accepted input re-seals to the
+// same bytes.
+func FuzzOpenFile(f *testing.F) {
+	a := matgen.Laplace2D(3, 3)
+	p, err := fsai.Compute(a, fsai.Options{Variant: fsai.VariantFull, LineBytes: 64, PatternPower: 1})
+	if err != nil {
+		f.Fatalf("fsai.Compute: %v", err)
+	}
+	for _, s := range [][]byte{encodeMatrix(a, "lap"), encodeFactor("key", a.Fingerprint(), p, 1234)} {
+		f.Add(s)
+		for _, n := range []int{0, 1, headerLen, len(s) / 2, len(s) - 1} {
+			f.Add(s[:n])
+		}
+		flipped := bytes.Clone(s)
+		flipped[len(flipped)/2] ^= 1
+		f.Add(flipped)
+		// A nonzero pad byte under a checksum recomputed to match: intact
+		// as far as the checksum can tell, yet not something sealFile
+		// writes.
+		padded := bytes.Clone(s)
+		padded[7] = 1
+		end := len(padded) - sumLen
+		sum := sha256.Sum256(padded[:end])
+		copy(padded[end:], sum[:])
+		f.Add(padded)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, payload, err := openFile(data)
+		if err != nil {
+			return
+		}
+		if resealed := sealFile(kind, payload); !bytes.Equal(resealed, data) {
+			t.Fatalf("accepted envelope (kind %q, %d-byte payload) re-seals to different bytes", kind, len(payload))
 		}
 	})
 }

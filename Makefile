@@ -110,10 +110,14 @@ clean:
 
 # Fuzz smoke: each native fuzz target runs for 10s on top of its seed
 # corpus. The targets feed untrusted bytes (MatrixMarket files, store entry
-# envelopes and payloads) to the decoders and assert they never panic, only
-# return structurally valid matrices, and accept only envelopes sealFile
-# writes. -fuzz takes one target per invocation.
+# envelopes and payloads, traceparent and Retry-After headers) to the
+# decoders and assert they never panic, only return structurally valid
+# matrices, accept only envelopes sealFile writes, accept only traceparents
+# that round-trip, and keep Retry-After waits within [0, 2^31 s]. -fuzz
+# takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/service/client/

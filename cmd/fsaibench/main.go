@@ -17,17 +17,16 @@
 //	               scalar solves and as one K-column block solve, and print
 //	               the per-RHS wall times, amortization factor, and whether
 //	               the block columns reproduced the scalar solutions
-//	               bitwise; with -metrics-out, writes a run report whose
-//	               entries carry nrhs and whose op counters are split by
-//	               kernel class (spmv/spmm/blas1)
+//	               bitwise (exit 1 if any did not); with -metrics-out,
+//	               writes a run report whose entries carry nrhs
 //	-json PREFIX   also write per-machine results as <prefix>-<machine>.json
 //	-host          also print the measured host wall-clock table
 //	-v             progress output while the campaign runs
 //	-trace         stream per-setup phase span trees to stderr
 //	-metrics-out F write a versioned machine-readable run report (JSON) to F:
 //	               per-phase setup spans, per-iteration residual histories,
-//	               SpMV/precond/BLAS-1 timing histograms, SpMV op counters,
-//	               per-entry cache-miss attribution
+//	               SpMV/precond/BLAS-1 timing histograms, per-entry
+//	               cache-miss attribution
 //	-listen ADDR   serve the live observability endpoints (/metrics,
 //	               /debug/solve, /debug/pprof/) while the campaign runs
 //	-pprof ADDR    serve net/http/pprof on ADDR (e.g. localhost:6060)
@@ -57,7 +56,6 @@ import (
 	"repro/internal/matgen"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -182,7 +180,6 @@ func main() {
 	var tracer *telemetry.Tracer
 	if *metricsOut != "" || *listenAddr != "" {
 		metrics = telemetry.NewRegistry()
-		sparse.EnableOpCounters(true)
 	}
 	if *traceFlag {
 		tracer = telemetry.NewTracer(os.Stderr)
@@ -334,9 +331,9 @@ func main() {
 
 // runMultiRHS runs the -nrhs amortization campaign: the named suite matrix
 // (or the quick suite with -quick), each solved for k right-hand sides as k
-// scalar solves and as one k-column block solve. The op counters run for
-// the whole campaign so the report's op_classes section attributes the
-// work to spmv/spmm/blas1.
+// scalar solves and as one k-column block solve. It exits non-zero when any
+// block column differs bitwise from its scalar solve, after printing the
+// table and writing the report.
 func runMultiRHS(k int, matrixName string, quick bool, metricsOut string, verbose bool, timeout time.Duration) {
 	var specs []matgen.Spec
 	if quick {
@@ -356,9 +353,6 @@ func runMultiRHS(k int, matrixName string, quick bool, metricsOut string, verbos
 		defer cancel()
 	}
 	reg := telemetry.NewRegistry()
-	sparse.EnableOpCounters(true)
-	sparse.ResetOpCounters()
-	defer sparse.EnableOpCounters(false)
 
 	opt := experiments.MultiRHSOptions{
 		Workers: parallel.MaxWorkers(), Metrics: reg, Ctx: ctx,
@@ -382,6 +376,15 @@ func runMultiRHS(k int, matrixName string, quick bool, metricsOut string, verbos
 			fatal("metrics-out: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote run report (%d entries) to %s\n", len(rep.Entries), metricsOut)
+	}
+	var differ []string
+	for _, r := range results {
+		if !r.BitIdentical {
+			differ = append(differ, r.Spec.Name)
+		}
+	}
+	if len(differ) > 0 {
+		fatal("block solve columns differ bitwise from their scalar solves: %s", strings.Join(differ, ", "))
 	}
 }
 

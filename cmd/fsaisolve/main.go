@@ -151,7 +151,6 @@ func main() {
 	var metrics *telemetry.Registry
 	if *metricsOut != "" || *listenAddr != "" {
 		metrics = telemetry.NewRegistry()
-		sparse.EnableOpCounters(true)
 	}
 
 	machine, machineOK := arch.ByName(*machineStr)
@@ -373,7 +372,6 @@ func main() {
 			modelLV = float64(lv) / float64(g.NNZ())
 		}
 		cacheSection = experiments.RunCacheOf(&attr, modelLV)
-		cacheSection.MeasuredAI = sparse.ReadOpCounters().AI()
 	}
 
 	if *metricsOut != "" {
@@ -428,7 +426,6 @@ func main() {
 			snap := metrics.Snapshot()
 			rep.Metrics = &snap
 		}
-		rep.SetSpMVOps(sparse.ReadOpCounters())
 		if err := experiments.WriteRunReportFile(*metricsOut, rep); err != nil {
 			fatal("metrics-out: %v", err)
 		}

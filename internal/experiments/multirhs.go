@@ -9,7 +9,6 @@ import (
 	fsai "repro/internal/core"
 	"repro/internal/krylov"
 	"repro/internal/matgen"
-	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -196,8 +195,8 @@ func (r *MultiRHSResult) ReportEntries() []RunEntry {
 }
 
 // MultiRHSReport assembles the run report of an -nrhs campaign: two entries
-// per matrix (scalar baseline, block solve), the metrics registry snapshot,
-// and the op counters with their per-kernel-class split.
+// per matrix (scalar baseline, block solve) and the metrics registry
+// snapshot.
 func MultiRHSReport(rs []*MultiRHSResult, tool, machine string, reg *telemetry.Registry) *RunReport {
 	r := &RunReport{Schema: RunReportSchemaVersion, Tool: tool, Machine: machine}
 	for _, m := range rs {
@@ -206,10 +205,6 @@ func MultiRHSReport(rs []*MultiRHSResult, tool, machine string, reg *telemetry.R
 	if reg != nil {
 		snap := reg.Snapshot()
 		r.Metrics = &snap
-	}
-	if sparse.OpCountersEnabled() {
-		r.SetSpMVOps(sparse.ReadOpCounters())
-		r.SetOpClasses(sparse.ReadOpClassCounters())
 	}
 	return r
 }

@@ -6,14 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cachesim"
 	fsai "repro/internal/core"
 	"repro/internal/krylov"
 	"repro/internal/resilience"
 	"repro/internal/roofline"
-	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -22,9 +20,8 @@ import (
 // (matrix, variant, filter) measurement, the per-phase setup spans, the
 // per-iteration residual history and the solver's kernel-class timing
 // breakdown, plus the campaign-wide metrics registry (iteration timing
-// histograms) and the SpMV op/byte counters. Perf PRs diff two reports to
-// prove a before/after; the schema is versioned so old artifacts stay
-// decodable or fail loudly.
+// histograms). Perf PRs diff two reports to prove a before/after; the
+// schema is versioned so old artifacts stay decodable or fail loudly.
 
 // RunReportSchemaVersion is the current schema_version written by
 // WriteRunReport. ReadRunReport accepts any version it can upgrade in place
@@ -58,6 +55,11 @@ import (
 //	   "spmm" class for batched solves, and the top-level "op_classes"
 //	   section splits the op/byte counters by kernel class
 //	   (spmv/spmm/blas1).
+//	   The op-counter sections ("spmv_ops", "op_classes" and the cache
+//	   section's "measured_ai") have since been dropped without a version
+//	   bump: they were optional, and the per-entry "roofline" section is
+//	   the one work account. Older reports carrying them still decode;
+//	   the fields are ignored.
 const RunReportSchemaVersion = 7
 
 // RunReportMinSchemaVersion is the oldest schema ReadRunReport upgrades.
@@ -81,32 +83,6 @@ type RunReport struct {
 	// Metrics is the solver-wide registry snapshot: per-iteration
 	// SpMV/precond/BLAS-1 nanosecond histograms and iteration counters.
 	Metrics *telemetry.RegistrySnapshot `json:"metrics,omitempty"`
-
-	// SpMVOps is the sparse-kernel op/byte counter snapshot, with the
-	// measured arithmetic intensity for roofline drift checks.
-	SpMVOps *RunSpMVOps `json:"spmv_ops,omitempty"`
-
-	// OpClasses splits the counted work by kernel class (schema v7,
-	// optional): single-vector spmv sweeps, batched spmm sweeps, and the
-	// dense blas1 traffic the solver engine accounts. The aggregate SpMVOps
-	// equal spmv + spmm; blas1 is tallied only here.
-	OpClasses *RunOpClasses `json:"op_classes,omitempty"`
-}
-
-// RunOpClasses is the per-kernel-class op-counter split (schema v7).
-type RunOpClasses struct {
-	SpMV  RunSpMVOps `json:"spmv"`
-	SpMM  RunSpMVOps `json:"spmm"`
-	BLAS1 RunSpMVOps `json:"blas1"`
-}
-
-// RunSpMVOps serializes sparse.OpCounts plus the derived intensity.
-type RunSpMVOps struct {
-	Calls       int64   `json:"calls"`
-	Flops       int64   `json:"flops"`
-	MatrixBytes int64   `json:"matrix_bytes"`
-	VectorBytes int64   `json:"vector_bytes"`
-	AI          float64 `json:"ai_flop_per_byte"`
 }
 
 // RunTiming is the solver timing breakdown in nanoseconds.
@@ -309,8 +285,8 @@ type RunCacheSweep struct {
 }
 
 // RunCacheAttrib is the per-entry cache section: the simulated miss
-// attribution next to the modelled (line-visit) and measured (op-counter)
-// intensities, so all three views of the same sweep sit side by side.
+// attribution next to the modelled line-visit count, so both views of the
+// same sweep sit side by side.
 type RunCacheAttrib struct {
 	LineBytes int `json:"line_bytes"`
 	BlockRows int `json:"block_rows"`
@@ -324,9 +300,6 @@ type RunCacheAttrib struct {
 	// visited per stored entry ((LVG+LVGT)/nnz(G)), the quantity the
 	// cache-friendly extension holds constant.
 	ModelLineVisitsPerNNZ float64 `json:"model_line_visits_per_nnz,omitempty"`
-	// MeasuredAI is the op-counter flop/byte intensity of the run when the
-	// build collects sparse op counters (0 otherwise).
-	MeasuredAI float64 `json:"measured_ai,omitempty"`
 }
 
 // RunCacheOf converts a cachesim attribution into the report's cache section.
@@ -436,7 +409,7 @@ func runEntryOf(mr *MatrixRaw, m *MethodRaw) RunEntry {
 
 // BuildRunReport assembles the report for a raw campaign. tool names the
 // producing command; machine/lineBytes describe the simulated target; reg
-// may be nil. The current sparse op counters are snapshotted if enabled.
+// may be nil.
 func BuildRunReport(c *RawCampaign, tool, machine string, reg *telemetry.Registry) *RunReport {
 	r := &RunReport{
 		Schema:    RunReportSchemaVersion,
@@ -458,35 +431,7 @@ func BuildRunReport(c *RawCampaign, tool, machine string, reg *telemetry.Registr
 		snap := reg.Snapshot()
 		r.Metrics = &snap
 	}
-	if sparse.OpCountersEnabled() {
-		r.SetSpMVOps(sparse.ReadOpCounters())
-		r.SetOpClasses(sparse.ReadOpClassCounters())
-	}
 	return r
-}
-
-// SetSpMVOps attaches a sparse op-counter snapshot to the report.
-func (r *RunReport) SetSpMVOps(c sparse.OpCounts) {
-	r.SpMVOps = runOpsOf(c)
-}
-
-// SetOpClasses attaches the per-kernel-class counter split to the report.
-func (r *RunReport) SetOpClasses(c sparse.OpClassCounts) {
-	r.OpClasses = &RunOpClasses{
-		SpMV:  *runOpsOf(c.SpMV),
-		SpMM:  *runOpsOf(c.SpMM),
-		BLAS1: *runOpsOf(c.BLAS1),
-	}
-}
-
-func runOpsOf(c sparse.OpCounts) *RunSpMVOps {
-	return &RunSpMVOps{
-		Calls:       c.SpMVCalls,
-		Flops:       c.Flops,
-		MatrixBytes: c.MatrixBytes,
-		VectorBytes: c.VectorBytes,
-		AI:          c.AI(),
-	}
 }
 
 // WriteRunReport serializes the report to w as indented JSON, stamping the
@@ -553,14 +498,4 @@ func WriteRunReportFile(path string, r *RunReport) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// SolveTotalNS sums an entry list's solve wall times — a convenience for
-// quick before/after comparisons of two reports.
-func SolveTotalNS(entries []RunEntry) time.Duration {
-	var total int64
-	for i := range entries {
-		total += entries[i].SolveWallNS
-	}
-	return time.Duration(total)
 }

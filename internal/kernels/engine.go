@@ -169,7 +169,6 @@ func (e *Engine) sumParts() float64 {
 // partition plan on the pool (serial for one worker). Column j of the
 // result is bit-identical to m.MulVec on column j for any worker count.
 func (e *Engine) SpMM(m *sparse.CSR, y, x []float64, k int) {
-	m.AccountSweep(k)
 	if e.workers <= 1 {
 		m.MulMatRange(y, x, k, 0, m.Rows)
 		return
@@ -188,7 +187,6 @@ func (e *Engine) SpMM(m *sparse.CSR, y, x []float64, k int) {
 
 // Dot returns aᵀb.
 func (e *Engine) Dot(a, b []float64) float64 {
-	sparse.AccountBlas1(2*int64(len(a)), 16*int64(len(a)))
 	if !e.parallelVec(len(a)) {
 		return SerialDot(a, b)
 	}
@@ -203,7 +201,6 @@ func (e *Engine) Norm2(a []float64) float64 { return math.Sqrt(e.Dot(a, a)) }
 
 // Axpy computes y += alpha x.
 func (e *Engine) Axpy(alpha float64, x, y []float64) {
-	sparse.AccountBlas1(2*int64(len(x)), 24*int64(len(x)))
 	if !e.parallelVec(len(x)) {
 		SerialAxpy(alpha, x, y)
 		return
@@ -215,7 +212,6 @@ func (e *Engine) Axpy(alpha float64, x, y []float64) {
 
 // Xpay computes y = x + beta y (the CG search-direction update).
 func (e *Engine) Xpay(x []float64, beta float64, y []float64) {
-	sparse.AccountBlas1(2*int64(len(x)), 24*int64(len(x)))
 	if !e.parallelVec(len(x)) {
 		SerialXpay(x, beta, y)
 		return
@@ -231,7 +227,6 @@ func (e *Engine) Xpay(x []float64, beta float64, y []float64) {
 // operation order matches the three separate reference kernels exactly, so
 // fusing changes no bits.
 func (e *Engine) XRUpdate(alpha float64, p, ap, x, r []float64) float64 {
-	sparse.AccountBlas1(6*int64(len(p)), 48*int64(len(p)))
 	if !e.parallelVec(len(p)) {
 		return SerialXRUpdate(alpha, p, ap, x, r)
 	}

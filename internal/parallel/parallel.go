@@ -144,40 +144,3 @@ func runChunk(worker, lo, hi int, body func(lo, hi int)) (err error) {
 	body(lo, hi)
 	return nil
 }
-
-// ForEach runs body(i) for every i in [0,n), scheduling contiguous chunks on
-// workers goroutines. It is a convenience wrapper over For for callers that
-// do per-index work.
-func ForEach(n, workers int, body func(i int)) {
-	For(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// Reduce runs body over chunks of [0,n) like For, where each chunk produces
-// a float64 partial result; the partials are combined with combine in chunk
-// order, starting from init. The combination order is deterministic.
-func Reduce(n, workers int, init float64, body func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return init
-	}
-	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		runWorkerHook(0)
-		return combine(init, body(0, n))
-	}
-	bounds := Chunks(n, workers)
-	parts := make([]float64, len(bounds)/2)
-	if err := Default().Run(bounds, func(c, lo, hi int) { parts[c] = body(lo, hi) }); err != nil {
-		// Same containment contract as For: the pool never deadlocks,
-		// the panic resurfaces on the caller's goroutine.
-		panic(err)
-	}
-	acc := init
-	for _, p := range parts {
-		acc = combine(acc, p)
-	}
-	return acc
-}

@@ -69,36 +69,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum int64
-	ForEach(100, 4, func(i int) {
-		atomic.AddInt64(&sum, int64(i))
-	})
-	if sum != 4950 {
-		t.Errorf("sum=%d", sum)
-	}
-}
-
-func TestReduceDeterministic(t *testing.T) {
-	body := func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		return s
-	}
-	add := func(a, b float64) float64 { return a + b }
-	want := Reduce(1000, 1, 0, body, add)
-	for _, w := range []int{2, 3, 8} {
-		if got := Reduce(1000, w, 0, body, add); got != want {
-			t.Errorf("workers=%d: %g != %g", w, got, want)
-		}
-	}
-	if got := Reduce(0, 4, 42, body, add); got != 42 {
-		t.Errorf("empty reduce = %g, want init", got)
-	}
-}
-
 func TestMaxWorkersPositive(t *testing.T) {
 	if MaxWorkers() < 1 {
 		t.Error("MaxWorkers < 1")
@@ -158,22 +128,6 @@ func TestForErrReturnsPanic(t *testing.T) {
 	}
 }
 
-func TestReducePanicContainment(t *testing.T) {
-	defer func() {
-		v := recover()
-		if _, ok := v.(*PanicError); !ok {
-			t.Fatalf("Reduce re-panic = %T(%v), want *PanicError", v, v)
-		}
-	}()
-	Reduce(100, 4, 0, func(lo, hi int) float64 {
-		if lo == 0 {
-			panic("reduce chunk")
-		}
-		return 1
-	}, func(a, b float64) float64 { return a + b })
-	t.Fatalf("Reduce did not re-panic")
-}
-
 func TestWorkerHook(t *testing.T) {
 	var starts atomic.Int64
 	SetWorkerHook(func(worker int) { starts.Add(1) })
@@ -182,9 +136,9 @@ func TestWorkerHook(t *testing.T) {
 		t.Fatalf("hook ran %d times, want 4", starts.Load())
 	}
 	starts.Store(0)
-	Reduce(64, 1, 0, func(lo, hi int) float64 { return 0 }, func(a, b float64) float64 { return a })
+	For(64, 1, func(lo, hi int) {})
 	if starts.Load() != 1 {
-		t.Fatalf("single-worker Reduce hook ran %d times, want 1", starts.Load())
+		t.Fatalf("single-worker For hook ran %d times, want 1", starts.Load())
 	}
 	SetWorkerHook(nil)
 	starts.Store(0)

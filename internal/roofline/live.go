@@ -6,10 +6,10 @@ import (
 )
 
 // Achieved places one kernel class of a *finished* solve on the machine's
-// roofline: nominal work (the same accounting as the sparse op counters)
-// divided by the measured wall time of that kernel class from
-// krylov.Timing. This is the live counterpart of the offline Fig.-4 model —
-// it shows per production solve how far each kernel sits from the
+// roofline: nominal work (estimate's model, the one work account of the
+// solve kernels) divided by the measured wall time of that kernel class
+// from krylov.Timing. This is the live counterpart of the offline Fig.-4
+// model — it shows per production solve how far each kernel sits from the
 // bandwidth roof, and whether cache-aware fill-in is moving it.
 type Achieved struct {
 	// Kernel is "spmv" (y = Ap products), "apply_g" (z = GᵀGr, two sweeps
@@ -57,9 +57,8 @@ const (
 //   - blas1: per iteration the fused engine does 12n flops over 104n bytes
 //     (dot 2n/16n, fused x/r update 6n/48n, dot 2n/16n, xpay 2n/24n)
 //
-// A sweep costs 2 flops per stored entry, the matrix's StreamBytes (the
-// same accounting as the sparse op counters) and nominal vector traffic
-// (input read once, output written once). Kernel classes with zero
+// A sweep costs 2 flops per stored entry, the matrix's StreamBytes and
+// nominal vector traffic (input read once, output written once). Kernel classes with zero
 // measured time (timing not collected) are omitted, so an empty slice means
 // "no attribution possible".
 func SolveEstimate(a, g *sparse.CSR, iters int, spmvNS, precondNS, blas1NS int64, machine arch.Arch) []Achieved {

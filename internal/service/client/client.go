@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -94,22 +95,31 @@ func decodeAPIError(resp *http.Response) *APIError {
 	return apiErr
 }
 
+// maxRetryAfter caps a parsed Retry-After wait at 2^31 s, the value RFC 9111
+// §1.2.2 substitutes for a delta-seconds too large to represent, so a huge
+// header can neither wrap the wait negative nor small.
+const maxRetryAfter = (1 << 31) * time.Second
+
 // parseRetryAfter interprets a Retry-After header value per RFC 9110
 // §10.2.3: either delta-seconds or an HTTP-date. A date in the past (or an
-// unparsable value) yields 0.
+// unparsable value) yields 0; either form is clamped at maxRetryAfter.
 func parseRetryAfter(s string, now time.Time) time.Duration {
 	if s == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(s); err == nil {
-		if secs < 0 {
+	// Atoi saturates an out-of-range digit string at ±MaxInt with ErrRange.
+	if secs, err := strconv.Atoi(s); err == nil || errors.Is(err, strconv.ErrRange) {
+		switch {
+		case secs < 0:
 			return 0
+		case int64(secs) > int64(maxRetryAfter/time.Second):
+			return maxRetryAfter
 		}
 		return time.Duration(secs) * time.Second
 	}
 	if t, err := http.ParseTime(s); err == nil {
 		if d := t.Sub(now); d > 0 {
-			return d
+			return min(d, maxRetryAfter)
 		}
 	}
 	return 0

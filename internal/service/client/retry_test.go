@@ -15,13 +15,16 @@ import (
 	"repro/internal/trace"
 )
 
-func TestParseRetryAfterForms(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	cases := []struct {
-		name string
-		in   string
-		want time.Duration
-	}{
+type retryAfterCase struct {
+	name string
+	in   string
+	want time.Duration
+}
+
+// retryAfterCases is the table of Retry-After values and the waits they
+// parse to at now.
+func retryAfterCases(now time.Time) []retryAfterCase {
+	return []retryAfterCase{
 		{"empty", "", 0},
 		{"delta-seconds", "7", 7 * time.Second},
 		{"delta-zero", "0", 0},
@@ -30,14 +33,41 @@ func TestParseRetryAfterForms(t *testing.T) {
 		{"http-date-past", now.Add(-time.Minute).Format(http.TimeFormat), 0},
 		{"http-date-rfc850", now.Add(30 * time.Second).Format("Monday, 02-Jan-06 15:04:05 GMT"), 30 * time.Second},
 		{"garbage", "soon", 0},
+		// Overflowing waits clamp at 2^31 s: 18446744074 s wraps a Duration
+		// to ~0.29 s, 9300000000 s to a negative one, and the 20-digit
+		// value is out of Atoi's range.
+		{"delta-wraps-small", "18446744074", maxRetryAfter},
+		{"delta-wraps-negative", "9300000000", maxRetryAfter},
+		{"delta-out-of-range", "99999999999999999999", maxRetryAfter},
+		{"delta-negative-out-of-range", "-99999999999999999999", 0},
+		{"http-date-far-future", now.AddDate(100, 0, 0).Format(http.TimeFormat), maxRetryAfter},
 	}
-	for _, tc := range cases {
+}
+
+func TestParseRetryAfterForms(t *testing.T) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, tc := range retryAfterCases(now) {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := parseRetryAfter(tc.in, now); got != tc.want {
 				t.Fatalf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
 			}
 		})
 	}
+}
+
+// FuzzParseRetryAfter feeds untrusted header values to parseRetryAfter: the
+// wait it returns is never negative and never above maxRetryAfter, whatever
+// the form. Seeds are the table above.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, tc := range retryAfterCases(now) {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if d := parseRetryAfter(s, now); d < 0 || d > maxRetryAfter {
+			t.Fatalf("parseRetryAfter(%q) = %v, want within [0, %v]", s, d, maxRetryAfter)
+		}
+	})
 }
 
 func TestDecodeAPIErrorHTTPDateRetryAfter(t *testing.T) {

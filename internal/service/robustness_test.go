@@ -589,7 +589,8 @@ func TestMalformedDeadlineHeaderIsRejected(t *testing.T) {
 		t.Fatalf("register: %v", err)
 	}
 	body, _ := json.Marshal(service.SolveRequest{Matrix: info.Fingerprint})
-	for _, bad := range []string{"soon", "-5", "0"} {
+	// 9300000000000 ms overflows time.Duration into a negative timeout.
+	for _, bad := range []string{"soon", "-5", "0", "9300000000000"} {
 		resp, out, err := rawSolve(hs.URL, body, map[string]string{service.HeaderDeadlineMS: bad})
 		if err != nil {
 			t.Fatalf("solve with deadline %q: %v", bad, err)

@@ -666,11 +666,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Deadline propagation: the client's remaining budget travels as
 	// relative milliseconds and bounds the job from THIS point — queue wait
 	// included. A job whose caller gave up must stop occupying the queue
-	// and must not start (or keep running) CG.
+	// and must not start (or keep running) CG. A budget too large for a
+	// time.Duration is malformed like a negative one.
 	reqCtx := r.Context()
 	clientDeadline := false
 	if h := r.Header.Get(HeaderDeadlineMS); h != "" {
-		if ms, perr := strconv.ParseInt(h, 10, 64); perr == nil && ms > 0 {
+		if ms, perr := strconv.ParseInt(h, 10, 64); perr == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
 			var cancel context.CancelFunc
 			reqCtx, cancel = context.WithTimeout(reqCtx, time.Duration(ms)*time.Millisecond)
 			defer cancel()

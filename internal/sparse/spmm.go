@@ -25,10 +25,9 @@ import (
 // same bits as unbatched solves.
 
 // MulMatRange computes Y[lo:hi, :] = (A X)[lo:hi, :] for the row range
-// [lo,hi) over k column-major vectors. It performs no dimension checks and
-// no op-counting: it is the building block the pooled kernels (here and in
-// internal/kernels) schedule over partition-plan chunks; such callers
-// charge the sweep themselves via AccountSweep.
+// [lo,hi) over k column-major vectors. It performs no dimension checks: it
+// is the building block the pooled kernels (here and in internal/kernels)
+// schedule over partition-plan chunks.
 //
 // Columns are processed in groups of four so the row's value/index stream
 // is loaded once per group; the remainder runs a two-column group and then
@@ -144,7 +143,6 @@ func (m *CSR) MulMat(y, x []float64, k int) {
 	if k < 1 || len(y) != k*m.Rows || len(x) != k*m.Cols {
 		panic(fmt.Sprintf("sparse: MulMat dimensions y=%d x=%d k=%d for %s", len(y), len(x), k, m))
 	}
-	m.AccountSweep(k)
 	m.MulMatRange(y, x, k, 0, m.Rows)
 }
 
@@ -161,7 +159,6 @@ func (m *CSR) MulVecParallel(y, x []float64, workers int) {
 	if len(y) != m.Rows || len(x) != m.Cols {
 		panic(fmt.Sprintf("sparse: MulVecParallel dimensions y=%d x=%d for %s", len(y), len(x), m))
 	}
-	m.AccountSweep(1)
 	pl := m.PartitionPlan(workers)
 	if pl.NChunks() <= 1 {
 		m.MulMatRange(y, x, 1, 0, m.Rows)

@@ -61,52 +61,6 @@ func TestMulMatRangeChunks(t *testing.T) {
 	}
 }
 
-// TestSpMMOpClassCounters checks the per-class counter split: an SpMM sweep
-// charges the matrix stream once and the vector traffic k times, and lands
-// in both the aggregate and the spmm class.
-func TestSpMMOpClassCounters(t *testing.T) {
-	m, err := NewCSRFromTriplets(3, 3, []Triplet{
-		{0, 0, 2}, {0, 1, -1}, {1, 1, 2}, {2, 1, -1}, {2, 2, 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	EnableOpCounters(true)
-	defer EnableOpCounters(false)
-	ResetOpCounters()
-	const k = 4
-	x := make([]float64, k*3)
-	y := make([]float64, k*3)
-	m.MulMat(y, x, k)
-	m.MulVec(y[:3], x[:3])
-	AccountBlas1(6, 48)
-
-	nnz := int64(m.NNZ())
-	cls := ReadOpClassCounters()
-	if cls.SpMM.SpMVCalls != 1 || cls.SpMM.Flops != 2*nnz*k {
-		t.Fatalf("spmm class: %+v", cls.SpMM)
-	}
-	if want := 16*nnz + 8*4; cls.SpMM.MatrixBytes != want {
-		t.Fatalf("spmm matrix bytes: got %d want %d (must not scale with k)", cls.SpMM.MatrixBytes, want)
-	}
-	if want := int64(8*(3+3)) * k; cls.SpMM.VectorBytes != want {
-		t.Fatalf("spmm vector bytes: got %d want %d", cls.SpMM.VectorBytes, want)
-	}
-	if cls.SpMV.SpMVCalls != 1 || cls.SpMV.Flops != 2*nnz {
-		t.Fatalf("spmv class: %+v", cls.SpMV)
-	}
-	if cls.BLAS1.SpMVCalls != 1 || cls.BLAS1.Flops != 6 || cls.BLAS1.VectorBytes != 48 {
-		t.Fatalf("blas1 class: %+v", cls.BLAS1)
-	}
-	agg := ReadOpCounters()
-	if agg.Flops != cls.SpMV.Flops+cls.SpMM.Flops {
-		t.Fatalf("aggregate flops %d != spmv+spmm %d", agg.Flops, cls.SpMV.Flops+cls.SpMM.Flops)
-	}
-	if agg.SpMVCalls != 2 {
-		t.Fatalf("aggregate calls: %d", agg.SpMVCalls)
-	}
-}
-
 // BenchmarkSpMM measures per-RHS SpMM throughput across block widths. The
 // figure of merit is ns/op divided by k: at k=8 the matrix stream is read
 // once for eight columns, so per-RHS time should drop well below the k=1

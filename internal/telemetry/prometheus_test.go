@@ -134,16 +134,3 @@ func TestWritePrometheus(t *testing.T) {
 		t.Fatalf("nil registry: err=%v out=%q", err, sb.String())
 	}
 }
-
-func TestWriteTextIncludesQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{10})
-	h.Observe(4)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "p50=") || !strings.Contains(sb.String(), "p99=") {
-		t.Fatalf("WriteText missing quantiles: %q", sb.String())
-	}
-}

@@ -19,8 +19,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -359,47 +357,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		}
 	}
 	return snap
-}
-
-// WriteText renders the registry in a sorted human-readable form, one metric
-// per line. Safe on a nil registry (writes nothing).
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	var names []string
-	for n := range snap.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "counter %-40s %d\n", n, snap.Counters[n]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for n := range snap.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "gauge   %-40s %g\n", n, snap.Gauges[n]); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for n := range snap.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := snap.Histograms[n]
-		mean := 0.0
-		if h.Count > 0 {
-			mean = h.Sum / float64(h.Count)
-		}
-		if _, err := fmt.Fprintf(w, "hist    %-40s count=%d sum=%g mean=%g p50=%g p95=%g p99=%g\n",
-			n, h.Count, h.Sum, mean, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

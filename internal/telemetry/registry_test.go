@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -70,10 +69,6 @@ func TestNilRegistryAndMetricsAreNoOps(t *testing.T) {
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
 	}
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil || sb.Len() != 0 {
-		t.Fatalf("nil WriteText: err=%v out=%q", err, sb.String())
-	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {
@@ -111,22 +106,5 @@ func TestExpBuckets(t *testing.T) {
 	}
 	if ExpBuckets(1, 2, 0) != nil {
 		t.Fatal("n=0 should be nil")
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.calls").Add(2)
-	r.Gauge("b.val").Set(7)
-	r.Histogram("c.lat", []float64{1}).Observe(0.5)
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"a.calls", "b.val", "c.lat", "count=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("WriteText output missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -27,7 +27,7 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer that renders finished root spans to sink
-// (pass nil to only collect for Report/PhaseNanos).
+// (pass nil to only collect for Report).
 func NewTracer(sink io.Writer) *Tracer {
 	return &Tracer{sink: sink, clock: time.Now}
 }
@@ -155,27 +155,6 @@ func (t *Tracer) Report() []SpanSnapshot {
 		if s.done {
 			out = append(out, snapshotSpan(s))
 		}
-	}
-	return out
-}
-
-// PhaseNanos flattens the recorded spans into name → total nanoseconds,
-// summing repeated phases (e.g. the two extension passes of FSAIE(full)).
-func (t *Tracer) PhaseNanos() map[string]int64 {
-	report := t.Report()
-	if report == nil {
-		return nil
-	}
-	out := map[string]int64{}
-	var walk func(s SpanSnapshot)
-	walk = func(s SpanSnapshot) {
-		out[s.Name] += s.NS
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range report {
-		walk(s)
 	}
 	return out
 }

@@ -41,13 +41,6 @@ func TestTracerHierarchy(t *testing.T) {
 		t.Fatal("parent shorter than child")
 	}
 
-	phases := tr.PhaseNanos()
-	for _, name := range []string{"setup", "base-pattern", "extend", "precalc"} {
-		if _, ok := phases[name]; !ok {
-			t.Fatalf("PhaseNanos missing %q: %v", name, phases)
-		}
-	}
-
 	out := sink.String()
 	for _, want := range []string{"setup", "  base-pattern", "    precalc"} {
 		if !strings.Contains(out, want) {
@@ -87,7 +80,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if s.Duration() != 0 {
 		t.Fatal("nil span Duration should be 0")
 	}
-	if tr.Report() != nil || tr.PhaseNanos() != nil {
+	if tr.Report() != nil {
 		t.Fatal("nil tracer report should be nil")
 	}
 	tr.Reset() // must not panic

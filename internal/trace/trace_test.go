@@ -73,9 +73,10 @@ func TestParseTraceparentFutureVersion(t *testing.T) {
 	}
 }
 
-func TestParseTraceparentMalformed(t *testing.T) {
-	valid := New()
-	cases := map[string]string{
+// malformedTraceparents is the table of headers ParseTraceparent must
+// reject, built around the identifiers of valid.
+func malformedTraceparents(valid Context) map[string]string {
+	return map[string]string{
 		"empty":              "",
 		"too few fields":     "00-abc",
 		"bad version hex":    "zz-" + valid.TraceID + "-" + valid.SpanID + "-01",
@@ -89,11 +90,41 @@ func TestParseTraceparentMalformed(t *testing.T) {
 		"non-hex span id":    "00-" + valid.TraceID + "-ghijklmnopqrstuv-01",
 		"whitespace-only":    "   ",
 	}
-	for name, h := range cases {
+}
+
+func TestParseTraceparentMalformed(t *testing.T) {
+	for name, h := range malformedTraceparents(New()) {
 		if _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("%s: %q parsed without error", name, h)
 		}
 	}
+}
+
+// FuzzParseTraceparent feeds untrusted header values to ParseTraceparent:
+// an accepted header must yield a Valid context whose own Traceparent
+// re-parses to the same context. Seeds are the accepted forms of the tests
+// above (plain, space-padded, future version) and the malformed table.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := Context{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7"}
+	f.Add(valid.Traceparent())
+	f.Add("  " + valid.Traceparent() + " ")
+	f.Add("cc-" + valid.TraceID + "-" + valid.SpanID + "-01-extrafield")
+	for _, h := range malformedTraceparents(valid) {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		c, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		if !c.Valid() {
+			t.Fatalf("accepted %q as invalid context %+v", h, c)
+		}
+		again, err := ParseTraceparent(c.Traceparent())
+		if err != nil || again != c {
+			t.Fatalf("re-parse of %q: %+v, %v; want %+v", c.Traceparent(), again, err, c)
+		}
+	})
 }
 
 func TestValidRejectsZeroAndBadHex(t *testing.T) {

@@ -36,11 +36,14 @@ bench:
 
 # Quick pass over the hot-path kernel benchmarks (docs/performance.md): a
 # few iterations each, -benchmem so an alloc regression in the steady-state
-# solve loop shows up as non-zero allocs/op.
+# solve loop shows up as non-zero allocs/op. The FSAI setup benchmarks
+# follow, so setup allocs/op print beside the kernels (setup allocates, but
+# not per row: TestSetupAllocsIndependentOfRows).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SpMV|FusedBlas1|BlockPCGIteration|EngineDot' \
 		-benchtime 10x -benchmem \
 		./internal/sparse/ ./internal/kernels/ ./internal/krylov/
+	$(GO) test -run '^$$' -bench '^BenchmarkSetup' -benchtime 10x -benchmem ./internal/core/
 
 # Multi-RHS amortization check (docs/performance.md, "Batched solving"):
 # the SpMM and block-PCG benchmarks across block widths (per-RHS ns drops

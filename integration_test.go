@@ -193,5 +193,5 @@ func TestIntegrationSolutionAccuracy(t *testing.T) {
 
 // denseSolve is a local helper: dense SPD solve via the internal package.
 func denseSolve(a []float64, n int, b []float64) error {
-	return dense.SolveSPD(a, n, b)
+	return dense.SolveSPD(a, n, b, nil)
 }

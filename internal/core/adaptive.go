@@ -71,9 +71,9 @@ func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, erro
 	}
 	errs := make([]error, n)
 	parallel.For(n, nw, func(lo, hi int) {
-		var aloc, y []float64
+		var aloc, y, work []float64
 		for i := lo; i < hi; i++ {
-			p, err := growRow(a, i, opts, &aloc, &y)
+			p, err := growRow(a, i, opts, &aloc, &y, &work)
 			if err != nil {
 				errs[i] = err
 				return
@@ -97,7 +97,10 @@ func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, erro
 		}
 		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, 512)
 		if opts.Filter > 0 {
-			gpre := precalcRows(a, sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
+			gpre, err := precalcRows(a, sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
+			if err != nil {
+				return nil, err
+			}
 			final = filterExtension(base, sx, gpre, opts.Filter)
 		} else {
 			final = sx
@@ -115,21 +118,22 @@ func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, erro
 }
 
 // growRow runs the greedy pattern search for row i and returns the sorted
-// pattern (diagonal included).
-func growRow(a *sparse.CSR, i int, opts AdaptiveOptions, alocBuf, yBuf *[]float64) ([]int, error) {
+// pattern (diagonal included). The buffers are the worker's solve scratch.
+func growRow(a *sparse.CSR, i int, opts AdaptiveOptions, alocBuf, yBuf, workBuf *[]float64) ([]int, error) {
 	p := []int{i}
 	inP := map[int]bool{i: true}
 	for len(p) < opts.MaxPerRow {
 		m := len(p)
 		if cap(*alocBuf) < m*m {
 			*alocBuf = make([]float64, 4*m*m)
+			*workBuf = make([]float64, 4*m*m)
 			*yBuf = make([]float64, 4*m)
 		}
 		aloc := a.Extract(p, (*alocBuf)[:m*m])
 		y := (*yBuf)[:m]
 		// p is sorted with i last (all admitted candidates are < i).
 		sparse.GatherRHS(y, m-1)
-		if err := dense.SolveSPD(aloc, m, y); err != nil {
+		if err := dense.SolveSPD(aloc, m, y, *workBuf); err != nil {
 			return nil, fmt.Errorf("fsai: adaptive row %d: %w", i, ErrNotSPD)
 		}
 		diag := y[m-1]

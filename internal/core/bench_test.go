@@ -20,6 +20,28 @@ func benchSetup(b *testing.B, variant Variant, lineBytes int) {
 	}
 }
 
+// TestSetupAllocsIndependentOfRows checks that no setup phase allocates per
+// row: FSAIE(full) on a grid with 4× the rows may allocate at most 1.25× as
+// often. Per-row CG vectors or a per-row copy of the local block in
+// SolveSPD would scale with rows (16,478 and 64,906 allocations).
+func TestSetupAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(nx int) float64 {
+		a := matgen.Laplace2D(nx, nx)
+		o := DefaultOptions()
+		o.Workers = 1
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Compute(a, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(48), allocs(96)
+	t.Logf("allocations: %v on 48×48, %v on 96×96", small, large)
+	if large >= 1.25*small {
+		t.Errorf("setup allocations grow with rows: %v on 48×48, %v on 96×96", small, large)
+	}
+}
+
 func BenchmarkSetupFSAI(b *testing.B)         { benchSetup(b, VariantFSAI, 64) }
 func BenchmarkSetupFSAIESp(b *testing.B)      { benchSetup(b, VariantSp, 64) }
 func BenchmarkSetupFSAIEFull(b *testing.B)    { benchSetup(b, VariantFull, 64) }

@@ -3,8 +3,10 @@ package fsai
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/matgen"
 	"repro/internal/parallel"
 	"repro/internal/pattern"
 	"repro/internal/sparse"
@@ -122,6 +124,22 @@ func TestSetupErrorWorkerPanic(t *testing.T) {
 		p.CloseRow(i)
 	}
 	_, err := ComputeOnPattern(a, p, 2, nil)
+	checkWorkerPanic(t, err)
+
+	// The precalculation runs on the same contained pool: a row task that
+	// panics there (here the first chunk of any setup loop, which in an
+	// FSAIE setup is the first precalc pass) also comes back typed.
+	var once sync.Once
+	parallel.SetWorkerHook(func(int) { once.Do(func() { panic("injected") }) })
+	defer parallel.SetWorkerHook(nil)
+	opts := DefaultOptions()
+	opts.Variant = VariantFull
+	_, err = Compute(matgen.Laplace2D(20, 20), opts)
+	checkWorkerPanic(t, err)
+}
+
+func checkWorkerPanic(t *testing.T, err error) {
+	t.Helper()
 	se, ok := AsSetupError(err)
 	if !ok || se.Reason != ReasonWorkerPanic {
 		t.Fatalf("worker panic: err=%v", err)

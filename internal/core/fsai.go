@@ -214,7 +214,9 @@ type SetupStats struct {
 	// (Cholesky ~ s³/3 + solves ~ 2s² per row of local size s).
 	DirectFlops float64
 	// PrecalcFlops counts the loose CG precalculation work (~2s² per
-	// iteration per row).
+	// iteration per row). Both counts model the paper's dense local solves,
+	// which perfmodel prices; the precalculation here runs sparse and does
+	// less.
 	PrecalcFlops float64
 	// PatternOps counts symbolic work: entries visited while powering,
 	// extending and filtering patterns.
@@ -453,14 +455,58 @@ func InitialPattern(a *sparse.CSR, tau float64, power int) *pattern.Pattern {
 // by 1/sqrt(y_i) so that diag(G A Gᵀ) = 1 (Kolotilina-Yeremin FSAI).
 // The returned CSR shares the pattern's index structure.
 func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupStats) (*sparse.CSR, error) {
-	n := a.Rows
-	g := &sparse.CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.Cols...),
-		Val:    make([]float64, p.NNZ()),
+	g := factorOn(a.Rows, p)
+	err := forRowChunks(a.Rows, workers, stats, func(lo, hi int, st *SetupStats) error {
+		var aloc, rhs, work []float64
+		for i := lo; i < hi; i++ {
+			idx := p.Row(i)
+			m := len(idx)
+			if m == 0 || idx[m-1] != i {
+				return setupErrf(ReasonMissingDiagonal, i, "row %d pattern lacks diagonal", i)
+			}
+			if m > st.MaxLocal {
+				st.MaxLocal = m
+			}
+			st.Rows++
+			aloc, rhs, work = grow(aloc, m*m), grow(rhs, m), grow(work, m*m)
+			a.Extract(idx, aloc)
+			sparse.GatherRHS(rhs, m-1)
+			if err := dense.SolveSPD(aloc, m, rhs, work); err != nil {
+				return setupErrf(ReasonNotSPD, i, "row %d: %w", i, ErrNotSPD)
+			}
+			fm := float64(m)
+			st.DirectFlops += fm*fm*fm/3 + 2*fm*fm
+			d := rhs[m-1]
+			if d <= 0 || math.IsNaN(d) {
+				return setupErrf(ReasonNotSPD, i, "row %d diagonal %g: %w", i, d, ErrNotSPD)
+			}
+			scale := 1 / math.Sqrt(d)
+			off := g.RowPtr[i]
+			for k := 0; k < m; k++ {
+				g.Val[off+k] = rhs[k] * scale
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return g, nil
+}
+
+// factorOn returns the n×n CSR with p's structure and zero values.
+func factorOn(n int, p *pattern.Pattern) *sparse.CSR {
+	return &sparse.CSR{Rows: n, Cols: n, RowPtr: append([]int(nil), p.RowPtr...),
+		ColIdx: append([]int(nil), p.Cols...), Val: make([]float64, p.NNZ())}
+}
+
+// forRowChunks runs body over the contiguous row chunks [lo, hi) of an
+// n-row setup loop on up to workers workers (<=0: all CPUs), each chunk
+// with its own SetupStats, added into stats in chunk order when every chunk
+// succeeds. A row task that panics is contained by the pool and comes back
+// as a ReasonWorkerPanic SetupError instead of crashing the process;
+// otherwise the first failing chunk's error is returned.
+func forRowChunks(n, workers int, stats *SetupStats, body func(lo, hi int, st *SetupStats) error) error {
 	nw := workers
 	if nw <= 0 {
 		nw = parallel.MaxWorkers()
@@ -468,56 +514,16 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 	errs := make([]error, nw)
 	partial := make([]SetupStats, nw)
 	bounds := parallel.Chunks(n, nw)
-	poolErr := parallel.ForErr(len(bounds)/2, nw, func(wlo, whi int) {
+	if err := parallel.ForErr(len(bounds)/2, nw, func(wlo, whi int) {
 		for c := wlo; c < whi; c++ {
-			lo, hi := bounds[2*c], bounds[2*c+1]
-			var aloc, rhs []float64
-			st := &partial[c]
-			for i := lo; i < hi; i++ {
-				idx := p.Row(i)
-				m := len(idx)
-				if m == 0 || idx[m-1] != i {
-					errs[c] = setupErrf(ReasonMissingDiagonal, i, "row %d pattern lacks diagonal", i)
-					return
-				}
-				if m > st.MaxLocal {
-					st.MaxLocal = m
-				}
-				st.Rows++
-				if cap(aloc) < m*m {
-					aloc = make([]float64, m*m)
-					rhs = make([]float64, m)
-				}
-				aloc = a.Extract(idx, aloc[:m*m])
-				rhs = rhs[:m]
-				sparse.GatherRHS(rhs, m-1)
-				if err := dense.SolveSPD(aloc, m, rhs); err != nil {
-					errs[c] = setupErrf(ReasonNotSPD, i, "row %d: %w", i, ErrNotSPD)
-					return
-				}
-				fm := float64(m)
-				st.DirectFlops += fm*fm*fm/3 + 2*fm*fm
-				d := rhs[m-1]
-				if d <= 0 || math.IsNaN(d) {
-					errs[c] = setupErrf(ReasonNotSPD, i, "row %d diagonal %g: %w", i, d, ErrNotSPD)
-					return
-				}
-				scale := 1 / math.Sqrt(d)
-				off := g.RowPtr[i]
-				for k := 0; k < m; k++ {
-					g.Val[off+k] = rhs[k] * scale
-				}
-			}
+			errs[c] = body(bounds[2*c], bounds[2*c+1], &partial[c])
 		}
-	})
-	if poolErr != nil {
-		// A panicking row task was contained by the pool; surface it as a
-		// typed setup failure instead of crashing the process.
-		return nil, setupErr(ReasonWorkerPanic, -1, poolErr)
+	}); err != nil {
+		return setupErr(ReasonWorkerPanic, -1, err)
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if stats != nil {
@@ -525,56 +531,5 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 			stats.add(st)
 		}
 	}
-	return g, nil
-}
-
-// precalcRows evaluates an *approximate* G on the given pattern using a few
-// loose-tolerance CG sweeps per local system (Section 5). Only the order of
-// magnitude of the entries matters — the result is used exclusively to
-// decide which extension entries to keep.
-func precalcRows(a *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, workers int, stats *SetupStats) *sparse.CSR {
-	n := a.Rows
-	g := &sparse.CSR{
-		Rows:   n,
-		Cols:   n,
-		RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.Cols...),
-		Val:    make([]float64, p.NNZ()),
-	}
-	nw := workers
-	if nw <= 0 {
-		nw = parallel.MaxWorkers()
-	}
-	partial := make([]SetupStats, nw)
-	bounds := parallel.Chunks(n, nw)
-	parallel.For(len(bounds)/2, nw, func(wlo, whi int) {
-		for c := wlo; c < whi; c++ {
-			lo, hi := bounds[2*c], bounds[2*c+1]
-			var aloc, rhs, sol []float64
-			st := &partial[c]
-			for i := lo; i < hi; i++ {
-				idx := p.Row(i)
-				m := len(idx)
-				if cap(aloc) < m*m {
-					aloc = make([]float64, m*m)
-					rhs = make([]float64, m)
-					sol = make([]float64, m)
-				}
-				aloc = a.Extract(idx, aloc[:m*m])
-				rhs = rhs[:m]
-				sol = sol[:m]
-				sparse.GatherRHS(rhs, m-1)
-				res := dense.CG(aloc, m, sol, rhs, tol, maxIter)
-				st.PrecalcFlops += float64(res.Iterations) * 2 * float64(m) * float64(m)
-				off := g.RowPtr[i]
-				copy(g.Val[off:off+m], sol)
-			}
-		}
-	})
-	if stats != nil {
-		for _, st := range partial {
-			stats.add(st)
-		}
-	}
-	return g
+	return nil
 }

@@ -170,8 +170,11 @@ func resolveExtension(a *sparse.CSR, base, sx *pattern.Pattern, opts Options, re
 		return sx, nil // filter 0.0 keeps the full extension
 	}
 	endPrecalc := rec.phase(PhasePrecalc)
-	gpre := precalcRows(a, sx, opts.PrecalcTol, opts.PrecalcMaxIter, opts.Workers, rec.stats)
+	gpre, err := precalcRows(a, sx, opts.PrecalcTol, opts.PrecalcMaxIter, opts.Workers, rec.stats)
 	endPrecalc()
+	if err != nil {
+		return nil, err
+	}
 	endFilter := rec.phase(PhaseFilter)
 	filtered := filterExtension(base, sx, gpre, opts.Filter)
 	endFilter()

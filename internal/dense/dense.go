@@ -1,8 +1,9 @@
 // Package dense implements the small dense linear-algebra kernels the FSAI
-// setup needs for the local Frobenius systems A(S_i,S_i) g = e: Cholesky and
-// LDLᵀ factorizations with triangular solves (the paper's "direct solver",
-// provided there by MKL/LAPACK/OpenBLAS), and a dense CG solver used for the
-// loose-tolerance precalculation of Section 5.
+// setup needs for the exact local Frobenius systems A(S_i,S_i) g = e:
+// Cholesky and LDLᵀ factorizations with triangular solves (the paper's
+// "direct solver", provided there by MKL/LAPACK/OpenBLAS). The
+// loose-tolerance precalculation of Section 5 runs its CG on the local
+// systems in sparse form instead (internal/core).
 //
 // Matrices are stored column-major in a flat []float64 of length n*n;
 // element (i,j) is a[j*n+i]. All systems here are symmetric positive
@@ -121,9 +122,11 @@ func LDLTSolve(a []float64, n int, b []float64) {
 // SolveSPD solves the symmetric positive definite system a x = b, where a is
 // column-major n x n with at least its lower triangle filled. a is destroyed;
 // the solution overwrites b. Cholesky is attempted first, then LDLᵀ on a
-// fresh copy is used as fallback. It returns an error if both fail.
-func SolveSPD(a []float64, n int, b []float64) error {
-	backup := append([]float64(nil), a[:n*n]...)
+// fresh copy is used as fallback. It returns an error if both fail. work
+// holds that copy: caller-owned scratch that allocates nothing when its
+// capacity is at least n*n (nil allocates one).
+func SolveSPD(a []float64, n int, b, work []float64) error {
+	backup := append(work[:0], a[:n*n]...)
 	if err := Cholesky(a, n); err == nil {
 		CholeskySolve(a, n, b)
 		return nil
@@ -135,86 +138,3 @@ func SolveSPD(a []float64, n int, b []float64) error {
 	LDLTSolve(a, n, b)
 	return nil
 }
-
-// SymMulVec computes y = a x for a column-major symmetric matrix a of which
-// at least the lower triangle is filled. Used by the dense CG precalculation.
-func SymMulVec(a []float64, n int, y, x []float64) {
-	for i := range y[:n] {
-		y[i] = 0
-	}
-	for j := 0; j < n; j++ {
-		xj := x[j]
-		y[j] += a[j*n+j] * xj
-		for i := j + 1; i < n; i++ {
-			v := a[j*n+i]
-			y[i] += v * xj
-			y[j] += v * x[i]
-		}
-	}
-}
-
-// CGResult reports how a dense CG solve went.
-type CGResult struct {
-	Iterations int
-	Residual   float64 // final relative residual ||b-Ax|| / ||b||
-	Converged  bool
-}
-
-// CG runs the conjugate gradient method on the dense SPD system a x = b,
-// starting from x = 0, until the relative residual drops below tol or
-// maxIter iterations elapse. a needs only its lower triangle. The solution
-// is written to x (length n). This is the loose-tolerance approximate solver
-// used by the precalculation filtering of Section 5: a handful of CG sweeps
-// is enough to estimate the order of magnitude of each G entry.
-func CG(a []float64, n int, x, b []float64, tol float64, maxIter int) CGResult {
-	for i := range x[:n] {
-		x[i] = 0
-	}
-	r := append([]float64(nil), b[:n]...)
-	p := append([]float64(nil), r...)
-	ap := make([]float64, n)
-	bnorm := norm2(b[:n])
-	if bnorm == 0 {
-		return CGResult{Converged: true}
-	}
-	rr := dot(r, r)
-	res := CGResult{Residual: math.Sqrt(rr) / bnorm}
-	for it := 0; it < maxIter; it++ {
-		if math.Sqrt(rr)/bnorm <= tol {
-			res.Converged = true
-			break
-		}
-		SymMulVec(a, n, ap, p)
-		pap := dot(p, ap)
-		if pap <= 0 {
-			break // loss of positive definiteness in finite precision
-		}
-		alpha := rr / pap
-		for i := 0; i < n; i++ {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rrNew := dot(r, r)
-		beta := rrNew / rr
-		for i := 0; i < n; i++ {
-			p[i] = r[i] + beta*p[i]
-		}
-		rr = rrNew
-		res.Iterations = it + 1
-		res.Residual = math.Sqrt(rr) / bnorm
-	}
-	if math.Sqrt(rr)/bnorm <= tol {
-		res.Converged = true
-	}
-	return res
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }

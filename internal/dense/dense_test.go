@@ -103,7 +103,7 @@ func TestSolveSPD(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	b := matVec(orig, n, x)
-	if err := SolveSPD(a, n, b); err != nil {
+	if err := SolveSPD(a, n, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -116,88 +116,8 @@ func TestSolveSPD(t *testing.T) {
 func TestSolveSPDRejectsSingular(t *testing.T) {
 	a := []float64{0, 0, 0, 0}
 	b := []float64{1, 1}
-	if err := SolveSPD(a, 2, b); err == nil {
+	if err := SolveSPD(a, 2, b, nil); err == nil {
 		t.Error("singular matrix accepted")
-	}
-}
-
-func TestSymMulVec(t *testing.T) {
-	// Symmetric matrix with only lower triangle stored meaningfully.
-	// [2 1; 1 3] · [1, 2] = [4, 7]
-	a := []float64{2, 1, 99 /* upper ignored */, 3}
-	y := make([]float64, 2)
-	SymMulVec(a, 2, y, []float64{1, 2})
-	if y[0] != 4 || y[1] != 7 {
-		t.Errorf("SymMulVec = %v", y)
-	}
-}
-
-func TestCGConvergesOnSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 30
-	a := randSPD(rng, n)
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := matVec(a, n, want)
-	// SymMulVec only needs the lower triangle; a is full symmetric, fine.
-	x := make([]float64, n)
-	res := CG(a, n, x, b, 1e-12, 10*n)
-	if !res.Converged {
-		t.Fatalf("CG did not converge: %+v", res)
-	}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-6 {
-			t.Fatalf("x[%d]=%g want %g", i, x[i], want[i])
-		}
-	}
-}
-
-func TestCGLooseToleranceGivesMagnitudes(t *testing.T) {
-	// The precalculation use case: a handful of iterations at tol 0.1 must
-	// already rank entries by order of magnitude.
-	rng := rand.New(rand.NewSource(5))
-	n := 20
-	a := randSPD(rng, n)
-	xexact := make([]float64, n)
-	b := make([]float64, n)
-	b[n-1] = 1
-	xe := append([]float64(nil), b...)
-	if err := SolveSPD(append([]float64(nil), a...), n, xe); err != nil {
-		t.Fatal(err)
-	}
-	copy(xexact, xe)
-
-	approx := make([]float64, n)
-	res := CG(a, n, approx, b, 0.1, 10)
-	if res.Iterations == 0 {
-		t.Fatal("no iterations ran")
-	}
-	// The dominant entry (the diagonal one) must be dominant in both.
-	maxIdx := 0
-	for i := range xexact {
-		if math.Abs(xexact[i]) > math.Abs(xexact[maxIdx]) {
-			maxIdx = i
-		}
-	}
-	amaxIdx := 0
-	for i := range approx {
-		if math.Abs(approx[i]) > math.Abs(approx[amaxIdx]) {
-			amaxIdx = i
-		}
-	}
-	if maxIdx != amaxIdx {
-		t.Errorf("dominant entry mismatch: exact %d approx %d", maxIdx, amaxIdx)
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	a := []float64{2}
-	x := []float64{5}
-	res := CG(a, 1, x, []float64{0}, 1e-10, 10)
-	if !res.Converged || x[0] != 0 {
-		t.Errorf("zero RHS: %+v x=%v", res, x)
 	}
 }
 

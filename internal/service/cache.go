@@ -4,11 +4,13 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	fsai "repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -125,7 +127,8 @@ func PrecondKey(fingerprint string, req *SolveRequest) string {
 // a miss. Concurrent misses for the same key wait for the first builder and
 // count as hits (they paid no setup). ctx bounds only the waiting — an
 // in-flight build runs to completion so its result can serve later jobs
-// even when the triggering client gave up.
+// even when the triggering client gave up. A build that panics fails like
+// one that errs, with a *parallel.PanicError, and the next miss rebuilds.
 func (c *PrecondCache) GetOrBuild(ctx context.Context, key string, build func() (*CachedPrecond, error)) (e *CachedPrecond, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -154,7 +157,16 @@ func (c *PrecondCache) GetOrBuild(ctx context.Context, key string, build func() 
 	c.building[key] = call
 	c.mu.Unlock()
 
-	call.e, call.err = build()
+	func() {
+		// A panicking build must still release the key below; its panic
+		// becomes the builder's and every waiter's error.
+		defer func() {
+			if v := recover(); v != nil {
+				call.e, call.err = nil, &parallel.PanicError{Value: v, Stack: debug.Stack()}
+			}
+		}()
+		call.e, call.err = build()
+	}()
 	if call.e != nil {
 		call.e.Key = key
 	}

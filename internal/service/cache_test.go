@@ -11,6 +11,7 @@ import (
 
 	fsai "repro/internal/core"
 	"repro/internal/matgen"
+	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -113,6 +114,25 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("error entry made it into the cache")
+	}
+}
+
+func TestCacheBuildPanicReleasesKey(t *testing.T) {
+	c := NewPrecondCache(2, nil)
+	_, _, err := c.GetOrBuild(context.Background(), "k", func() (*CachedPrecond, error) {
+		panic("build exploded")
+	})
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) || pe.Value != "build exploded" || len(pe.Stack) == 0 {
+		t.Fatalf("builder err=%v, want the panic as *parallel.PanicError", err)
+	}
+	// The slot is free: the next miss rebuilds instead of waiting forever.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	want := &CachedPrecond{P: testFactor(t)}
+	e, hit, err := c.GetOrBuild(ctx, "k", func() (*CachedPrecond, error) { return want, nil })
+	if err != nil || hit || e != want {
+		t.Fatalf("rebuild after panic: entry=%v hit=%v err=%v", e, hit, err)
 	}
 }
 

@@ -111,16 +111,21 @@ chaos:
 clean:
 	$(GO) clean ./...
 
-# Fuzz smoke: each native fuzz target runs for 10s on top of its seed
-# corpus. The targets feed untrusted bytes (MatrixMarket files, store entry
-# envelopes and payloads, traceparent and Retry-After headers) to the
-# decoders and assert they never panic, only return structurally valid
-# matrices, accept only envelopes sealFile writes, accept only traceparents
-# that round-trip, and keep Retry-After waits within [0, 2^31 s]. -fuzz
-# takes one target per invocation.
+# Fuzz smoke: each of the seven native fuzz targets runs for 10s on top of
+# its seed corpus. The targets feed untrusted bytes (MatrixMarket files,
+# store entry envelopes and payloads, solve request bodies, and the
+# traceparent, Retry-After and X-Fsaid-Deadline-Ms headers) to the decoders
+# and assert they never panic, only return structurally valid matrices,
+# accept only envelopes sealFile writes, accept only solve requests with
+# in-range knobs that survive a marshal/decode round trip, accept only
+# traceparents that round-trip, keep Retry-After waits within [0, 2^31 s],
+# and accept a deadline exactly when 0 < ms <= MaxInt64/1e6. -fuzz takes
+# one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/service/client/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeadlineHeader$$' -fuzztime 10s ./internal/service/

@@ -955,12 +955,11 @@ func (rt *Router) loopGuard(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// writeJSON writes v as compact JSON, like the shards' own responses.
 func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func (rt *Router) writeError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -34,9 +34,7 @@ func testMatrix(n int) *sparse.CSR {
 // serial single-vector product (MulVec) bit-for-bit per column, on the
 // forced-pooled path (parallelMinLen lowered) and across worker counts.
 func TestSpMMBitIdenticalToSpMV(t *testing.T) {
-	old := parallelMinLen
-	parallelMinLen = 64
-	defer func() { parallelMinLen = old }()
+	defer SetParallelMinLen(64)()
 	rng := rand.New(rand.NewSource(5))
 	n := 500
 	m := testMatrix(n)
@@ -81,9 +79,7 @@ func TestBlockScratchPoolReuse(t *testing.T) {
 // iterate/residual update and search-direction update — performs zero heap
 // allocations on the pooled path.
 func TestBlockBlas1ZeroAllocs(t *testing.T) {
-	old := parallelMinLen
-	parallelMinLen = 1 << 10
-	defer func() { parallelMinLen = old }()
+	defer SetParallelMinLen(1 << 10)()
 	n := 1 << 12
 	const k = 8
 	rng := rand.New(rand.NewSource(2))

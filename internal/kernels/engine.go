@@ -16,13 +16,16 @@
 //     a single sweep, dropping the PCG iteration from ~8 full-vector passes
 //     to ~5 (see docs/performance.md for the map);
 //   - reductions combine per-chunk partials in chunk order, so results are
-//     deterministic for a fixed worker count, and vectors below
-//     ParallelMinLen stay on the bit-identical serial path.
+//     deterministic for a fixed worker count;
+//   - one size rule (Pooled) decides every kernel: a sweep over fewer than
+//     ParallelMinLen elements — a vector's length, or rows×k for SpMM —
+//     runs serially on the caller, bit-identical to the reference kernels.
 //
 // An Engine is NOT safe for concurrent use; give each solve its own. All
 // engines share the process-wide worker pool, whose busy-fallback keeps
 // concurrent solves correct (they degrade to inline execution instead of
-// queueing).
+// queueing). Below the size rule's threshold no kernel touches the pool, so
+// concurrent small solves (the daemon's warm requests) never contend for it.
 package kernels
 
 import (
@@ -33,16 +36,25 @@ import (
 	"repro/internal/sparse"
 )
 
-// parallelMinLen is the vector length below which the BLAS-1 kernels run
-// serially: a pool dispatch costs on the order of a microsecond, which a
-// sweep over a few thousand elements does not amortize. Serial execution is
-// also bit-identical to the reference kernels, which keeps short solves
-// (including the committed perf baseline) deterministic across hosts.
-// A variable, not a constant, so tests can force the pooled path.
+// parallelMinLen is the sweep size (see Pooled) below which every kernel
+// runs serially: a pool dispatch costs on the order of a microsecond, which
+// a sweep over a few thousand elements does not amortize, and SpMM with an
+// FSAIE solve's A, G or Gᵀ gained nothing from a second worker below ~32k
+// rows (BenchmarkEngineSpMMWorkers). Serial execution is also bit-identical
+// to the reference kernels, which keeps short solves (including the
+// committed perf baseline) deterministic across hosts. A variable, not a
+// constant, so tests can force the pooled path.
 var parallelMinLen = 1 << 15
 
-// ParallelMinLen reports the current BLAS-1 parallelism threshold.
+// ParallelMinLen reports the current parallelism threshold.
 func ParallelMinLen() int { return parallelMinLen }
+
+// Pooled is the size rule of every Engine kernel: a sweep over n elements
+// (a vector's length, or rows×k for a k-column SpMM) runs on the pool at
+// the given worker count only when workers > 1 and n >= ParallelMinLen.
+// Callers that report on a kernel (the solver's partition-plan gauge) use
+// it too, so the report and the kernel cannot disagree.
+func Pooled(workers, n int) bool { return workers > 1 && n >= parallelMinLen }
 
 // Engine schedules the solve-loop kernels for one solver instance. The
 // operand slots plus pre-bound chunk bodies are what make steady-state
@@ -144,7 +156,7 @@ func (e *Engine) SetLabelContext(ctx context.Context) { e.lctx = ctx }
 
 // parallelVec reports whether a BLAS-1 sweep of length n should be pooled.
 func (e *Engine) parallelVec(n int) bool {
-	return e.workers > 1 && n >= parallelMinLen && len(e.vbounds) > 2
+	return Pooled(e.workers, n) && len(e.vbounds) > 2
 }
 
 // run dispatches body over the engine's vector chunks, containing worker
@@ -165,11 +177,13 @@ func (e *Engine) sumParts() float64 {
 }
 
 // SpMM computes the k-column block product Y = m X (column-major; k = 1
-// is the single-vector SpMV), scheduling the matrix's nnz-balanced
-// partition plan on the pool (serial for one worker). Column j of the
-// result is bit-identical to m.MulVec on column j for any worker count.
+// is the single-vector SpMV). When Pooled(workers, rows×k) holds it
+// schedules the matrix's nnz-balanced partition plan on the pool;
+// otherwise it runs serially on the caller. Column j of the result is
+// bit-identical to m.MulVec on column j either way: the row-chunked
+// product sums each row exactly as the serial one does.
 func (e *Engine) SpMM(m *sparse.CSR, y, x []float64, k int) {
-	if e.workers <= 1 {
+	if !Pooled(e.workers, m.Rows*k) {
 		m.MulMatRange(y, x, k, 0, m.Rows)
 		return
 	}

@@ -14,9 +14,7 @@ import (
 // exercise the pooled code paths, restoring it on cleanup.
 func forcePooled(t *testing.T) {
 	t.Helper()
-	old := parallelMinLen
-	parallelMinLen = 1
-	t.Cleanup(func() { parallelMinLen = old })
+	t.Cleanup(SetParallelMinLen(1))
 }
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -136,6 +134,7 @@ func TestEngineFusedMatchesSerialSequence(t *testing.T) {
 }
 
 func TestEngineSpMVMatchesMulVec(t *testing.T) {
+	forcePooled(t)
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(44))
@@ -156,6 +155,39 @@ func TestEngineSpMVMatchesMulVec(t *testing.T) {
 				}
 			}
 			m.InvalidatePlan()
+		}
+	}
+}
+
+// TestSpMMSerialBelowParallelMinLen pins SpMM to the size rule: on a
+// 2-worker engine a product with rows×k below ParallelMinLen issues no pool
+// dispatch and one at the threshold issues exactly one, and both are
+// bitwise equal to the serial MulMatRange.
+func TestSpMMSerialBelowParallelMinLen(t *testing.T) {
+	pool := parallel.NewPool(2)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(46))
+	for _, k := range []int{1, 8} {
+		for _, rows := range []int{ParallelMinLen()/k - 1, ParallelMinLen() / k} {
+			m := testMatrix(rows)
+			x := blockVecs(rng, rows, k)
+			want, got := make([]float64, rows*k), make([]float64, rows*k)
+			m.MulMatRange(want, x, k, 0, rows)
+			e := NewWithPool(rows, 2, pool)
+			d0 := pool.Dispatches()
+			e.SpMM(m, got, x, k)
+			wantDispatches := int64(0)
+			if rows*k >= ParallelMinLen() {
+				wantDispatches = 1
+			}
+			if d := pool.Dispatches() - d0; d != wantDispatches {
+				t.Errorf("k=%d rows=%d: %d pool dispatches, want %d", k, rows, d, wantDispatches)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d rows=%d [%d]: %v != %v", k, rows, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

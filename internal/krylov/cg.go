@@ -310,14 +310,16 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 	}
 	// Kernel-layer attribution: the partition plan's residual SpMV load
 	// imbalance and, at the end of the solve, how many pooled dispatches the
-	// solve issued. Both land in the run report / Prometheus surface.
+	// solve issued. Both land in the run report / Prometheus surface. The
+	// imbalance is 0 when the A-sweep runs serially, by the kernel's own
+	// size rule, so the gauge reports the plan only when it is used.
 	var dispatches0 int64
 	if opt.Metrics != nil {
 		opt.Metrics.SetHelp("kernels_pool_dispatches", "parallel-pool task dispatches issued by solves")
 		opt.Metrics.SetHelp("kernels_spmv_imbalance_pct", "residual nnz load imbalance of the SpMV partition plan")
 		dispatches0 = kernels.PoolDispatches()
 		imb := 0.0
-		if opt.Workers > 1 {
+		if kernels.Pooled(opt.Workers, n*k) {
 			imb = a.PartitionPlan(opt.Workers).ImbalancePct
 		}
 		opt.Metrics.Gauge("kernels.spmv.imbalance_pct").Set(imb)

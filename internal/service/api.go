@@ -163,9 +163,13 @@ type SolveResponse struct {
 	// this job's full kernel placement).
 	LowBandwidth bool `json:"low_bandwidth,omitempty"`
 
-	// QueueWaitNS is time spent waiting for a concurrency slot; SetupNS the
+	// DecodeNS is the request body read plus JSON decode; QueueWaitNS is
+	// time spent waiting for a concurrency slot; SetupNS the
 	// preconditioner setup cost this job actually paid (0 on a cache hit);
-	// SolveNS the PCG wall time; TotalNS admission-to-response.
+	// SolveNS the PCG wall time; TotalNS runs from after the decode to
+	// before the response encode. DecodeNS + TotalNS plus the encode (the
+	// service.job.encode_ns histogram) is the server's whole share.
+	DecodeNS    int64 `json:"decode_ns"`
 	QueueWaitNS int64 `json:"queue_wait_ns"`
 	SetupNS     int64 `json:"setup_ns"`
 	SolveNS     int64 `json:"solve_ns"`
@@ -243,6 +247,7 @@ type JobInfo struct {
 	Converged  bool    `json:"converged"`
 	RelRes     float64 `json:"relres,omitempty"`
 
+	DecodeNS    int64 `json:"decode_ns,omitempty"`
 	QueueWaitNS int64 `json:"queue_wait_ns,omitempty"`
 	SetupNS     int64 `json:"setup_ns,omitempty"`
 	SolveNS     int64 `json:"solve_ns,omitempty"`

@@ -120,7 +120,7 @@ func NewPrecondCache(capacity int, reg *telemetry.Registry) *PrecondCache {
 // configuration.
 func PrecondKey(fingerprint string, req *SolveRequest) string {
 	return fmt.Sprintf("%s|%s|f=%g|line=%d|pow=%d|tau=%g",
-		fingerprint, req.Precond, req.Filter, req.LineBytes, req.PatternPower, req.Tau)
+		fingerprint, req.Precond, req.setupFilter(), req.LineBytes, req.PatternPower, req.Tau)
 }
 
 // GetOrBuild returns the cached factor for key, computing it with build on

@@ -1,0 +1,80 @@
+package service
+
+import (
+	"encoding/json"
+	"math"
+	"math/big"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// FuzzDecodeSolveRequest feeds arbitrary bodies to the solve handler's
+// decode-and-normalize step. It must never panic; every request it accepts
+// has in-range knobs and comes out of json.Marshal and a second decode
+// unchanged, so a normalized request is a fixed point on the wire.
+func FuzzDecodeSolveRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"matrix":"lap"}`,
+		`{"matrix":"lap","precond":"fsai","filter":-1,"line_bytes":1024,"pattern_power":3,"rhs":[1,-0,2.5e-300]}`,
+		`{"matrix":"lap","filter":-0.5,"rhs":[]}`,
+		`{"matrix":"lap","line_bytes":4}`,
+		`{"matrix":"lap","pattern_power":40,"timeout_ms":2000}`,
+		`{"matrix":"lap"} {"matrix":"lap"}`,
+		`{"matrix":"lap","precond":"fsaie","setup_only":true,"tau":1e-3}`,
+		`{"matrix":"lap","precond":"fsai","resilient":true,"tol":-1,"max_iter":-5}`,
+		`{"MATRIX":"é","hold_ms":-3}`,
+		``, `null`, `[]`, `{"matrix":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := parseSolveRequest(body)
+		if err != nil {
+			return
+		}
+		if lb := req.LineBytes; lb < 8 || lb > 1024 || lb&(lb-1) != 0 {
+			t.Fatalf("accepted line_bytes %d", lb)
+		}
+		if req.PatternPower < 1 || req.PatternPower > 3 {
+			t.Fatalf("accepted pattern_power %d", req.PatternPower)
+		}
+		if req.Matrix == "" || req.Precond == "" || req.Tol <= 0 || req.MaxIter <= 0 ||
+			(req.Filter <= 0 && req.Filter != -1) {
+			t.Fatalf("accepted request with unnormalized fields: %+v", req)
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshal accepted request: %v", err)
+		}
+		again, err := parseSolveRequest(wire)
+		if err != nil {
+			t.Fatalf("second decode of %s: %v", wire, err)
+		}
+		if !reflect.DeepEqual(req, again) {
+			t.Fatalf("round trip changed the request:\n first %+v\nsecond %+v", req, again)
+		}
+	})
+}
+
+// FuzzDeadlineHeader: parseDeadlineMS accepts a value exactly when it is a
+// base-10 integer with 0 < ms <= MaxInt64/1e6, and then returns that many
+// milliseconds. The oracle parses with math/big, which cannot overflow.
+func FuzzDeadlineHeader(f *testing.F) {
+	for _, seed := range []string{"1", "250", "0", "-5", "+7", "007", "soon", " 5", "1e3", "",
+		"9223372036854", "9223372036855", "9300000000000", "99999999999999999999"} {
+		f.Add(seed)
+	}
+	limit := big.NewInt(math.MaxInt64 / int64(time.Millisecond))
+	f.Fuzz(func(t *testing.T, h string) {
+		d, ok := parseDeadlineMS(h)
+		ms, isInt := new(big.Int).SetString(h, 10)
+		want := isInt && ms.Sign() > 0 && ms.Cmp(limit) <= 0
+		if ok != want {
+			t.Fatalf("parseDeadlineMS(%q) accepted=%v, want %v", h, ok, want)
+		}
+		if ok && d != time.Duration(ms.Int64())*time.Millisecond {
+			t.Fatalf("parseDeadlineMS(%q) = %v, want %s ms", h, d, ms)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,6 +37,17 @@ import (
 // maxUploadBytes bounds matrix uploads and solve request bodies.
 const maxUploadBytes = 64 << 20
 
+// bodyBufs pools the solve handler's request-body buffers. A buffer that
+// grew past maxPooledBody is dropped instead, so one large upload cannot
+// pin its memory in the pool.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// stageBuckets are the bounds of the decode and encode stage histograms:
+// 10 µs to ~5 s.
+var stageBuckets = telemetry.ExpBuckets(1e4, 2, 20)
+
 // Options configures a service Server. The zero value is usable: every
 // capacity gets a production-shaped default.
 type Options struct {
@@ -50,10 +62,11 @@ type Options struct {
 	MatrixCap int
 	// CacheEntries bounds the preconditioner LRU (default 16 factors).
 	CacheEntries int
-	// MaxInflight bounds concurrently running jobs (default 2: the solver
-	// kernels share one internal/parallel pool — the first job gets the
-	// pooled workers, a second overlaps usefully inline, more would only
-	// oversubscribe).
+	// MaxInflight bounds concurrently running jobs (default 2, one per
+	// CPU of a 2-vCPU host: below kernels.ParallelMinLen rows every kernel
+	// runs serially on its job's goroutine, so two small jobs use both CPUs;
+	// above it the first job gets the shared internal/parallel pool and a
+	// second runs inline. More would only oversubscribe).
 	MaxInflight int
 	// QueueCap bounds jobs waiting for a slot (default 16; negative: no
 	// waiting at all); beyond it the server answers 429 with Retry-After.
@@ -234,7 +247,9 @@ func New(opt Options) *Server {
 	})
 	reg.SetHelp("service_matrices", "matrices currently registered")
 	reg.SetHelp("service_jobs", "finished solve jobs by status")
+	reg.SetHelp("service_job_decode_ns", "solve request body read plus JSON decode")
 	reg.SetHelp("service_job_total_ns", "job wall time admission-to-response")
+	reg.SetHelp("service_job_encode_ns", "JSON encode and write of a 200 solve response")
 	reg.SetHelp("service_job_queue_wait_ns", "job time spent waiting for a slot")
 	reg.SetHelp("retry_replays_total", "solve responses replayed from the idempotency index (duplicate of a completed request)")
 	reg.SetHelp("retry_coalesced_total", "duplicate solve requests that waited for an in-flight execution with the same idempotency key")
@@ -405,8 +420,21 @@ func (s *Server) closeStore() {
 	}
 }
 
+// parseSolveRequest decodes one JSON solve request and normalizes it: the
+// body's decode-and-validate step, without the HTTP around it. Unmarshal
+// rejects anything but whitespace after the object.
+func parseSolveRequest(body []byte) (SolveRequest, error) {
+	var req SolveRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, fmt.Errorf("bad solve request: %w", err)
+	}
+	return req, normalizeSolveRequest(&req)
+}
+
 // normalize fills the request defaults in place and validates the knobs it
-// can check without the matrix.
+// can check without the matrix. A normalized request survives a
+// marshal/decode round trip unchanged (FuzzDecodeSolveRequest): "no
+// filtering" stays negative (-1) on the wire, since 0 means "default".
 func normalizeSolveRequest(req *SolveRequest) error {
 	if req.Matrix == "" {
 		return errors.New("missing \"matrix\"")
@@ -431,13 +459,25 @@ func normalizeSolveRequest(req *SolveRequest) error {
 	if req.Filter == 0 {
 		req.Filter = 0.01
 	} else if req.Filter < 0 {
-		req.Filter = 0 // explicit "no filtering"
+		req.Filter = -1 // explicit "no filtering"; setupFilter reads it as 0
 	}
 	if req.LineBytes <= 0 {
 		req.LineBytes = 64
 	}
+	// Setup cost grows with both knobs and setup ignores the job deadline,
+	// so out-of-range values are client errors, not slow or failed jobs.
+	// The paper uses N = 1; AblationPatternPower goes up to 3.
+	if lb := req.LineBytes; lb < 8 || lb > 1024 || lb&(lb-1) != 0 {
+		return fmt.Errorf("line_bytes %d: want a power of two from 8 to 1024", lb)
+	}
 	if req.PatternPower <= 0 {
 		req.PatternPower = 1
+	}
+	if req.PatternPower > 3 {
+		return fmt.Errorf("pattern_power %d: want 1, 2 or 3", req.PatternPower)
+	}
+	if len(req.RHS) == 0 {
+		req.RHS = nil // "rhs": [] is the default, like an absent rhs
 	}
 	if req.Tol <= 0 {
 		req.Tol = 1e-8
@@ -448,12 +488,29 @@ func normalizeSolveRequest(req *SolveRequest) error {
 	return nil
 }
 
+// setupFilter is the extension filter req's setup runs with: the
+// normalized "no filtering" (-1) is 0 to the setup, the cache key and the
+// run report.
+func (req *SolveRequest) setupFilter() float64 { return max(req.Filter, 0) }
+
+// parseDeadlineMS parses an X-Fsaid-Deadline-Ms value: whole milliseconds,
+// accepted exactly when 0 < ms <= MaxInt64/1e6, the largest budget a
+// time.Duration holds.
+func parseDeadlineMS(h string) (time.Duration, bool) {
+	ms, err := strconv.ParseInt(h, 10, 64)
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
+}
+
+// writeJSON writes v as compact JSON: one line plus a newline. Solve
+// responses carry the solution vector, and indenting it cost more CPU than
+// the rest of the encode.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -621,15 +678,27 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
+	// The body is read whole into a pooled buffer and decoded with
+	// Unmarshal, which copies every string out, so the buffer is reusable
+	// at once.
+	decodeStart := time.Now()
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	var req SolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad solve request: %v", err)
-		return
+	if err != nil {
+		err = fmt.Errorf("bad solve request: %w", err)
+	} else {
+		req, err = parseSolveRequest(buf.Bytes())
 	}
-	if err := normalizeSolveRequest(&req); err != nil {
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	decodeNS := time.Since(decodeStart).Nanoseconds()
 	rm, ok := s.matrices.Get(req.Matrix)
 	if !ok {
 		writeError(w, http.StatusNotFound, "matrix %q not registered (POST /api/v1/matrices first)", req.Matrix)
@@ -671,9 +740,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	reqCtx := r.Context()
 	clientDeadline := false
 	if h := r.Header.Get(HeaderDeadlineMS); h != "" {
-		if ms, perr := strconv.ParseInt(h, 10, 64); perr == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		if budget, ok := parseDeadlineMS(h); ok {
 			var cancel context.CancelFunc
-			reqCtx, cancel = context.WithTimeout(reqCtx, time.Duration(ms)*time.Millisecond)
+			reqCtx, cancel = context.WithTimeout(reqCtx, budget)
 			defer cancel()
 			clientDeadline = true
 		} else {
@@ -716,9 +785,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Matrix:     rm.Info.Fingerprint,
 		Precond:    req.Precond,
 		State:      JobQueued,
+		DecodeNS:   decodeNS,
 		EnqueuedAt: enqueued.UTC().Format(time.RFC3339Nano),
 	}
 	s.jobs.put(ji)
+	s.reg.Histogram("service.job.decode_ns", stageBuckets).Observe(float64(decodeNS))
 	logw.Info("job enqueued",
 		"matrix", shortFP(rm.Info.Fingerprint), "precond", req.Precond)
 
@@ -821,6 +892,7 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 	}
 
 	resp := out.resp
+	resp.DecodeNS = ji.DecodeNS
 	resp.TotalNS = ji.TotalNS
 	resp.QueueWaitNS = ji.QueueWaitNS
 	ji.State = JobDone
@@ -853,7 +925,9 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 	j.root.End()
 	s.recordTrace(j.tr, j.tc, j.parentSpan, ji, resp.Status)
 	j.logw.Info("job done", logAttrs...)
+	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, resp)
+	s.reg.Histogram("service.job.encode_ns", stageBuckets).Observe(float64(time.Since(encodeStart).Nanoseconds()))
 	return resp
 }
 
@@ -957,7 +1031,7 @@ func (s *Server) execute(ctx context.Context, g *group) ([]*SolveResponse, error
 func (s *Server) fsaiOptions(ctx context.Context, req *SolveRequest) fsai.Options {
 	return fsai.Options{
 		Variant:      fsai.VariantFull,
-		Filter:       req.Filter,
+		Filter:       req.setupFilter(),
 		LineBytes:    req.LineBytes,
 		PatternPower: req.PatternPower,
 		ThresholdTau: req.Tau,
@@ -1357,7 +1431,7 @@ func (s *Server) writeJobReport(id string, rm *RegisteredMatrix, req *SolveReque
 		Rows:        rm.Info.Rows,
 		NNZ:         rm.Info.NNZ,
 		Variant:     resp.Precond,
-		Filter:      req.Filter,
+		Filter:      req.setupFilter(),
 		Iterations:  resp.Iterations,
 		Converged:   resp.Converged,
 		Status:      resp.Status,

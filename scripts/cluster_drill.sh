@@ -53,6 +53,7 @@ SHARD_ADDR=""
 start_shard() {
     local label=$1 listen=${2:-127.0.0.1:0}
     local log="$workdir/shard-$label.log"
+    : >"$log" # exists before the backgrounded redirect opens it
     "$workdir/fsaid" serve -listen "$listen" -data-dir "$workdir/data-$label" \
         -runs-dir "$workdir/runs-$label" 2>"$log" &
     SHARD_PID=$!
@@ -79,8 +80,8 @@ vec = lambda p: b"".join(struct.pack("<d", v) for v in json.load(open(p))["x"])
 sys.exit(0 if vec(sys.argv[1]) == vec(sys.argv[2]) else 1)
 EOF
     else
-        sed -n '/"x": \[/,/\]/p' "$1" >"$workdir/xa.txt"
-        sed -n '/"x": \[/,/\]/p' "$2" >"$workdir/xb.txt"
+        grep -o '"x": *\[[^]]*\]' "$1" >"$workdir/xa.txt"
+        grep -o '"x": *\[[^]]*\]' "$2" >"$workdir/xb.txt"
         [ -s "$workdir/xa.txt" ] && cmp -s "$workdir/xa.txt" "$workdir/xb.txt"
     fi
 }
@@ -101,6 +102,7 @@ pid2=$SHARD_PID addr2=$SHARD_ADDR
 start_shard 3
 pid3=$SHARD_PID addr3=$SHARD_ADDR
 rlog="$workdir/router.log"
+: >"$rlog"
 "$workdir/fsaid" route -listen 127.0.0.1:0 -peers "$addr1,$addr2,$addr3" \
     -replicas 1 -warm-threshold 1 -probe-interval 200ms 2>"$rlog" &
 rpid=$!

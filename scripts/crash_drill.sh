@@ -33,6 +33,7 @@ json_num() {
 # $pid and $addr, logging to stderr-LABEL.log.
 start_daemon() {
     local log="$workdir/stderr-$1.log"
+    : >"$log" # exists before the backgrounded redirect opens it
     "$workdir/fsaid" serve -listen 127.0.0.1:0 -runs-dir "$workdir/runs-$1" \
         -data-dir "$workdir/data" 2>"$log" &
     pid=$!
@@ -54,8 +55,9 @@ solve() { # solve BODY OUTFILE
 
 # same_x A.json B.json -> 0 iff the two solve responses carry bit-identical
 # solution vectors. python3 compares the IEEE-754 bytes; without python3,
-# fall back to textually diffing the "x" array (Go emits shortest
-# round-trippable decimals, so equal text <=> equal bits).
+# fall back to textually diffing the "x" array of the compact response
+# (Go emits shortest round-trippable decimals, so equal text <=> equal
+# bits).
 same_x() {
     if command -v python3 >/dev/null 2>&1; then
         python3 - "$1" "$2" <<'EOF'
@@ -64,8 +66,8 @@ vec = lambda p: b"".join(struct.pack("<d", v) for v in json.load(open(p))["x"])
 sys.exit(0 if vec(sys.argv[1]) == vec(sys.argv[2]) else 1)
 EOF
     else
-        sed -n '/"x": \[/,/\]/p' "$1" >"$workdir/xa.txt"
-        sed -n '/"x": \[/,/\]/p' "$2" >"$workdir/xb.txt"
+        grep -o '"x": *\[[^]]*\]' "$1" >"$workdir/xa.txt"
+        grep -o '"x": *\[[^]]*\]' "$2" >"$workdir/xb.txt"
         [ -s "$workdir/xa.txt" ] && cmp -s "$workdir/xa.txt" "$workdir/xb.txt"
     fi
 }

@@ -22,6 +22,7 @@ echo "== generating test matrix =="
 "$workdir/mmtool" gen jump64x64-b8-j1e3 "$workdir/m.mtx"
 
 echo "== starting fsaisolve -listen :0 -hold =="
+: >"$workdir/stderr.log" # exists before the backgrounded redirect opens it
 "$workdir/fsaisolve" -precond fsaie -align 0 -listen 127.0.0.1:0 -hold \
     -metrics-out "$workdir/run.json" "$workdir/m.mtx" 2>"$workdir/stderr.log" &
 pid=$!

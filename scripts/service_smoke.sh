@@ -48,6 +48,7 @@ echo "== starting fsaid serve =="
 # the smoke run (production default is 10s out of every minute).
 # -data-dir turns on the durable store (its gauges/counters must render);
 # the 4GiB soft limit arms the degradation layer without ever tripping it.
+: >"$workdir/stderr.log" # exists before the backgrounded redirect opens it
 "$workdir/fsaid" serve -listen 127.0.0.1:0 -runs-dir "$workdir/runs" \
     -data-dir "$workdir/data" -mem-soft-limit 4GiB \
     -max-inflight 1 -queue=-1 \
@@ -215,6 +216,7 @@ echo "== batched multi-RHS solving =="
 # same fingerprint must coalesce into one block solve (batch size >= 2),
 # every member's response and run report must carry the batch section, and
 # the batch_* metric families must render with # HELP/# TYPE headers.
+: >"$workdir/bstderr.log"
 "$workdir/fsaid" serve -listen 127.0.0.1:0 -runs-dir "$workdir/bruns" \
     -batch-window 300ms -batch-max 8 2>"$workdir/bstderr.log" &
 bpid=$!

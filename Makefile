@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench bench-smoke bench-nrhs clean obs-smoke service-smoke crash-drill cluster-drill compare-baseline chaos prof-overhead-guard fuzz-smoke
+.PHONY: all build test race vet fmt lint check bench bench-smoke bench-nrhs clean obs-smoke service-smoke crash-drill cluster-drill chaos prof-overhead-guard fuzz-smoke
 
 all: check
 
@@ -45,24 +45,19 @@ bench-smoke:
 		./internal/sparse/ ./internal/kernels/ ./internal/krylov/
 	$(GO) test -run '^$$' -bench '^BenchmarkSetup' -benchtime 10x -benchmem ./internal/core/
 
-# Multi-RHS amortization check (docs/performance.md, "Batched solving"):
-# the SpMM and block-PCG benchmarks across block widths (per-RHS ns drops
-# with k), plus the fsaibench -nrhs campaign, which also proves the block
-# solve's columns bit-identical to the scalar solves. The campaign's
-# deterministic metrics are gated against the committed multi-RHS baseline
-# (regenerate with `go run ./cmd/fsaibench -nrhs 8 -metrics-out
-# BENCH_nrhs_baseline.json`), and the candidate's per-RHS numbers are
-# appended to BENCH_history.json via fsaicompare -record.
+# Multi-RHS bitwise check (docs/performance.md, "Batched solving"): the
+# SpMM and block-PCG benchmarks across block widths, plus the fsaibench
+# -nrhs campaign, which exits 1 unless every block solve column is
+# bit-identical to its scalar solve. Writes no files.
 bench-nrhs:
 	$(GO) test -run '^$$' -bench 'SpMM|BlockPCGIteration' \
 		-benchtime 10x -benchmem ./internal/sparse/ ./internal/krylov/
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/fsaibench -nrhs 8 -metrics-out "$$tmp/nrhs.json" && \
-	$(GO) run ./cmd/fsaicompare -record BENCH_history.json \
-		BENCH_nrhs_baseline.json "$$tmp/nrhs.json"
+	$(GO) run ./cmd/fsaibench -nrhs 8
 
-# Start fsaisolve with the observability server on a generated matrix and
-# scrape /metrics, /debug/solve (incl. SSE), /debug/pprof/ and /runs.
+# Start fsaisolve with the observability server on a generated matrix,
+# scrape /metrics, /debug/solve (incl. SSE), /debug/pprof/ and /runs, and
+# check the run report's iterations, nnz(G) and convergence against the
+# golden reference run.
 obs-smoke:
 	./scripts/obs_smoke.sh
 
@@ -82,16 +77,10 @@ crash-drill:
 # Distributed-fleet drill: three store-backed shards behind a consistent-hash
 # router, register/solve through the router, hot-factor replication to the
 # replica, SIGKILL the primary mid-traffic with zero failed client requests
-# and a bit-identical failover solve, shard restart and rebalance, and a
-# routed-vs-direct warm overhead record into BENCH_history.json
-# (docs/cluster.md).
+# and a bit-identical failover solve, shard restart and rebalance, and warm
+# routed and direct replica solves (docs/cluster.md).
 cluster-drill:
 	./scripts/cluster_drill.sh
-
-# Perf-regression gate: reproduce the committed BENCH_baseline.json run and
-# diff the deterministic metrics with fsaicompare.
-compare-baseline:
-	./scripts/compare_baseline.sh
 
 # Continuous-profiling overhead gate (docs/observability.md): measure the
 # sampler's per-window bookkeeping under load and fail if the projected
@@ -111,21 +100,23 @@ chaos:
 clean:
 	$(GO) clean ./...
 
-# Fuzz smoke: each of the seven native fuzz targets runs for 10s on top of
+# Fuzz smoke: each of the eight native fuzz targets runs for 10s on top of
 # its seed corpus. The targets feed untrusted bytes (MatrixMarket files,
-# store entry envelopes and payloads, solve request bodies, and the
-# traceparent, Retry-After and X-Fsaid-Deadline-Ms headers) to the decoders
-# and assert they never panic, only return structurally valid matrices,
-# accept only envelopes sealFile writes, accept only solve requests with
-# in-range knobs that survive a marshal/decode round trip, accept only
-# traceparents that round-trip, keep Retry-After waits within [0, 2^31 s],
-# and accept a deadline exactly when 0 < ms <= MaxInt64/1e6. -fuzz takes
-# one target per invocation.
+# store entry envelopes and payloads, registration and solve request bodies,
+# and the traceparent, Retry-After and X-Fsaid-Deadline-Ms headers) to the
+# decoders and assert they never panic, only return structurally valid
+# matrices with finite values, accept only envelopes sealFile writes, accept
+# only registrations naming a known matgen spec with nothing after the
+# object, accept only solve requests with in-range knobs that survive a
+# marshal/decode round trip, accept only traceparents that round-trip, keep
+# Retry-After waits within [0, 2^31 s], and accept a deadline exactly when
+# 0 < ms <= MaxInt64/1e6. -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/service/client/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRegisterRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeadlineHeader$$' -fuzztime 10s ./internal/service/

@@ -47,8 +47,7 @@
 // input, preconditioner setup failure), 2 on usage errors, 3 when the solve
 // finished without reaching the tolerance — iteration cap, breakdown (with
 // -resilient: only after the whole recovery chain is exhausted), or -timeout
-// expiry or interruption. fsaicompare shares the 0 = ok / 2 = usage convention but uses exit
-// 1 for "regression found"; exit 3 is specific to the solver tools.
+// expiry or interruption. Exit 3 is specific to the solver tools.
 package main
 
 import (

@@ -50,8 +50,8 @@ func suiteMatrix(t *testing.T, name string) *sparse.CSR {
 // variant on four suite matrices at 1 and 2 workers; the precalculated G of
 // three matrices whose upper triangle is one ulp off their lower one (only
 // lower(A) may reach the precalculation); and the deterministic numbers of
-// the BENCH_baseline.json reference run. Every value was recorded from the
-// dense-block precalculation the sparse local systems replaced.
+// the reference run. Every value was recorded from the dense-block
+// precalculation the sparse local systems replaced.
 func TestSetupGoldenFactors(t *testing.T) {
 	type factor struct {
 		matrix  string
@@ -150,8 +150,10 @@ func TestSetupGoldenFactors(t *testing.T) {
 		})
 	}
 
-	// The reference run of scripts/compare_baseline.sh: fsaisolve -precond
-	// fsaie -align 0 on jump64x64-b8-j1e3 with its all-ones right-hand side.
+	// The reference run: fsaisolve -precond fsaie -align 0 on
+	// jump64x64-b8-j1e3 with its all-ones right-hand side.
+	// scripts/obs_smoke.sh repeats it on the file `mmtool gen` writes, and
+	// mmio's TestRoundTripSymmetric shows that file holds this matrix.
 	t.Run("reference-run", func(t *testing.T) {
 		a := suiteMatrix(t, "jump64x64-b8-j1e3")
 		o := DefaultOptions()
@@ -174,6 +176,9 @@ func TestSetupGoldenFactors(t *testing.T) {
 		want := []uint64{33775, 17, 512, 0, 506, 6}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("nnz(G), iterations, G base/fill misses, Gᵀ base/fill misses = %v, want %v", got, want)
+		}
+		if !res.Converged {
+			t.Errorf("reference run did not converge: status %v after %d iterations", res.Status, res.Iterations)
 		}
 	})
 }

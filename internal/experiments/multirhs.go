@@ -171,8 +171,7 @@ func MultiRHSTable(rs []*MultiRHSResult) string {
 }
 
 // ReportEntries converts the measurement into two run entries — the scalar
-// baseline and the block solve — keyed by distinct variants so fsaicompare
-// gates each per-RHS wall time against its own history.
+// baseline and the block solve — told apart by their variants.
 func (r *MultiRHSResult) ReportEntries() []RunEntry {
 	scalar := RunEntry{
 		MatrixID: r.Spec.ID, Matrix: r.Spec.Name, Type: r.Spec.Type,

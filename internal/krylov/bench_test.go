@@ -36,7 +36,7 @@ func benchBand(n, bw int, lowerOnly bool) *sparse.CSR {
 // iteration in steady state. k=1 is the one-column solve (Solve). The
 // figure of merit is ns/rhs: at k=8 the three matrix streams (A, G, Gᵀ)
 // are each read once for eight columns, so per-RHS time should drop well
-// past the ≥1.5× acceptance gate versus k=1.
+// below k=1's. Nothing checks that ratio; the benchmark reports it.
 func BenchmarkBlockPCGIteration(b *testing.B) {
 	n := 250000
 	a := benchBand(n, 5, false)

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -19,7 +20,9 @@ import (
 )
 
 // Read parses a Matrix Market coordinate stream into CSR. For symmetric
-// files the missing triangle is mirrored.
+// files the missing triangle is mirrored. Values must be finite: "NaN" and
+// "Inf" parse as floats but no solver can use them, so they are rejected
+// here rather than failing setup or the solve later.
 func Read(r io.Reader) (*sparse.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -104,7 +107,17 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 	if read != nnz {
 		return nil, fmt.Errorf("mmio: got %d entries, header promised %d", read, nnz)
 	}
-	return sparse.NewCSRFromTriplets(rows, cols, ts)
+	m, err := sparse.NewCSRFromTriplets(rows, cols, ts)
+	if err != nil {
+		return nil, err
+	}
+	// After the build, so duplicate entries summing past MaxFloat64 count.
+	for _, v := range m.Val {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mmio: non-finite value %v", v)
+		}
+	}
+	return m, nil
 }
 
 // ReadFile reads a Matrix Market file from disk.

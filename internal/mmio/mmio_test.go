@@ -35,33 +35,50 @@ func TestRoundTripGeneral(t *testing.T) {
 	}
 }
 
+// TestRoundTripSymmetric writes each matrix's lower triangle and reads it
+// back. jump64x64-b8-j1e3 is the golden reference run's matrix, written the
+// way `mmtool gen` writes it: the same Fingerprint shows that fsaisolve,
+// reading the file, solves exactly the matrix the golden test pins.
 func TestRoundTripSymmetric(t *testing.T) {
-	m := matgen.Laplace2D(6, 6)
-	var buf bytes.Buffer
-	if err := Write(&buf, m, true); err != nil {
-		t.Fatal(err)
+	jump, ok := matgen.ByName("jump64x64-b8-j1e3")
+	if !ok {
+		t.Fatal("jump64x64-b8-j1e3 missing from the suite")
 	}
-	text := buf.String()
-	if !strings.Contains(text, "symmetric") {
-		t.Error("missing symmetric header")
-	}
-	back, err := Read(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NNZ() != m.NNZ() {
-		t.Fatalf("nnz %d vs %d", back.NNZ(), m.NNZ())
-	}
-	if !back.IsSymmetric(0) {
-		t.Error("mirrored matrix not symmetric")
-	}
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			if back.At(i, j) != vals[k] {
-				t.Fatalf("(%d,%d) mismatch", i, j)
+	for name, m := range map[string]*sparse.CSR{
+		"laplace6x6":        matgen.Laplace2D(6, 6),
+		"jump64x64-b8-j1e3": jump.Generate(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Write(&buf, m, true); err != nil {
+				t.Fatal(err)
 			}
-		}
+			text := buf.String()
+			if !strings.Contains(text, "symmetric") {
+				t.Error("missing symmetric header")
+			}
+			back, err := Read(strings.NewReader(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back.NNZ() != m.NNZ() {
+				t.Fatalf("nnz %d vs %d", back.NNZ(), m.NNZ())
+			}
+			if !back.IsSymmetric(0) {
+				t.Error("mirrored matrix not symmetric")
+			}
+			for i := 0; i < m.Rows; i++ {
+				cols, vals := m.Row(i)
+				for k, j := range cols {
+					if back.At(i, j) != vals[k] {
+						t.Fatalf("(%d,%d) mismatch", i, j)
+					}
+				}
+			}
+			if back.Fingerprint() != m.Fingerprint() {
+				t.Errorf("read-back fingerprint %s, want %s", back.Fingerprint(), m.Fingerprint())
+			}
+		})
 	}
 }
 
@@ -105,6 +122,10 @@ func TestReadErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1.0\n", // bad index
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",     // short line
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", // out of range
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 NaN\n", // not finite
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n2 2 Inf\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -inf\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n1 1 1e308\n", // duplicates sum to +Inf
 	}
 	for i, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

@@ -1,13 +1,52 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/big"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/matgen"
 )
+
+// FuzzDecodeRegisterRequest feeds arbitrary bodies to the registration
+// handler's decode step. It must never panic, and it accepts a body only if
+// the body names a known matgen spec and holds nothing but whitespace after
+// the object.
+func FuzzDecodeRegisterRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"matgen":"lap64x64"}`,
+		`{"matgen":"lap64x64","name":"lap"}`,
+		"{\"matgen\":\"jump64x64-b8-j1e3\"}\r\n\t ",
+		`{"matgen":"lap64x64"} xyz`,
+		`{"matgen":"lap64x64"} {"matgen":"lap64x64"}`,
+		`{"matgen":"no-such-spec"}`,
+		`{"MATGEN":"lap64x64","name":7}`,
+		``, `null`, `[]`, `{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, spec, err := parseRegisterRequest(body)
+		if err != nil {
+			return
+		}
+		if known, ok := matgen.ByName(req.Matgen); !ok || spec.Name != known.Name {
+			t.Fatalf("accepted matgen %q, resolved to %q", req.Matgen, spec.Name)
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		var first RegisterRequest
+		if err := dec.Decode(&first); err != nil || first != req {
+			t.Fatalf("first object %+v (err %v), want %+v", first, err, req)
+		}
+		if rest := bytes.Trim(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			t.Fatalf("accepted %q after the object", rest)
+		}
+	})
+}
 
 // FuzzDecodeSolveRequest feeds arbitrary bodies to the solve handler's
 // decode-and-normalize step. It must never panic; every request it accepts

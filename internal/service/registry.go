@@ -90,17 +90,22 @@ func (r *MatrixRegistry) Register(a *sparse.CSR, name string) (MatrixInfo, error
 	return info, nil
 }
 
+// resolve finds the matrix a reference names: a fingerprint first, then a
+// name. Get and Remove share it, so a DELETE removes exactly the matrix a
+// GET on the same reference returns. The caller holds r.mu.
+func (r *MatrixRegistry) resolve(ref string) *RegisteredMatrix {
+	if rm, ok := r.byFP[ref]; ok {
+		return rm
+	}
+	return r.byFP[r.names[ref]]
+}
+
 // Get resolves a matrix by fingerprint or name.
 func (r *MatrixRegistry) Get(ref string) (*RegisteredMatrix, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if rm, ok := r.byFP[ref]; ok {
-		return rm, true
-	}
-	if fp, ok := r.names[ref]; ok {
-		return r.byFP[fp], true
-	}
-	return nil, false
+	rm := r.resolve(ref)
+	return rm, rm != nil
 }
 
 // Remove unregisters a matrix by fingerprint or name, returning its
@@ -110,18 +115,12 @@ func (r *MatrixRegistry) Get(ref string) (*RegisteredMatrix, bool) {
 func (r *MatrixRegistry) Remove(ref string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fp := ref
-	if mapped, ok := r.names[ref]; ok {
-		fp = mapped
-	}
-	rm, ok := r.byFP[fp]
-	if !ok {
+	rm := r.resolve(ref)
+	if rm == nil {
 		return "", false
 	}
+	fp := rm.Info.Fingerprint
 	delete(r.byFP, fp)
-	if rm.Info.Name != "" {
-		delete(r.names, rm.Info.Name)
-	}
 	for alias, owner := range r.names {
 		if owner == fp {
 			delete(r.names, alias)

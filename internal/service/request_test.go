@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -74,6 +75,54 @@ func TestSolveTrailingDataRejected(t *testing.T) {
 		}
 		if resp.StatusCode != want {
 			t.Errorf("body %q: HTTP %d (%s), want %d", body, resp.StatusCode, bytes.TrimSpace(out), want)
+		}
+	}
+}
+
+// TestRegisterTrailingDataRejected: a JSON registration decodes like a
+// solve request, so anything but whitespace after the object is a 400.
+func TestRegisterTrailingDataRejected(t *testing.T) {
+	s := service.New(service.Options{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { hs.Close(); _ = s.Close() })
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"matgen":"lap64x64"} xyz`, http.StatusBadRequest},
+		{`{"matgen":"lap64x64"} {"matgen":"lap64x64"}`, http.StatusBadRequest},
+		{"{\"matgen\":\"lap64x64\"}\n\t \n", http.StatusCreated},
+		{`{"matgen":"lap64x64"}`, http.StatusOK},
+	} {
+		resp, err := http.Post(hs.URL+"/api/v1/matrices", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("body %q: HTTP %d (%s), want %d", tc.body, resp.StatusCode, bytes.TrimSpace(out), tc.want)
+		}
+	}
+}
+
+// TestRegisterRejectsNonFiniteValues: a MatrixMarket upload holding NaN or
+// ±Inf is a 400 at registration, not a matrix whose first FSAI solve fails
+// setup and whose Jacobi solve ends at iteration 0 with nan-or-inf.
+func TestRegisterRejectsNonFiniteValues(t *testing.T) {
+	s := service.New(service.Options{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { hs.Close(); _ = s.Close() })
+	for _, v := range []string{"NaN", "+Inf"} {
+		mtx := strings.Replace(tinyMTX, "2 2 4.0", "2 2 "+v, 1)
+		resp, err := http.Post(hs.URL+"/api/v1/matrices", "text/plain", strings.NewReader(mtx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("upload with %s: HTTP %d (%s), want 400", v, resp.StatusCode, bytes.TrimSpace(out))
 		}
 	}
 }

@@ -431,6 +431,21 @@ func parseSolveRequest(body []byte) (SolveRequest, error) {
 	return req, normalizeSolveRequest(&req)
 }
 
+// parseRegisterRequest decodes one JSON registration body and looks up the
+// generator spec it names. Like parseSolveRequest, Unmarshal rejects
+// anything but whitespace after the object.
+func parseRegisterRequest(body []byte) (RegisterRequest, matgen.Spec, error) {
+	var req RegisterRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, matgen.Spec{}, fmt.Errorf("bad register request: %w", err)
+	}
+	spec, ok := matgen.ByName(req.Matgen)
+	if !ok {
+		return req, spec, fmt.Errorf("unknown matgen spec %q", req.Matgen)
+	}
+	return req, spec, nil
+}
+
 // normalize fills the request defaults in place and validates the knobs it
 // can check without the matrix. A normalized request survives a
 // marshal/decode round trip unchanged (FuzzDecodeSolveRequest): "no
@@ -548,14 +563,14 @@ func (s *Server) registerMatrix(w http.ResponseWriter, r *http.Request) {
 	var a *sparse.CSR
 	name := r.URL.Query().Get("name")
 	if strings.Contains(r.Header.Get("Content-Type"), "json") {
-		var req RegisterRequest
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		data, err := io.ReadAll(body)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad register request: %v", err)
 			return
 		}
-		spec, ok := matgen.ByName(req.Matgen)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "unknown matgen spec %q", req.Matgen)
+		req, spec, err := parseRegisterRequest(data)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		a = spec.Generate()

@@ -314,6 +314,35 @@ func TestUnregisterEvictsCachedFactors(t *testing.T) {
 	}
 }
 
+// TestDeleteResolvesLikeGet: when a reference is one matrix's fingerprint
+// and another matrix's name, GET and DELETE both resolve it to the
+// fingerprint's matrix.
+func TestDeleteResolvesLikeGet(t *testing.T) {
+	_, c := newTestServer(t, service.Options{})
+	ctx := context.Background()
+	a, err := c.RegisterMatgen(ctx, "lap64x64", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.RegisterMatgen(ctx, "lap72x72", a.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Matrix(ctx, a.Fingerprint); err != nil || got.Fingerprint != a.Fingerprint {
+		t.Fatalf("GET by A's fingerprint = %+v (err %v), want A", got, err)
+	}
+	if err := c.Unregister(ctx, a.Fingerprint); err != nil {
+		t.Fatal(err)
+	}
+	list, err := c.Matrices(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].Fingerprint != b.Fingerprint {
+		t.Fatalf("after DELETE by A's fingerprint, registered = %+v; want only B (%s)", list, b.Fingerprint)
+	}
+}
+
 func TestJobsEndpointRecordsLifecycle(t *testing.T) {
 	_, c := newTestServer(t, service.Options{})
 	ctx := context.Background()

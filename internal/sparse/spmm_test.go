@@ -64,7 +64,7 @@ func TestMulMatRangeChunks(t *testing.T) {
 // BenchmarkSpMM measures per-RHS SpMM throughput across block widths. The
 // figure of merit is ns/op divided by k: at k=8 the matrix stream is read
 // once for eight columns, so per-RHS time should drop well below the k=1
-// (plain SpMV) cost — the acceptance gate asks for ≥1.5×.
+// (plain SpMV) cost. Nothing checks that ratio; the benchmark reports it.
 func BenchmarkSpMM(b *testing.B) {
 	m := benchMatrix(20000)
 	for _, k := range []int{1, 2, 4, 8} {

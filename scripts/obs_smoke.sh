@@ -78,6 +78,11 @@ grep -q "run.json" "$workdir/runs.json" || { echo "FAIL: /runs does not list the
 curl -fsS "http://$addr/runs/run.json" >"$workdir/fetched.json"
 grep -q '"schema_version"' "$workdir/fetched.json" || { echo "FAIL: /runs/run.json unreadable"; fail=1; }
 grep -q '"roofline"' "$workdir/fetched.json" || { echo "FAIL: run report missing roofline section"; fail=1; }
+# The golden reference run (TestSetupGoldenFactors) through the file path:
+# mmtool gen, then fsaisolve -precond fsaie -align 0 on the written matrix.
+for want in '"variant": "fsaie"' '"iterations": 17,' '"nnz_g": 33775,' '"converged": true'; do
+    grep -q "$want" "$workdir/run.json" || { echo "FAIL: reference run report lacks $want"; fail=1; }
+done
 
 echo "== GET /roofline =="
 curl -fsS "http://$addr/roofline" >"$workdir/roofline.json"

@@ -100,23 +100,27 @@ chaos:
 clean:
 	$(GO) clean ./...
 
-# Fuzz smoke: each of the eight native fuzz targets runs for 10s on top of
+# Fuzz smoke: each of the nine native fuzz targets runs for 10s on top of
 # its seed corpus. The targets feed untrusted bytes (MatrixMarket files,
 # store entry envelopes and payloads, registration and solve request bodies,
-# and the traceparent, Retry-After and X-Fsaid-Deadline-Ms headers) to the
-# decoders and assert they never panic, only return structurally valid
-# matrices with finite values, accept only envelopes sealFile writes, accept
-# only registrations naming a known matgen spec with nothing after the
-# object, accept only solve requests with in-range knobs that survive a
-# marshal/decode round trip, accept only traceparents that round-trip, keep
-# Retry-After waits within [0, 2^31 s], and accept a deadline exactly when
-# 0 < ms <= MaxInt64/1e6. -fuzz takes one target per invocation.
+# the traceparent, Retry-After and X-Fsaid-Deadline-Ms headers, and the
+# body and headers the cluster router forwards) to the decoders and assert
+# they never panic, only return structurally valid matrices with finite
+# values, accept only envelopes sealFile writes, accept only registrations
+# naming a known matgen spec with nothing after the object, accept only
+# solve requests with in-range knobs and a timeout that fits a
+# time.Duration that survive a marshal/decode round trip, accept only
+# traceparents that round-trip, keep Retry-After waits within [0, 2^31 s],
+# accept a deadline exactly when 0 < ms <= MaxInt64/1e6, and forward a body
+# byte-for-byte with only the allowlisted headers each way. -fuzz takes one
+# target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime 10s ./internal/service/client/
+	$(GO) test -run '^$$' -fuzz '^FuzzForwardEnvelope$$' -fuzztime 10s ./internal/service/client/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRegisterRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSolveRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeadlineHeader$$' -fuzztime 10s ./internal/service/

@@ -39,9 +39,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	base := fsai.InitialPattern(a, 0, 1)
+	base := fsai.InitialPattern(a, 0, 1, 1)
 	elems := *line / 8
-	ext := fsai.ExtendPattern(base, elems, *align, fsai.ClipLower, 0)
+	ext := fsai.ExtendPattern(base, elems, *align, fsai.ClipLower, 0, 1)
 
 	opts := fsai.DefaultOptions()
 	opts.Variant = fsai.VariantSp

@@ -21,8 +21,8 @@ func TestMakeMatrixKinds(t *testing.T) {
 
 func TestRenderLegend(t *testing.T) {
 	a := makeMatrix("lap", 36)
-	base := fsai.InitialPattern(a, 0, 1)
-	ext := fsai.ExtendPattern(base, 8, 0, fsai.ClipLower, 0)
+	base := fsai.InitialPattern(a, 0, 1, 1)
+	ext := fsai.ExtendPattern(base, 8, 0, fsai.ClipLower, 0, 1)
 	opts := fsai.DefaultOptions()
 	opts.Variant = fsai.VariantSp
 	p, err := fsai.Compute(a, opts)

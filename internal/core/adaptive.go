@@ -95,13 +95,13 @@ func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, erro
 		if elems < 1 {
 			return nil, fmt.Errorf("fsai: CacheExtend %dB smaller than one element", opts.CacheExtend)
 		}
-		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, 512)
+		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, 512, opts.Workers)
 		if opts.Filter > 0 {
-			gpre, err := precalcRows(a, sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
+			gpre, err := precalcRows(symmetricLower(a), sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
 			if err != nil {
 				return nil, err
 			}
-			final = filterExtension(base, sx, gpre, opts.Filter)
+			final = filterExtension(base, sx, gpre, opts.Filter, opts.Workers)
 		} else {
 			final = sx
 		}
@@ -111,8 +111,8 @@ func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, erro
 		return nil, err
 	}
 	pre.G = g
-	pre.GT = g.Transpose()
-	pre.FinalPattern = pattern.FromCSR(g)
+	pre.GT = g.TransposeParallel(opts.Workers)
+	pre.FinalPattern = final
 	pre.initApply()
 	return pre, nil
 }

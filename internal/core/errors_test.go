@@ -126,9 +126,9 @@ func TestSetupErrorWorkerPanic(t *testing.T) {
 	_, err := ComputeOnPattern(a, p, 2, nil)
 	checkWorkerPanic(t, err)
 
-	// The precalculation runs on the same contained pool: a row task that
-	// panics there (here the first chunk of any setup loop, which in an
-	// FSAIE setup is the first precalc pass) also comes back typed.
+	// Every setup phase runs on the same contained pool: a chunk that
+	// panics anywhere (here the first chunk of any setup loop, which is the
+	// base-pattern build) also comes back typed.
 	var once sync.Once
 	parallel.SetWorkerHook(func(int) { once.Do(func() { panic("injected") }) })
 	defer parallel.SetWorkerHook(nil)

@@ -32,14 +32,16 @@ const (
 	ClipUpper
 )
 
-func (c Clip) admits(i, j int) bool {
+// span returns the admissible part [lo, hi] of the columns [j0, j1] for
+// row i; lo > hi when none is admissible.
+func (c Clip) span(i, j0, j1 int) (lo, hi int) {
 	switch c {
 	case ClipLower:
-		return j <= i
+		return j0, min(j1, i)
 	case ClipUpper:
-		return j >= i
+		return max(j0, i), j1
 	default:
-		return true
+		return j0, j1
 	}
 }
 
@@ -64,7 +66,10 @@ func (c Clip) admits(i, j int) bool {
 // lines, the unfiltered extension can approach dense rows, making the local
 // Frobenius solves cubically expensive; the cap keeps setup tractable while
 // leaving realistic patterns untouched. maxRow <= 0 disables the bound.
-func ExtendPattern(s *pattern.Pattern, elemsPerLine, alignElems int, clip Clip, maxRow int) *pattern.Pattern {
+//
+// The rows are built on workers row chunks (see pattern.Build); the result
+// does not depend on workers.
+func ExtendPattern(s *pattern.Pattern, elemsPerLine, alignElems int, clip Clip, maxRow, workers int) *pattern.Pattern {
 	if elemsPerLine < 1 {
 		panic("fsai: elemsPerLine must be >= 1")
 	}
@@ -72,13 +77,13 @@ func ExtendPattern(s *pattern.Pattern, elemsPerLine, alignElems int, clip Clip, 
 	if alignElems < 0 {
 		alignElems += elemsPerLine
 	}
-	out := pattern.New(s.Rows, s.NCols)
-	var ext []int
-	for i := 0; i < s.Rows; i++ {
+	return pattern.Build(s.Rows, s.NCols, workers, func(dst []int, i int) []int {
 		row := s.Row(i)
-		ext = ext[:0]
-		added := 0
-		lastBlock := -1
+		// The row is merged in as the blocks are expanded: row[k:] holds
+		// the original entries not yet written. Every original entry lies
+		// in a block expanded before or at its own, or after the cap, so
+		// the output comes out ascending and without duplicates.
+		k, added, lastBlock := 0, 0, -1
 		for _, j := range row {
 			block := (j + alignElems) / elemsPerLine
 			if block == lastBlock {
@@ -89,28 +94,35 @@ func ExtendPattern(s *pattern.Pattern, elemsPerLine, alignElems int, clip Clip, 
 			}
 			lastBlock = block
 			j0 := block*elemsPerLine - alignElems
-			j1 := j0 + elemsPerLine - 1
-			if j0 < 0 {
-				j0 = 0
+			j1 := min(j0+elemsPerLine-1, s.NCols-1)
+			j0 = max(j0, 0)
+			lo, hi := clip.span(i, j0, j1)
+			if lo > hi {
+				lo, hi = j1+1, j1 // the first loop writes the block's originals
 			}
-			if j1 >= s.NCols {
-				j1 = s.NCols - 1
+			for ; k < len(row) && row[k] < lo; k++ {
+				dst = append(dst, row[k])
 			}
-			for j2 := j0; j2 <= j1; j2++ {
-				if clip.admits(i, j2) {
-					ext = append(ext, j2)
-					if j2 != j {
-						added++
-					}
+			for j2 := lo; j2 <= hi; j2++ {
+				dst = append(dst, j2)
+			}
+			for k < len(row) && row[k] <= hi {
+				k++ // written with the span
+			}
+			for ; k < len(row) && row[k] <= j1; k++ {
+				dst = append(dst, row[k])
+			}
+			// The cap counts the admissible columns of the block other
+			// than j, original or not.
+			if lo <= hi {
+				added += hi - lo + 1
+				if lo <= j && j <= hi {
+					added--
 				}
 			}
 		}
-		// ext is sorted (ascending blocks, ascending within block); merging
-		// with row keeps every original entry even when the cap truncated
-		// the block expansion.
-		out.AppendRowMerge(row, ext)
-	}
-	return out
+		return append(dst, row[k:]...)
+	})
 }
 
 // ExtensionOf returns the positions of ext that are not in base, row by row,

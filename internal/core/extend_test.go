@@ -21,7 +21,7 @@ func TestExtendPatternKnownLower(t *testing.T) {
 		}
 	}
 	s := pattern.FromRows(16, 16, rows)
-	e := ExtendPattern(s, 8, 0, ClipLower, 0)
+	e := ExtendPattern(s, 8, 0, ClipLower, 0, 1)
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	got := e.Row(9)
 	if len(got) != len(want) {
@@ -44,7 +44,7 @@ func TestExtendPatternAlignment(t *testing.T) {
 	rows := [][]int{{0}, {1}, {2}, {3, 3}, {4}, {5}, {6}, {7}}
 	rows[3] = []int{3}
 	s := pattern.FromRows(8, 8, rows)
-	e := ExtendPattern(s, 8, 4, ClipLower, 0)
+	e := ExtendPattern(s, 8, 4, ClipLower, 0, 1)
 	got := e.Row(3)
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {
@@ -53,7 +53,7 @@ func TestExtendPatternAlignment(t *testing.T) {
 	// Same entry with align=0 would cover 0..7 clipped to <=3 — same here;
 	// use row 5 to discriminate: align=4 puts j=5 in block covering 4..11
 	// → columns 4,5 (clipped); align=0 puts j=5 in block 0..7 → 0..5.
-	e0 := ExtendPattern(s, 8, 0, ClipLower, 0)
+	e0 := ExtendPattern(s, 8, 0, ClipLower, 0, 1)
 	if len(e.Row(5)) != 2 || len(e0.Row(5)) != 6 {
 		t.Errorf("alignment not respected: align4=%v align0=%v", e.Row(5), e0.Row(5))
 	}
@@ -62,7 +62,7 @@ func TestExtendPatternAlignment(t *testing.T) {
 func TestExtendPatternUpperClip(t *testing.T) {
 	rows := [][]int{{0, 5}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
 	s := pattern.FromRows(8, 8, rows)
-	e := ExtendPattern(s, 8, 0, ClipUpper, 0)
+	e := ExtendPattern(s, 8, 0, ClipUpper, 0, 1)
 	// Row 0 entries pull block [0,7]; upper clip keeps j >= 0 → full row.
 	if len(e.Row(0)) != 8 {
 		t.Errorf("row 0 = %v", e.Row(0))
@@ -75,7 +75,7 @@ func TestExtendPatternUpperClip(t *testing.T) {
 
 func TestExtendPatternNoClip(t *testing.T) {
 	s := pattern.FromRows(2, 16, [][]int{{9}, {0}})
-	e := ExtendPattern(s, 8, 0, ClipNone, 0)
+	e := ExtendPattern(s, 8, 0, ClipNone, 0, 1)
 	if got := e.Row(0); len(got) != 8 || got[0] != 8 || got[7] != 15 {
 		t.Errorf("row 0 = %v", got)
 	}
@@ -93,7 +93,7 @@ func TestExtendPatternPreservesBase(t *testing.T) {
 			}
 		}
 		s := pattern.FromRows(n, n, rows)
-		e := ExtendPattern(s, 8, rng.Intn(8), ClipLower, 0)
+		e := ExtendPattern(s, 8, rng.Intn(8), ClipLower, 0, 1)
 		if !s.SubsetOf(e) {
 			t.Fatalf("trial %d: base not preserved", trial)
 		}
@@ -119,8 +119,8 @@ func TestExtendPatternIdempotent(t *testing.T) {
 		}
 		s := pattern.FromRows(n, n, rows)
 		align := rng.Intn(8)
-		e1 := ExtendPattern(s, 8, align, ClipLower, 0)
-		e2 := ExtendPattern(e1, 8, align, ClipLower, 0)
+		e1 := ExtendPattern(s, 8, align, ClipLower, 0, 1)
+		e2 := ExtendPattern(e1, 8, align, ClipLower, 0, 1)
 		if !e1.Equal(e2) {
 			t.Fatalf("trial %d: extension not idempotent (%d -> %d entries)", trial, e1.NNZ(), e2.NNZ())
 		}
@@ -144,7 +144,7 @@ func TestExtendPatternLineVisitInvariant(t *testing.T) {
 		s := pattern.FromRows(n, n, rows)
 		for _, elems := range []int{4, 8, 32} {
 			align := rng.Intn(elems)
-			e := ExtendPattern(s, elems, align, ClipLower, 0)
+			e := ExtendPattern(s, elems, align, ClipLower, 0, 1)
 			if cachesim.CountLineVisits(e, elems, align) != cachesim.CountLineVisits(s, elems, align) {
 				return false
 			}
@@ -174,7 +174,7 @@ func TestExtendPatternNoNewMisses(t *testing.T) {
 		}
 		s := pattern.FromRows(n, n, rows)
 		align := rng.Intn(8)
-		e := ExtendPattern(s, 8, align, ClipLower, 0)
+		e := ExtendPattern(s, 8, align, ClipLower, 0, 1)
 		c := cachesim.New(cfg)
 		mBase := cachesim.TraceSpMV(c, s, cachesim.TraceOptions{AlignElems: align})
 		mExt := cachesim.TraceSpMV(c, e, cachesim.TraceOptions{AlignElems: align})
@@ -197,7 +197,7 @@ func TestExtendPatternMaxRowCap(t *testing.T) {
 	scat = append(scat, 63)
 	rows[63] = scat
 	s := pattern.FromRows(64, 64, rows)
-	capped := ExtendPattern(s, 8, 0, ClipLower, 16)
+	capped := ExtendPattern(s, 8, 0, ClipLower, 16, 1)
 	if got := len(capped.Row(63)); got > 24 {
 		t.Errorf("row 63 = %d entries, cap not effective", got)
 	}
@@ -205,7 +205,7 @@ func TestExtendPatternMaxRowCap(t *testing.T) {
 	if !s.SubsetOf(capped) {
 		t.Error("cap dropped base entries")
 	}
-	uncapped := ExtendPattern(s, 8, 0, ClipLower, 0)
+	uncapped := ExtendPattern(s, 8, 0, ClipLower, 0, 1)
 	if uncapped.NNZ() <= capped.NNZ() {
 		t.Error("uncapped should be strictly larger")
 	}

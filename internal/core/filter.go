@@ -17,13 +17,13 @@ import (
 //     scale-independent order-of-magnitude comparison of non-diagonal
 //     entries with respect to the diagonal entry.
 //
-// filter == 0 keeps the whole extension.
-func filterExtension(base, ext *pattern.Pattern, g *sparse.CSR, filter float64) *pattern.Pattern {
+// filter == 0 keeps the whole extension. The rows are built on workers row
+// chunks (see pattern.Build); the result does not depend on workers.
+func filterExtension(base, ext *pattern.Pattern, g *sparse.CSR, filter float64, workers int) *pattern.Pattern {
 	if filter <= 0 {
 		return ext.Clone()
 	}
-	out := pattern.New(ext.Rows, ext.NCols)
-	for i := 0; i < ext.Rows; i++ {
+	return pattern.Build(ext.Rows, ext.NCols, workers, func(dst []int, i int) []int {
 		cols, vals := g.Row(i)
 		// Diagonal magnitude: the pattern is lower triangular with the
 		// diagonal last in the row.
@@ -36,12 +36,11 @@ func filterExtension(base, ext *pattern.Pattern, g *sparse.CSR, filter float64) 
 			}
 			inBase := kb < len(b) && b[kb] == j
 			if inBase || j == i || math.Abs(vals[k]) >= filter*diag {
-				out.AppendCol(j)
+				dst = append(dst, j)
 			}
 		}
-		out.CloseRow(i)
-	}
-	return out
+		return dst
+	})
 }
 
 // postFilterRescale implements the classical filtering of Algorithm 1 step 4

@@ -437,17 +437,31 @@ var ErrNotSPD = errors.New("fsai: local system not positive definite (is A SPD?)
 
 // InitialPattern computes the a-priori pattern of G: the lower triangle
 // (diagonal included) of the pattern of Ã^N, where Ã is A thresholded with
-// tau (Algorithm 1/2/4, steps 1-2).
-func InitialPattern(a *sparse.CSR, tau float64, power int) *pattern.Pattern {
+// tau (Algorithm 1/2/4, steps 1-2). The lower triangle and the diagonal are
+// taken in one pass on workers row chunks (see pattern.Build); the result
+// does not depend on workers.
+func InitialPattern(a *sparse.CSR, tau float64, power, workers int) *pattern.Pattern {
 	at := a
 	if tau > 0 {
 		at = a.Threshold(tau)
 	}
-	p := pattern.FromCSR(at)
+	rowPtr, cols := at.RowPtr, at.ColIdx
 	if power > 1 {
-		p = p.Power(power)
+		pp := pattern.FromCSR(at).Power(power)
+		rowPtr, cols = pp.RowPtr, pp.Cols
 	}
-	return p.Lower().WithDiagonal()
+	return pattern.Build(a.Rows, a.Cols, workers, func(dst []int, i int) []int {
+		for _, j := range cols[rowPtr[i]:rowPtr[i+1]] {
+			if j >= i {
+				break
+			}
+			dst = append(dst, j)
+		}
+		if i < a.Cols {
+			dst = append(dst, i)
+		}
+		return dst
+	})
 }
 
 // computeRows evaluates G values on the given lower-triangular pattern by
@@ -494,10 +508,10 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 	return g, nil
 }
 
-// factorOn returns the n×n CSR with p's structure and zero values.
+// factorOn returns the n×n CSR on p's structure with zero values: its
+// RowPtr and ColIdx are p's arrays, which neither changes afterwards.
 func factorOn(n int, p *pattern.Pattern) *sparse.CSR {
-	return &sparse.CSR{Rows: n, Cols: n, RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.Cols...), Val: make([]float64, p.NNZ())}
+	return &sparse.CSR{Rows: n, Cols: n, RowPtr: p.RowPtr, ColIdx: p.Cols, Val: make([]float64, p.NNZ())}
 }
 
 // forRowChunks runs body over the contiguous row chunks [lo, hi) of an

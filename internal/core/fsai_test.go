@@ -1,6 +1,7 @@
 package fsai
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func laplace1D(n int) *sparse.CSR {
 
 func TestInitialPattern(t *testing.T) {
 	a := laplace1D(6)
-	p := InitialPattern(a, 0, 1)
+	p := InitialPattern(a, 0, 1, 1)
 	// Lower triangle with diagonal: row 0 = {0}, row i = {i-1, i}.
 	if len(p.Row(0)) != 1 {
 		t.Errorf("row 0 = %v", p.Row(0))
@@ -39,9 +40,19 @@ func TestInitialPattern(t *testing.T) {
 		}
 	}
 	// Power 2: row i = {i-2, i-1, i}.
-	p2 := InitialPattern(a, 0, 2)
+	p2 := InitialPattern(a, 0, 2, 1)
 	if r := p2.Row(3); len(r) != 3 || r[0] != 1 {
 		t.Errorf("power-2 row 3 = %v", r)
+	}
+	// A missing diagonal is added, after the row's lower entries, and the
+	// upper entries are dropped, on any number of row chunks.
+	nd, _ := sparse.NewCSRFromTriplets(3, 3, []sparse.Triplet{
+		{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 2, Val: 1}, {Row: 2, Col: 2, Val: 1},
+	})
+	for _, w := range []int{1, 2, 3} {
+		if p := InitialPattern(nd, 0, 1, w); fmt.Sprint(p.RowPtr, p.Cols) != "[0 1 3 4] [0 0 1 2]" {
+			t.Errorf("%d workers: pattern without diagonals = %v %v, want [0 1 3 4] [0 0 1 2]", w, p.RowPtr, p.Cols)
+		}
 	}
 }
 
@@ -50,7 +61,7 @@ func TestInitialPatternThreshold(t *testing.T) {
 	a, _ := sparse.NewCSRFromTriplets(3, 3, []sparse.Triplet{
 		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}, {Row: 2, Col: 2, Val: 1}, {Row: 1, Col: 0, Val: 1e-6}, {Row: 0, Col: 1, Val: 1e-6}, {Row: 2, Col: 1, Val: 0.5}, {Row: 1, Col: 2, Val: 0.5},
 	})
-	p := InitialPattern(a, 1e-3, 1)
+	p := InitialPattern(a, 1e-3, 1, 1)
 	if p.Contains(1, 0) {
 		t.Error("thresholded entry survived")
 	}

@@ -7,17 +7,17 @@ import (
 	"repro/internal/sparse"
 )
 
-// precalcRows evaluates an *approximate* G on the given pattern using a few
-// loose-tolerance CG sweeps per local system (Section 5). Only the order of
-// magnitude of the entries matters — the result is used exclusively to
-// decide which extension entries to keep. Each row's system is gathered in
-// sparse form from Â = symmetricLower(a), never as a dense m×m block. A
-// panicking row task comes back as a ReasonWorkerPanic SetupError.
-func precalcRows(a *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, workers int, stats *SetupStats) (*sparse.CSR, error) {
-	g := factorOn(a.Rows, p)
-	ahat := symmetricLower(a)
-	err := forRowChunks(a.Rows, workers, stats, func(lo, hi int, st *SetupStats) error {
-		ls := newLocalSystem(a.Rows)
+// precalcRows evaluates an *approximate* G of A on the given pattern using
+// a few loose-tolerance CG sweeps per local system (Section 5). Only the
+// order of magnitude of the entries matters — the result is used
+// exclusively to decide which extension entries to keep. Each row's system
+// is gathered in sparse form from ahat = symmetricLower(A), which the
+// caller builds once per setup, never as a dense m×m block. A panicking row
+// task comes back as a ReasonWorkerPanic SetupError.
+func precalcRows(ahat *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, workers int, stats *SetupStats) (*sparse.CSR, error) {
+	g := factorOn(ahat.Rows, p)
+	err := forRowChunks(ahat.Rows, workers, stats, func(lo, hi int, st *SetupStats) error {
+		ls := newLocalSystem(ahat.Rows)
 		var rhs []float64
 		for i := lo; i < hi; i++ {
 			idx := p.Row(i)
@@ -102,20 +102,32 @@ func newLocalSystem(n int) *localSystem {
 
 // gather loads Â(idx, idx) for the ascending index set idx: it maps idx in
 // the scatter map, keeps the hits of Â's rows idx, then clears the map.
+// Every probe is written at the current end and the length advances by the
+// probe's hit bit, so the loop has no data-dependent branch; a miss is
+// overwritten by the next probe or left past the end.
 func (s *localSystem) gather(ahat *sparse.CSR, idx []int) {
+	probes := 0
 	for l, g := range idx {
 		s.pos[g] = int32(l)
+		probes += ahat.RowPtr[g+1] - ahat.RowPtr[g]
 	}
-	s.ptr, s.col, s.val = append(s.ptr[:0], 0), s.col[:0], s.val[:0]
+	if cap(s.col) < probes {
+		s.col, s.val = make([]int32, probes, 2*probes), make([]float64, probes, 2*probes)
+	}
+	col, val := s.col[:probes], s.val[:probes]
+	s.ptr = append(s.ptr[:0], 0)
+	n := 0
 	for _, g := range idx {
-		for k := ahat.RowPtr[g]; k < ahat.RowPtr[g+1]; k++ {
-			if l := s.pos[ahat.ColIdx[k]]; l >= 0 {
-				s.col = append(s.col, l)
-				s.val = append(s.val, ahat.Val[k])
-			}
+		cols := ahat.ColIdx[ahat.RowPtr[g]:ahat.RowPtr[g+1]]
+		vals := ahat.Val[ahat.RowPtr[g]:ahat.RowPtr[g+1]]
+		for k, c := range cols {
+			l := s.pos[c]
+			col[n], val[n] = l, vals[k]
+			n += int(^uint32(l) >> 31)
 		}
-		s.ptr = append(s.ptr, int32(len(s.col)))
+		s.ptr = append(s.ptr, int32(n))
 	}
+	s.col, s.val = col[:n], val[:n]
 	for _, g := range idx {
 		s.pos[g] = -1
 	}

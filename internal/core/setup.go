@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/pattern"
 	"repro/internal/prof"
 	"repro/internal/sparse"
@@ -49,7 +50,8 @@ func Compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
 	return p, err
 }
 
-func compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
+func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
+	defer containWorkerPanic(&err)
 	if a.Rows != a.Cols {
 		return nil, setupErrf(ReasonBadInput, -1, "matrix is %dx%d, want square", a.Rows, a.Cols)
 	}
@@ -73,7 +75,7 @@ func compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
 	}()
 
 	endBase := rec.phase(PhaseBasePattern)
-	base := InitialPattern(a, opts.ThresholdTau, opts.PatternPower)
+	base := InitialPattern(a, opts.ThresholdTau, opts.PatternPower, opts.Workers)
 	endBase()
 	p.BasePattern = base
 	p.Stats.PatternOps += float64(base.NNZ())
@@ -86,21 +88,46 @@ func compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.G, p.FinalPattern = g, base
 		if opts.PostFilter > 0 {
 			endFilter := rec.phase(PhasePostFilter)
-			g = postFilterRescale(a, diagonalOnly(base), g, opts.PostFilter)
+			p.G = postFilterRescale(a, diagonalOnly(base), g, opts.PostFilter)
 			endFilter()
+			p.FinalPattern = pattern.FromCSR(p.G)
 		}
-		p.G = g
-		p.FinalPattern = pattern.FromCSR(g)
 
 	case VariantSp, VariantFull:
+		// resolve turns a candidate extended pattern sx (⊇ base) into the
+		// final extension pattern according to the filtering strategy: the
+		// precalculation strategy of Section 5 (default) precalculates an
+		// approximate G on sx and drops weak extension entries *before*
+		// the exact solve; the standard strategy keeps sx whole here
+		// (filtering happens after the exact solve, below), as does
+		// filter 0.0. Â is built once, by the first precalculation.
+		var ahat *sparse.CSR
+		resolve := func(base, sx *pattern.Pattern) (*pattern.Pattern, error) {
+			if opts.StandardFiltering || opts.Filter <= 0 {
+				return sx, nil
+			}
+			endPrecalc := rec.phase(PhasePrecalc)
+			if ahat == nil {
+				ahat = symmetricLower(a)
+			}
+			gpre, err := precalcRows(ahat, sx, opts.PrecalcTol, opts.PrecalcMaxIter, opts.Workers, &p.Stats)
+			endPrecalc()
+			if err != nil {
+				return nil, err
+			}
+			endFilter := rec.phase(PhaseFilter)
+			defer endFilter()
+			return filterExtension(base, sx, gpre, opts.Filter, opts.Workers), nil
+		}
 		// Step 3: cache-friendly extension of S optimizing the Gp product.
 		endExtend := rec.phase(PhaseExtend)
-		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, opts.MaxRowNNZ)
+		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, opts.MaxRowNNZ, opts.Workers)
 		endExtend()
 		p.Stats.PatternOps += float64(sx.NNZ())
-		sext, err := resolveExtension(a, base, sx, opts, rec)
+		sext, err := resolve(base, sx)
 		if err != nil {
 			return nil, err
 		}
@@ -109,11 +136,11 @@ func compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
 			// Steps 5-6: repeat on the transposed pattern, optimizing the
 			// Gᵀp product, then transpose back.
 			endExtend := rec.phase(PhaseExtend)
-			tx := ExtendPattern(sext.Transpose(), elems, opts.AlignElems, ClipUpper, opts.MaxRowNNZ)
-			sx2 := tx.Transpose()
+			tx := ExtendPattern(sext.TransposeParallel(opts.Workers), elems, opts.AlignElems, ClipUpper, opts.MaxRowNNZ, opts.Workers)
+			sx2 := tx.TransposeParallel(opts.Workers)
 			endExtend()
 			p.Stats.PatternOps += float64(sx2.NNZ())
-			final, err = resolveExtension(a, sext, sx2, opts, rec)
+			final, err = resolve(sext, sx2)
 			if err != nil {
 				return nil, err
 			}
@@ -134,6 +161,7 @@ func compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
 		if err != nil {
 			return nil, err
 		}
+		p.G, p.FinalPattern = g, final
 		if opts.StandardFiltering {
 			// Table 3 comparison path: the extension is kept whole through
 			// the exact solve and filtered after the fact with rescaling.
@@ -141,44 +169,34 @@ func compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
 			// numerical pattern) are eligible for dropping, the same
 			// eligible set the precalculation strategy filters.
 			endFilter := rec.phase(PhasePostFilter)
-			g = postFilterRescale(a, base, g, opts.Filter)
+			p.G = postFilterRescale(a, base, g, opts.Filter)
 			endFilter()
+			p.FinalPattern = pattern.FromCSR(p.G)
 		}
-		p.G = g
-		p.FinalPattern = pattern.FromCSR(g)
 
 	default:
 		return nil, setupErrf(ReasonBadInput, -1, "unknown variant %d", opts.Variant)
 	}
 
-	p.GT = p.G.Transpose()
+	p.GT = p.G.TransposeParallel(opts.Workers)
 	p.initApply()
 	return p, nil
 }
 
-// resolveExtension turns a candidate extended pattern sx (⊇ base) into the
-// final extension pattern according to the filtering strategy: the
-// precalculation strategy of Section 5 (default) precalculates an
-// approximate G on sx and drops weak extension entries *before* the exact
-// solve; the standard strategy keeps sx whole here (filtering happens after
-// the exact solve, in Compute).
-func resolveExtension(a *sparse.CSR, base, sx *pattern.Pattern, opts Options, rec phaseRecorder) (*pattern.Pattern, error) {
-	if opts.StandardFiltering {
-		return sx, nil
+// containWorkerPanic, deferred by compute, turns a pool worker panic that
+// reached compute's goroutine — from a pattern builder or a transpose, whose
+// chunks run on the pool outside forRowChunks — into the ReasonWorkerPanic
+// SetupError forRowChunks returns for a row task. Any other panic goes on.
+func containWorkerPanic(err *error) {
+	v := recover()
+	if v == nil {
+		return
 	}
-	if opts.Filter <= 0 {
-		return sx, nil // filter 0.0 keeps the full extension
+	pe, ok := v.(*parallel.PanicError)
+	if !ok {
+		panic(v)
 	}
-	endPrecalc := rec.phase(PhasePrecalc)
-	gpre, err := precalcRows(a, sx, opts.PrecalcTol, opts.PrecalcMaxIter, opts.Workers, rec.stats)
-	endPrecalc()
-	if err != nil {
-		return nil, err
-	}
-	endFilter := rec.phase(PhaseFilter)
-	filtered := filterExtension(base, sx, gpre, opts.Filter)
-	endFilter()
-	return filtered, nil
+	*err = setupErr(ReasonWorkerPanic, -1, pe)
 }
 
 // ComputeOnPattern evaluates the Frobenius-optimal G of A on an arbitrary

@@ -29,7 +29,7 @@ func TestFullExtensionTransposedFixpoint(t *testing.T) {
 		}
 		final := p.FinalPattern
 		tp := final.Transpose()
-		again := ExtendPattern(tp, 8, 0, ClipUpper, 0)
+		again := ExtendPattern(tp, 8, 0, ClipUpper, 0, 1)
 		if !again.Equal(tp) {
 			t.Errorf("%s: transposed final pattern is not line-closed: %d -> %d entries",
 				name, tp.NNZ(), again.NNZ())

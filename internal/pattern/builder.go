@@ -1,5 +1,11 @@
 package pattern
 
+import (
+	"fmt"
+
+	"repro/internal/parallel"
+)
+
 // The builder methods below let callers construct a pattern row by row in
 // ascending row order without intermediate allocations. The intended use is
 //
@@ -9,8 +15,7 @@ package pattern
 //	        p.CloseRow(i)
 //	}
 //
-// AppendRowMerge is a specialized two-way sorted merge used by the
-// cache-friendly fill-in.
+// Build does the same on row chunks in parallel.
 
 // AppendCol appends column j to the row currently under construction.
 // Callers must append strictly ascending indices within a row.
@@ -18,44 +23,44 @@ func (p *Pattern) AppendCol(j int) { p.Cols = append(p.Cols, j) }
 
 // CloseRow finishes row i, recording its extent. Rows must be closed in
 // order 0..Rows-1.
-func (p *Pattern) CloseRow(i int) {
-	p.RowPtr[i+1] = len(p.Cols)
-	p.closedRows = i + 1
-}
+func (p *Pattern) CloseRow(i int) { p.RowPtr[i+1] = len(p.Cols) }
 
-// AppendRowMerge appends the sorted-merge (with deduplication) of two sorted
-// index slices as the next row and closes it. The row index is inferred
-// from how many rows have been closed so far.
-func (p *Pattern) AppendRowMerge(a, b []int) {
-	ka, kb := 0, 0
-	for ka < len(a) || kb < len(b) {
-		switch {
-		case kb == len(b) || (ka < len(a) && a[ka] < b[kb]):
-			p.appendDedup(a[ka])
-			ka++
-		case ka == len(a) || b[kb] < a[ka]:
-			p.appendDedup(b[kb])
-			kb++
-		default:
-			p.appendDedup(a[ka])
-			ka++
-			kb++
+// Build returns the r×c pattern whose row i holds the strictly ascending
+// columns row(dst, i) appends to dst. The rows run on the contiguous chunks
+// parallel.Chunks(r, workers) (<=0: all CPUs) in two passes: the first
+// sizes every row by building it into a scratch row the chunk reuses, a
+// prefix sum over the sizes then allocates the flat Cols array exactly, and
+// the second builds every row in place there. row must therefore be a pure
+// function of i; the result does not depend on workers. row runs
+// concurrently for rows of different chunks; a panic in it is re-raised as
+// a *parallel.PanicError.
+func Build(r, c, workers int, row func(dst []int, i int) []int) *Pattern {
+	p := New(r, c)
+	bounds := parallel.Chunks(r, workers)
+	nc := len(bounds) / 2
+	// First pass: RowPtr[i+1] holds the size of row i.
+	parallel.For(nc, nc, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			var scratch []int
+			for i := bounds[2*c]; i < bounds[2*c+1]; i++ {
+				scratch = row(scratch[:0], i)
+				p.RowPtr[i+1] = len(scratch)
+			}
 		}
+	})
+	for i := 0; i < r; i++ {
+		p.RowPtr[i+1] += p.RowPtr[i]
 	}
-	// Find the first unclosed row: rows are closed in order, so it is the
-	// first index whose pointer is still behind len(Cols) from a previous
-	// close. We track it via the last closed row extent.
-	row := p.closedRows
-	p.RowPtr[row+1] = len(p.Cols)
-	p.closedRows++
-}
-
-// appendDedup appends j unless it equals the last appended index of the
-// current row (duplicates can arise when both merge inputs contain j).
-func (p *Pattern) appendDedup(j int) {
-	start := p.RowPtr[p.closedRows]
-	if n := len(p.Cols); n > start && p.Cols[n-1] == j {
-		return
-	}
-	p.Cols = append(p.Cols, j)
+	p.Cols = make([]int, p.RowPtr[r])
+	parallel.For(nc, nc, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			for i := bounds[2*c]; i < bounds[2*c+1]; i++ {
+				lo, hi := p.RowPtr[i], p.RowPtr[i+1]
+				if len(row(p.Cols[lo:lo], i)) != hi-lo {
+					panic(fmt.Sprintf("pattern: Build row %d changed size between passes", i))
+				}
+			}
+		}
+	})
+	return p
 }

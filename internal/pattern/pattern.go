@@ -1,6 +1,6 @@
 // Package pattern implements sparsity patterns — the index structure of a
 // sparse matrix without its values — and the symbolic operations the FSAI
-// setup needs: triangular clipping, transposition, union, and the pattern
+// setup needs: a row-chunked builder, transposition, union, and the pattern
 // power Ã^N used to seed a-priori FSAI patterns (Chow's method).
 package pattern
 
@@ -17,11 +17,6 @@ type Pattern struct {
 	Rows, NCols int
 	RowPtr      []int
 	Cols        []int
-
-	// closedRows tracks builder progress (see builder.go); fully
-	// constructed patterns have closedRows == Rows or 0 when built by
-	// direct field assembly.
-	closedRows int
 }
 
 // New returns an empty pattern with r rows and c columns.
@@ -134,40 +129,17 @@ func (p *Pattern) Validate() error {
 	return nil
 }
 
-// Lower returns the lower-triangular clip of p (entries with j <= i).
-func (p *Pattern) Lower() *Pattern {
-	out := New(p.Rows, p.NCols)
-	for i := 0; i < p.Rows; i++ {
-		for _, j := range p.Row(i) {
-			if j <= i {
-				out.Cols = append(out.Cols, j)
-			}
-		}
-		out.RowPtr[i+1] = len(out.Cols)
-	}
-	return out
-}
+// Transpose returns the transposed pattern: TransposeParallel on one
+// worker.
+func (p *Pattern) Transpose() *Pattern { return p.TransposeParallel(1) }
 
-// Transpose returns the transposed pattern.
-func (p *Pattern) Transpose() *Pattern {
-	t := New(p.NCols, p.Rows)
-	t.Cols = make([]int, len(p.Cols))
-	counts := make([]int, p.NCols+1)
-	for _, j := range p.Cols {
-		counts[j+1]++
-	}
-	for j := 0; j < p.NCols; j++ {
-		counts[j+1] += counts[j]
-	}
-	copy(t.RowPtr, counts)
-	next := append([]int(nil), counts...)
-	for i := 0; i < p.Rows; i++ {
-		for _, j := range p.Row(i) {
-			t.Cols[next[j]] = i
-			next[j]++
-		}
-	}
-	return t
+// TransposeParallel returns the transposed pattern: the chunked counting
+// sort of sparse.CSR.TransposeParallel on p's structure, so every column
+// of p lists its rows in ascending order and the result does not depend on
+// workers (<=0: all CPUs).
+func (p *Pattern) TransposeParallel(workers int) *Pattern {
+	t := (&sparse.CSR{Rows: p.Rows, Cols: p.NCols, RowPtr: p.RowPtr, ColIdx: p.Cols}).TransposeParallel(workers)
+	return &Pattern{Rows: t.Rows, NCols: t.Cols, RowPtr: t.RowPtr, Cols: t.ColIdx}
 }
 
 // Union returns the positionwise union of p and q (same shape required).
@@ -216,30 +188,6 @@ func (p *Pattern) Minus(q *Pattern) *Pattern {
 				continue
 			}
 			out.Cols = append(out.Cols, j)
-		}
-		out.RowPtr[i+1] = len(out.Cols)
-	}
-	return out
-}
-
-// WithDiagonal returns p with all diagonal positions (i,i) present (for
-// square patterns). FSAI requires the diagonal in every row pattern.
-func (p *Pattern) WithDiagonal() *Pattern {
-	out := New(p.Rows, p.NCols)
-	for i := 0; i < p.Rows; i++ {
-		placed := false
-		for _, j := range p.Row(i) {
-			if !placed && j > i && i < p.NCols {
-				out.Cols = append(out.Cols, i)
-				placed = true
-			}
-			if j == i {
-				placed = true
-			}
-			out.Cols = append(out.Cols, j)
-		}
-		if !placed && i < p.NCols {
-			out.Cols = append(out.Cols, i)
 		}
 		out.RowPtr[i+1] = len(out.Cols)
 	}

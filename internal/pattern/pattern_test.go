@@ -54,17 +54,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestLower(t *testing.T) {
-	p := FromRows(3, 3, [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}})
-	lo := p.Lower()
-	if lo.NNZ() != 6 {
-		t.Fatalf("lower nnz=%d", lo.NNZ())
-	}
-	if lo.Contains(0, 1) || !lo.Contains(1, 1) || !lo.Contains(2, 0) {
-		t.Error("Lower clip wrong")
-	}
-}
-
 func TestTransposeKnown(t *testing.T) {
 	p := FromRows(2, 3, [][]int{{1, 2}, {0}})
 	q := p.Transpose()
@@ -91,26 +80,6 @@ func TestUnion(t *testing.T) {
 	}
 	if err := u.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWithDiagonal(t *testing.T) {
-	p := FromRows(3, 3, [][]int{{1}, {0, 1}, {}})
-	d := p.WithDiagonal()
-	for i := 0; i < 3; i++ {
-		if !d.Contains(i, i) {
-			t.Errorf("diagonal (%d,%d) missing", i, i)
-		}
-	}
-	if !d.Contains(0, 1) || !d.Contains(1, 0) {
-		t.Error("original entries lost")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent.
-	if !d.WithDiagonal().Equal(d) {
-		t.Error("WithDiagonal not idempotent")
 	}
 }
 
@@ -193,15 +162,26 @@ func TestBuilder(t *testing.T) {
 	p.AppendCol(3)
 	p.CloseRow(0)
 	p.CloseRow(1) // empty row
-	p.AppendRowMerge([]int{0, 2}, []int{2, 4})
+	for _, j := range []int{0, 2, 4} {
+		p.AppendCol(j)
+	}
+	p.CloseRow(2)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Row(2); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("merged row = %v", got)
+		t.Fatalf("row 2 = %v", got)
 	}
 	if len(p.Row(1)) != 0 {
 		t.Error("row 1 should be empty")
+	}
+	// Build gives the same pattern on any number of row chunks, including
+	// more chunks than rows.
+	for _, w := range []int{1, 2, 3, 7} {
+		b := Build(3, 5, w, func(dst []int, i int) []int { return append(dst, p.Row(i)...) })
+		if !b.Equal(p) {
+			t.Errorf("Build on %d workers = %v %v, want %v %v", w, b.RowPtr, b.Cols, p.RowPtr, p.Cols)
+		}
 	}
 }
 
@@ -209,7 +189,8 @@ func TestQuickTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(rng, 1+rng.Intn(15), 1+rng.Intn(15), 0.4)
-		return p.Transpose().Transpose().Equal(p)
+		q := p.TransposeParallel(1 + rng.Intn(4))
+		return q.Equal(p.Transpose()) && q.Transpose().Equal(p)
 	}
 	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1)), MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -235,7 +216,11 @@ func TestQuickPowerMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
-		p := randomPattern(rng, n, n, 0.3).WithDiagonal()
+		diag := make([][]int, n)
+		for i := range diag {
+			diag[i] = []int{i}
+		}
+		p := randomPattern(rng, n, n, 0.3).Union(FromRows(n, n, diag))
 		// With a full diagonal, pattern powers are monotone increasing.
 		p2 := p.Power(2)
 		p3 := p.Power(3)

@@ -64,9 +64,10 @@ type SolveRequest struct {
 	// the chain owns its own setup/retry/fallback sequence.
 	Resilient bool `json:"resilient,omitempty"`
 
-	// TimeoutMS bounds the job wall clock (0: the server default). The job
-	// runs under a context deadline and ends with status "cancelled" on
-	// expiry, like fsaisolve -timeout.
+	// TimeoutMS bounds the job wall clock (0 or negative: the server
+	// default; above MaxInt64/1e6, the longest time.Duration, the request
+	// is a 400). The job runs under a context deadline and ends with status
+	// "cancelled" on expiry, like fsaisolve -timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
 	// RHS is the right-hand side (must have exactly Rows values). Empty

@@ -59,6 +59,9 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 		`{"matrix":"lap","filter":-0.5,"rhs":[]}`,
 		`{"matrix":"lap","line_bytes":4}`,
 		`{"matrix":"lap","pattern_power":40,"timeout_ms":2000}`,
+		`{"matrix":"lap","timeout_ms":9223372036854}`,
+		`{"matrix":"lap","timeout_ms":9223372036855}`,
+		`{"matrix":"lap","timeout_ms":-9223372036854775808}`,
 		`{"matrix":"lap"} {"matrix":"lap"}`,
 		`{"matrix":"lap","precond":"fsaie","setup_only":true,"tau":1e-3}`,
 		`{"matrix":"lap","precond":"fsai","resilient":true,"tol":-1,"max_iter":-5}`,
@@ -77,6 +80,9 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 		}
 		if req.PatternPower < 1 || req.PatternPower > 3 {
 			t.Fatalf("accepted pattern_power %d", req.PatternPower)
+		}
+		if ms := req.TimeoutMS; ms > 0 && time.Duration(ms)*time.Millisecond/time.Millisecond != time.Duration(ms) {
+			t.Fatalf("accepted timeout_ms %d, which overflows a time.Duration", ms)
 		}
 		if req.Matrix == "" || req.Precond == "" || req.Tol <= 0 || req.MaxIter <= 0 ||
 			(req.Filter <= 0 && req.Filter != -1) {

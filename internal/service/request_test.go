@@ -32,25 +32,36 @@ func TestSolveKnobBounds(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		lineBytes, power int
+		timeoutMS        int64
 		want             int
 	}{
-		{4, 0, http.StatusBadRequest},
-		{12, 0, http.StatusBadRequest},
-		{2048, 0, http.StatusBadRequest},
-		{0, 4, http.StatusBadRequest},
-		{0, 40, http.StatusBadRequest},
-		{8, 0, http.StatusOK},
-		{1024, 0, http.StatusOK},
-		{0, 3, http.StatusOK},
+		{4, 0, 0, http.StatusBadRequest},
+		{12, 0, 0, http.StatusBadRequest},
+		{2048, 0, 0, http.StatusBadRequest},
+		{0, 4, 0, http.StatusBadRequest},
+		{0, 40, 0, http.StatusBadRequest},
+		{8, 0, 0, http.StatusOK},
+		{1024, 0, 0, http.StatusOK},
+		{0, 3, 0, http.StatusOK},
+		// MaxInt64/1e6 ms is the longest time.Duration; one more would
+		// overflow into a negative, already expired deadline.
+		{0, 0, 9223372036854, http.StatusOK},
+		{0, 0, 9223372036855, http.StatusBadRequest},
+		{0, 0, 1 << 62, http.StatusBadRequest},
+		{0, 0, -5, http.StatusOK},
 	} {
-		body, _ := json.Marshal(service.SolveRequest{Matrix: "tiny", LineBytes: tc.lineBytes, PatternPower: tc.power})
+		body, _ := json.Marshal(service.SolveRequest{Matrix: "tiny", LineBytes: tc.lineBytes, PatternPower: tc.power, TimeoutMS: tc.timeoutMS})
 		resp, out, err := rawSolve(hs.URL, body, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != tc.want {
-			t.Errorf("line_bytes %d, pattern_power %d: HTTP %d (%s), want %d",
-				tc.lineBytes, tc.power, resp.StatusCode, bytes.TrimSpace(out), tc.want)
+			t.Errorf("line_bytes %d, pattern_power %d, timeout_ms %d: HTTP %d (%s), want %d",
+				tc.lineBytes, tc.power, tc.timeoutMS, resp.StatusCode, bytes.TrimSpace(out), tc.want)
+		}
+		if resp.StatusCode == http.StatusOK && !strings.Contains(string(out), `"status":"converged"`) {
+			t.Errorf("line_bytes %d, pattern_power %d, timeout_ms %d: %s, want a converged solve",
+				tc.lineBytes, tc.power, tc.timeoutMS, bytes.TrimSpace(out))
 		}
 	}
 }

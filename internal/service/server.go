@@ -500,6 +500,9 @@ func normalizeSolveRequest(req *SolveRequest) error {
 	if req.MaxIter <= 0 {
 		req.MaxIter = 10000
 	}
+	if req.TimeoutMS > maxDeadlineMS {
+		return fmt.Errorf("timeout_ms %d: want at most %d, the longest time.Duration", req.TimeoutMS, maxDeadlineMS)
+	}
 	return nil
 }
 
@@ -508,12 +511,15 @@ func normalizeSolveRequest(req *SolveRequest) error {
 // run report.
 func (req *SolveRequest) setupFilter() float64 { return max(req.Filter, 0) }
 
+// maxDeadlineMS is the largest millisecond budget a time.Duration holds,
+// MaxInt64/1e6; it bounds both timeout_ms and X-Fsaid-Deadline-Ms.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // parseDeadlineMS parses an X-Fsaid-Deadline-Ms value: whole milliseconds,
-// accepted exactly when 0 < ms <= MaxInt64/1e6, the largest budget a
-// time.Duration holds.
+// accepted exactly when 0 < ms <= maxDeadlineMS.
 func parseDeadlineMS(h string) (time.Duration, bool) {
 	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+	if err != nil || ms <= 0 || ms > maxDeadlineMS {
 		return 0, false
 	}
 	return time.Duration(ms) * time.Millisecond, true

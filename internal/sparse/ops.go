@@ -1,34 +1,70 @@
 package sparse
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/parallel"
+)
 
 // Transpose returns Aᵀ as a new CSR matrix (equivalently, A reinterpreted
-// in CSC). Column indices of the result are sorted because the counting
-// transpose visits rows in order.
-func (m *CSR) Transpose() *CSR {
+// in CSC): TransposeParallel on one worker.
+func (m *CSR) Transpose() *CSR { return m.TransposeParallel(1) }
+
+// TransposeParallel returns Aᵀ, computed as one counting sort over the row
+// chunks parallel.Chunks(m.Rows, workers) (<=0: all CPUs): each chunk
+// counts its entries per column, a prefix over (column, chunk) gives every
+// chunk its slot range in each column, and the chunks scatter their rows
+// there. Chunks hold ascending rows, so the column indices of the result
+// are sorted, and it does not depend on workers. A matrix with nil Val
+// transposes its structure alone, and so does the result;
+// pattern.Pattern's transpose is that case.
+func (m *CSR) TransposeParallel(workers int) *CSR {
 	t := &CSR{
 		Rows:   m.Cols,
 		Cols:   m.Rows,
 		RowPtr: make([]int, m.Cols+1),
 		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
 	}
-	for _, j := range m.ColIdx {
-		t.RowPtr[j+1]++
+	if m.Val != nil {
+		t.Val = make([]float64, m.NNZ())
 	}
-	for j := 0; j < m.Cols; j++ {
-		t.RowPtr[j+1] += t.RowPtr[j]
-	}
-	next := append([]int(nil), t.RowPtr...)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			p := next[j]
-			t.ColIdx[p] = i
-			t.Val[p] = m.Val[k]
-			next[j]++
+	bounds := parallel.Chunks(m.Rows, workers)
+	nc := len(bounds) / 2
+	// next[c*Cols+j]: chunk c's count, then its next slot, in column j.
+	next := make([]int, nc*m.Cols)
+	parallel.For(nc, nc, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			cnt := next[c*m.Cols : (c+1)*m.Cols]
+			for _, j := range m.ColIdx[m.RowPtr[bounds[2*c]]:m.RowPtr[bounds[2*c+1]]] {
+				cnt[j]++
+			}
 		}
+	})
+	off := 0
+	for j := 0; j < m.Cols; j++ {
+		for c := 0; c < nc; c++ {
+			n := next[c*m.Cols+j]
+			next[c*m.Cols+j] = off
+			off += n
+		}
+		t.RowPtr[j+1] = off
 	}
+	parallel.For(nc, nc, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			slot := next[c*m.Cols : (c+1)*m.Cols]
+			for i := bounds[2*c]; i < bounds[2*c+1]; i++ {
+				for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+					j := m.ColIdx[k]
+					p := slot[j]
+					t.ColIdx[p] = i
+					if t.Val != nil {
+						t.Val[p] = m.Val[k]
+					}
+					slot[j]++
+				}
+			}
+		}
+	})
 	return t
 }
 

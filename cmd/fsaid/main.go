@@ -2,8 +2,11 @@
 // internal/service HTTP/JSON API — a content-addressed matrix registry, an
 // LRU cache of computed FSAI/FSAIE factors (warm solves skip setup
 // entirely) and an admission-controlled job queue — with the observability
-// endpoints (/metrics, /healthz, /debug/solve, /debug/pprof/, /runs)
-// mounted on the same listener.
+// endpoints (/metrics, /healthz, /debug/solve, /debug/pprof/, /runs,
+// /traces) mounted on the same listener. Each job's span tree (/traces/<id>)
+// is the record of its stage times; /healthz reflects daemon state only
+// (memory degradation, the SLO budget), never one client's solve, and
+// /debug/solve reports the idle state.
 //
 // Usage:
 //
@@ -81,7 +84,7 @@
 //	fsaid jobs  [-addr URL]        print the daemon's job history
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight jobs drain,
-// streaming watchers are ended, then the process exits. A second signal
+// streaming endpoints are ended, then the process exits. A second signal
 // force-exits.
 //
 // Exit status: 0 ok (for solve: converged), 1 runtime error, 2 usage

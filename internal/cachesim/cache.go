@@ -57,7 +57,6 @@ type Cache struct {
 	valid      []bool
 	age        []uint64 // LRU stamps, larger == more recent
 	clock      uint64
-	nAccesses  uint64
 	nMisses    uint64
 	nEvictions uint64
 }
@@ -98,13 +97,12 @@ func (c *Cache) Reset() {
 		c.age[i] = 0
 	}
 	c.clock = 0
-	c.nAccesses, c.nMisses, c.nEvictions = 0, 0, 0
+	c.nMisses, c.nEvictions = 0, 0
 }
 
 // Access simulates a load of the byte at addr and returns true on a hit.
 // On a miss the line is filled, evicting the LRU way of its set.
 func (c *Cache) Access(addr uint64) bool {
-	c.nAccesses++
 	c.clock++
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
@@ -143,19 +141,8 @@ func (c *Cache) Access(addr uint64) bool {
 // Touch is Access for callers that don't care about the hit/miss result.
 func (c *Cache) Touch(addr uint64) { c.Access(addr) }
 
-// Accesses returns the number of simulated accesses since the last Reset.
-func (c *Cache) Accesses() uint64 { return c.nAccesses }
-
 // Misses returns the number of misses since the last Reset.
 func (c *Cache) Misses() uint64 { return c.nMisses }
 
 // Evictions returns the number of valid-line evictions since the last Reset.
 func (c *Cache) Evictions() uint64 { return c.nEvictions }
-
-// MissRate returns misses/accesses (0 when no accesses happened).
-func (c *Cache) MissRate() float64 {
-	if c.nAccesses == 0 {
-		return 0
-	}
-	return float64(c.nMisses) / float64(c.nAccesses)
-}

@@ -170,12 +170,3 @@ func CountLineVisits(p *pattern.Pattern, elemsPerLine, alignElems int) int {
 	}
 	return visits
 }
-
-// MissesPerNNZ returns misses normalized by the stored-entry count of p,
-// the Figure 3 metric.
-func MissesPerNNZ(misses uint64, p *pattern.Pattern) float64 {
-	if p.NNZ() == 0 {
-		return 0
-	}
-	return float64(misses) / float64(p.NNZ())
-}

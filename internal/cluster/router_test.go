@@ -39,6 +39,10 @@ func startShard(t *testing.T) *testShard {
 	return sh
 }
 
+// ejectThreshold is the test cluster's EjectThreshold: failed probes before
+// a shard leaves the ring.
+const ejectThreshold = 3
+
 // testCluster is a router fronting n in-process shards.
 type testCluster struct {
 	shards  []*testShard
@@ -61,7 +65,7 @@ func startCluster(t *testing.T, n int, opt cluster.RouterOptions) *testCluster {
 	tc.members = cluster.NewMembership(peers, ring, cluster.MembershipOptions{
 		ProbeInterval:    50 * time.Millisecond,
 		FailThreshold:    1,
-		EjectThreshold:   3,
+		EjectThreshold:   ejectThreshold,
 		RecoverThreshold: 1,
 		Registry:         reg,
 	})
@@ -235,6 +239,30 @@ func TestRouterLoopGuard(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusLoopDetected {
 		t.Fatalf("forwarded request got HTTP %d, want 508", resp.StatusCode)
+	}
+}
+
+// TestRouterKeepsShardAfterNonConvergedSolve: a shard's /healthz does not
+// depend on the outcome of one client's solve, so a shard that answered a
+// max_iter 1 solve stays healthy through EjectThreshold probe rounds.
+func TestRouterKeepsShardAfterNonConvergedSolve(t *testing.T) {
+	tc := startCluster(t, 2, cluster.RouterOptions{Replicas: 1, WarmThreshold: -1})
+	c := tc.client()
+	ctx := context.Background()
+	if _, err := c.RegisterMatgen(ctx, "lap64x64", "lap"); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	resp, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "jacobi", MaxIter: 1})
+	if err != nil || resp.Converged {
+		t.Fatalf("max_iter 1 solve: %+v err=%v, want a non-converged answer", resp, err)
+	}
+	for i := 0; i < ejectThreshold; i++ {
+		tc.members.ProbeAll()
+	}
+	for _, sh := range tc.shards {
+		if st := tc.members.State(sh.hs.URL); st != cluster.PeerHealthy {
+			t.Fatalf("shard %s is %q after %d probes, want healthy", sh.hs.URL, st, ejectThreshold)
+		}
 	}
 }
 

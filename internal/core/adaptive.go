@@ -185,30 +185,3 @@ func dotRowSubset(a *sparse.CSR, j int, idx []int, y []float64) float64 {
 	}
 	return s
 }
-
-// AdaptivePatternStats summarizes a dynamically grown pattern.
-type AdaptivePatternStats struct {
-	NNZ        int
-	MaxRow     int
-	AvgPerRow  float64
-	FullBudget int // rows that hit MaxPerRow
-}
-
-// StatsOfPattern computes summary statistics for a pattern (exported for
-// the adaptive ablation's reporting).
-func StatsOfPattern(p *pattern.Pattern, budget int) AdaptivePatternStats {
-	st := AdaptivePatternStats{NNZ: p.NNZ()}
-	for i := 0; i < p.Rows; i++ {
-		m := len(p.Row(i))
-		if m > st.MaxRow {
-			st.MaxRow = m
-		}
-		if m >= budget {
-			st.FullBudget++
-		}
-	}
-	if p.Rows > 0 {
-		st.AvgPerRow = float64(p.NNZ()) / float64(p.Rows)
-	}
-	return st
-}

@@ -132,18 +132,3 @@ func TestAdaptiveErrors(t *testing.T) {
 		t.Error("non-square accepted")
 	}
 }
-
-func TestStatsOfPattern(t *testing.T) {
-	a := matgen.Laplace2D(8, 8)
-	p, err := ComputeAdaptive(a, AdaptiveOptions{MaxPerRow: 4, Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := StatsOfPattern(p.BasePattern, 4)
-	if st.NNZ != p.BasePattern.NNZ() || st.MaxRow > 4 || st.AvgPerRow <= 0 {
-		t.Errorf("stats wrong: %+v", st)
-	}
-	if st.FullBudget == 0 {
-		t.Error("tight tolerance should drive rows to the budget")
-	}
-}

@@ -408,14 +408,6 @@ func (p *Preconditioner) ExtensionPct() float64 {
 	return 100 * float64(p.FinalPattern.NNZ()-base) / float64(base)
 }
 
-// ExtensionPattern returns the fill-in-only pattern: the positions the
-// cache-friendly extension (and any surviving filtering) added on top of
-// the base pattern. These are the entries whose cache behaviour the miss
-// attribution profiler reports separately from the base entries.
-func (p *Preconditioner) ExtensionPattern() *pattern.Pattern {
-	return p.FinalPattern.Minus(p.BasePattern)
-}
-
 // PublishSetupStats records s in reg as labelled per-phase/per-variant
 // series: one counter of accumulated nanoseconds per (phase, variant) and
 // one setup counter per variant. Nil-safe on a nil registry.

@@ -147,7 +147,7 @@ func TestExtensionPatternAndPublishSetupStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fill := p.ExtensionPattern()
+	fill := p.FinalPattern.Minus(p.BasePattern)
 	if got, want := fill.NNZ(), p.FinalPattern.NNZ()-p.BasePattern.NNZ(); got != want {
 		t.Fatalf("fill nnz = %d, want %d", got, want)
 	}

@@ -294,7 +294,3 @@ func SerialXRUpdate(alpha float64, p, ap, x, r []float64) float64 {
 // process-wide worker pool; the solver publishes the per-solve delta as the
 // "kernels.pool.dispatches" counter.
 func PoolDispatches() int64 { return parallel.Default().Dispatches() }
-
-// PoolInlineRuns returns how many dispatches degraded to inline execution
-// because the pool was busy (concurrent or nested kernels).
-func PoolInlineRuns() int64 { return parallel.Default().InlineRuns() }

@@ -72,6 +72,3 @@ func (c *Chebyshev) Apply(z, r []float64) {
 		rho = rhoNew
 	}
 }
-
-// Degree returns the polynomial degree (SpMV products per application).
-func (c *Chebyshev) Degree() int { return c.degree }

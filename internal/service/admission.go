@@ -10,16 +10,22 @@ import (
 )
 
 // SaturatedError is returned by admission.acquire when both the concurrency
-// slots and the waiting queue are full. The HTTP layer maps it to 429 with
-// a Retry-After header — the service sheds load instead of accepting
-// unbounded work.
+// slots and the waiting queue are full, and by the memory-degradation gate
+// when it sheds a job. The HTTP layer maps it to 429 with a Retry-After
+// header — the service sheds load instead of accepting unbounded work.
 type SaturatedError struct {
 	// RetryAfter is the server's backoff suggestion, derived from the
 	// observed job duration and the current backlog.
 	RetryAfter time.Duration
+	// Shed names the memory-degradation state that shed the job; empty
+	// when the admission queue was full.
+	Shed string
 }
 
 func (e *SaturatedError) Error() string {
+	if e.Shed != "" {
+		return fmt.Sprintf("service: shedding load, memory state %q", e.Shed)
+	}
 	return fmt.Sprintf("service: queue saturated, retry after %s", e.RetryAfter)
 }
 

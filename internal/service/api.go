@@ -3,8 +3,9 @@
 // FSAI/FSAIE factors so repeated solves on the same operator skip the
 // expensive setup phase entirely, and a bounded, admission-controlled job
 // queue in front of the solver. The observability server (internal/obs) is
-// mounted on the same listener, so /metrics, /healthz, /debug/solve and
-// /runs describe the daemon live.
+// mounted on the same listener, so /metrics, /healthz, /traces and /runs
+// describe the daemon live. Each job's span tree is the one record of its
+// stage times, and /healthz reflects daemon state, not any job's outcome.
 //
 // The paper's setup-cost argument is the whole motivation: FSAI(E) setup is
 // the dominant phase of a one-shot solve, and (as the adaptive-FSAI
@@ -164,12 +165,15 @@ type SolveResponse struct {
 	// this job's full kernel placement).
 	LowBandwidth bool `json:"low_bandwidth,omitempty"`
 
-	// DecodeNS is the request body read plus JSON decode; QueueWaitNS is
-	// time spent waiting for a concurrency slot; SetupNS the
-	// preconditioner setup cost this job actually paid (0 on a cache hit);
-	// SolveNS the PCG wall time; TotalNS runs from after the decode to
-	// before the response encode. DecodeNS + TotalNS plus the encode (the
-	// service.job.encode_ns histogram) is the server's whole share.
+	// Every *NS field is read from the job's span tree (GET
+	// /traces/<trace-id>). DecodeNS is the "decode" span: the request body
+	// read plus JSON decode. TotalNS is the "job" span: from enqueue to the
+	// start of the answer. QueueWaitNS is the "batch-window" plus the
+	// "admission-wait" span; SetupNS the "setup" span, the preconditioner
+	// setup this job actually paid (0 on a cache hit); SolveNS the PCG
+	// kernel-timing total, which covers the "cg-solve" span. DecodeNS +
+	// TotalNS plus the "encode" span (the service.job.encode_ns histogram)
+	// is the server's whole share.
 	DecodeNS    int64 `json:"decode_ns"`
 	QueueWaitNS int64 `json:"queue_wait_ns"`
 	SetupNS     int64 `json:"setup_ns"`
@@ -205,7 +209,7 @@ type BatchInfo struct {
 	// Column is this job's column index within the block.
 	Column int `json:"column"`
 	// WindowWaitNS is time this job spent in the open batch window before
-	// the group launched.
+	// the group launched: its "batch-window" span.
 	WindowWaitNS int64 `json:"window_wait_ns"`
 	// SolveWallNS is the wall time of the whole block solve; PerRHSNS is
 	// SolveWallNS divided by Size — the amortized per-job solve cost the

@@ -32,7 +32,9 @@ import (
 
 // job is one solve request on its way through the job path. The handler
 // goroutine owns it and blocks on done while the group runs; the runner
-// writes ji and the tracer only in that window.
+// writes ji and the tracer only in that window. The spans are the job's
+// clock: span is the "job" stage (enqueue to finish, TotalNS), window the
+// batch window (WindowWaitNS; nil outside a window).
 type job struct {
 	id         string
 	req        *SolveRequest
@@ -41,10 +43,10 @@ type job struct {
 	tr         *telemetry.Tracer
 	tc         trace.Context
 	root       *telemetry.Span
-	window     *telemetry.Span // batch-window span; nil outside a window
+	span       *telemetry.Span
+	window     *telemetry.Span
 	parentSpan string
 	logw       *slog.Logger
-	enqueued   time.Time
 	// reqCtx carries the client's propagated deadline and disconnect;
 	// timeout is the in-flight budget applied once the job is admitted
 	// (min with reqCtx's own deadline).
@@ -68,9 +70,8 @@ type jobOutcome struct {
 type group struct {
 	// id is the batch id of a group formed in a window; "" for a group of
 	// one that never waited in a window.
-	id       string
-	jobs     []*job
-	launched time.Time
+	id   string
+	jobs []*job
 	// colCtx holds each job's in-flight context (client deadline and
 	// timeout, applied from admission).
 	colCtx []context.Context
@@ -129,11 +130,10 @@ func (b *batcher) groupable(req *SolveRequest, rm *RegisteredMatrix) bool {
 // outcome arrives on j.done.
 func (b *batcher) submit(j *job) {
 	if !b.groupable(j.req, j.rm) {
-		b.run(&group{jobs: []*job{j}, launched: time.Now()})
+		b.run(&group{jobs: []*job{j}})
 		return
 	}
-	// The window span covers submit-to-result; the runner nests the job's
-	// batched-solve span (batch id, column) inside it.
+	// The window span covers submit-to-launch; launch ends it.
 	j.window = j.tr.StartSpan("batch-window")
 	key := batchKey(j.rm.Info.Fingerprint, j.req)
 	b.mu.Lock()
@@ -151,8 +151,9 @@ func (b *batcher) submit(j *job) {
 	}
 }
 
-// launch removes the collecting group from the set and runs it. Guarded so
-// the window timer and a size-triggered launch cannot both run the group.
+// launch removes the collecting group from the set, ends its members'
+// batch-window spans and runs it. Guarded so the window timer and a
+// size-triggered launch cannot both run the group.
 func (b *batcher) launch(key string, c *collecting) {
 	b.mu.Lock()
 	if b.groups[key] != c {
@@ -162,11 +163,10 @@ func (b *batcher) launch(key string, c *collecting) {
 	delete(b.groups, key)
 	b.mu.Unlock()
 	c.timer.Stop()
-	b.run(&group{
-		id:       fmt.Sprintf("batch-%06d", b.s.seq.Add(1)),
-		jobs:     c.members,
-		launched: time.Now(),
-	})
+	for _, j := range c.members {
+		j.window.End()
+	}
+	b.run(&group{id: fmt.Sprintf("batch-%06d", b.s.seq.Add(1)), jobs: c.members})
 }
 
 // mergedDone returns a context cancelled once every member context is done:
@@ -243,10 +243,9 @@ func (b *batcher) run(g *group) {
 	}
 	defer release()
 
-	admittedAt := time.Now()
 	g.colCtx = make([]context.Context, len(g.jobs))
 	for i, j := range g.jobs {
-		j.ji.QueueWaitNS = admittedAt.Sub(j.enqueued).Nanoseconds()
+		j.ji.QueueWaitNS = (j.window.Duration() + admSpans[i].Duration()).Nanoseconds()
 		j.ji.State = JobRunning
 		s.jobs.put(*j.ji)
 		s.reg.Histogram("service.job.queue_wait_ns", telemetry.ExpBuckets(1e4, 4, 12)).

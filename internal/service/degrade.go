@@ -24,7 +24,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -68,9 +67,8 @@ type degrader struct {
 	log   *slog.Logger
 	obs   *obs.Server
 
-	mu      sync.Mutex
-	state   int
-	lastRun time.Time
+	mu    sync.Mutex
+	state int
 }
 
 // newDegrader returns nil when no soft limit is configured — the nil
@@ -164,7 +162,9 @@ func (d *degrader) transitionLocked(prev, next int, heap uint64) {
 	} else {
 		d.log.Info("memory degradation cleared",
 			"from", degradeName(prev), "heap_bytes", heap, "soft_limit_bytes", d.soft)
-		d.obs.SetHealth(obs.HealthOK, "")
+		// Clear the override, not pin ok: an exhausted SLO budget must be
+		// able to degrade /healthz again.
+		d.obs.SetHealth("", "")
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,45 +192,108 @@ func TestSolveResponseCompact(t *testing.T) {
 	}
 }
 
-// TestSolveStageAccount: decode_ns is positive and within the request's
-// wall time, the job record carries the same value, and the decode and
-// encode histograms get one observation per solve.
+// TestSolveStageAccount: every stage histogram is read from the job's span
+// tree. On an unbatched and on a batching daemon, a cold solve and three
+// concurrent warm ones (queued behind each other, or one block solve) each
+// add one observation to service.job.{decode,queue_wait,total,encode}_ns,
+// and each histogram's sum equals the sum of the matching spans in /traces
+// (queue wait: batch-window plus admission-wait). batch.window_wait_ns gets
+// one observation per batched job, summing to their batch-window spans.
+// decode_ns is positive and within the request's wall time, and the job
+// record carries the same value.
 func TestSolveStageAccount(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := service.New(service.Options{Workers: 1, Metrics: reg})
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { hs.Close(); _ = s.Close() })
-	c := client.New(hs.URL)
-	ctx := context.Background()
-	info, err := c.RegisterMatgen(ctx, "lap64x64", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const solves = 3
-	for i := 0; i < solves; i++ {
-		body, _ := json.Marshal(service.SolveRequest{Matrix: info.Fingerprint, ReturnSolution: i%2 == 0})
-		t0 := time.Now()
-		resp, out, err := rawSolve(hs.URL, body, nil)
-		wall := time.Since(t0)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("solve %d: %v %s", i, err, out)
-		}
-		var sr service.SolveResponse
-		if err := json.Unmarshal(out, &sr); err != nil {
+	for _, window := range []time.Duration{0, 300 * time.Millisecond} {
+		reg := telemetry.NewRegistry()
+		s := service.New(service.Options{Workers: 1, Metrics: reg, BatchWindow: window})
+		hs := httptest.NewServer(s.Handler())
+		t.Cleanup(func() { hs.Close(); _ = s.Close() })
+		c := client.New(hs.URL)
+		ctx := context.Background()
+		info, err := c.RegisterMatgen(ctx, "lap64x64", "")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sr.DecodeNS <= 0 || sr.DecodeNS > wall.Nanoseconds() {
-			t.Errorf("solve %d: decode_ns %d outside (0, wall %d]", i, sr.DecodeNS, wall.Nanoseconds())
+		const solves = 4
+		resps := make([]service.SolveResponse, solves)
+		errs := make([]error, solves)
+		solve := func(i int) {
+			body, _ := json.Marshal(service.SolveRequest{Matrix: info.Fingerprint, ReturnSolution: i%2 == 0})
+			t0 := time.Now()
+			resp, out, err := rawSolve(hs.URL, body, nil)
+			wall := time.Since(t0)
+			switch {
+			case err != nil:
+				errs[i] = err
+			case resp.StatusCode != http.StatusOK:
+				errs[i] = fmt.Errorf("HTTP %d: %s", resp.StatusCode, out)
+			default:
+				errs[i] = json.Unmarshal(out, &resps[i])
+			}
+			if errs[i] == nil && (resps[i].DecodeNS <= 0 || resps[i].DecodeNS > wall.Nanoseconds()) {
+				errs[i] = fmt.Errorf("decode_ns %d outside (0, wall %d]", resps[i].DecodeNS, wall.Nanoseconds())
+			}
 		}
-		ji, err := c.Job(ctx, sr.JobID)
-		if err != nil || ji.DecodeNS != sr.DecodeNS {
-			t.Errorf("solve %d: job record decode_ns %d (err %v), response %d", i, ji.DecodeNS, err, sr.DecodeNS)
+		solve(0)
+		var wg sync.WaitGroup
+		for i := 1; i < solves; i++ {
+			wg.Add(1)
+			go func(i int) { defer wg.Done(); solve(i) }(i)
+		}
+		wg.Wait()
+
+		sums := map[string]int64{}
+		batched := 0
+		for i, sr := range resps {
+			if errs[i] != nil {
+				t.Fatalf("window %v, solve %d: %v", window, i, errs[i])
+			}
+			if sr.Batch != nil {
+				batched++
+			}
+			ji, err := c.Job(ctx, sr.JobID)
+			if err != nil || ji.DecodeNS != sr.DecodeNS {
+				t.Errorf("window %v, solve %d: job record decode_ns %d (err %v), response %d", window, i, ji.DecodeNS, err, sr.DecodeNS)
+			}
+			tr, ok := s.Traces().Get(sr.TraceID)
+			if !ok {
+				t.Fatalf("window %v, solve %d: no trace %s", window, i, sr.TraceID)
+			}
+			win := spanNS(tr.Root, "batch-window")
+			sums["service.job.decode_ns"] += spanNS(tr.Root, "decode")
+			sums["service.job.queue_wait_ns"] += win + spanNS(tr.Root, "admission-wait")
+			sums["service.job.total_ns"] += spanNS(tr.Root, "job")
+			sums["service.job.encode_ns"] += spanNS(tr.Root, "encode")
+			sums["batch.window_wait_ns"] += win
+		}
+		wantBatched := 0
+		if window > 0 {
+			wantBatched = solves - 1 // every warm solve waits in a window
+		}
+		if batched != wantBatched {
+			t.Fatalf("window %v: %d batched solves, want %d", window, batched, wantBatched)
+		}
+		snap := reg.Snapshot()
+		for name, sum := range sums {
+			count := int64(solves)
+			if name == "batch.window_wait_ns" {
+				count = int64(batched)
+			}
+			if h := snap.Histograms[name]; h.Count != count || h.Sum != float64(sum) {
+				t.Errorf("window %v: %s has %d observations summing to %.0f ns; want %d summing to the spans' %d ns",
+					window, name, h.Count, h.Sum, count, sum)
+			}
 		}
 	}
-	snap := reg.Snapshot()
-	for _, name := range []string{"service.job.decode_ns", "service.job.encode_ns"} {
-		if got := snap.Histograms[name].Count; got != solves {
-			t.Errorf("%s: %d observations, want %d", name, got, solves)
-		}
+}
+
+// spanNS sums the durations of the spans named name in the tree under s.
+func spanNS(s telemetry.SpanSnapshot, name string) int64 {
+	var ns int64
+	if s.Name == name {
+		ns = s.NS
 	}
+	for _, c := range s.Children {
+		ns += spanNS(c, name)
+	}
+	return ns
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/store"
@@ -481,10 +482,13 @@ func TestMemoryDegradationShedsAndRecovers(t *testing.T) {
 	var heap atomic.Uint64
 	heap.Store(100) // far below the watermark
 	reg := telemetry.NewRegistry()
+	// 1 ns objectives exhaust each solve series' budget from its first
+	// event, so once memory recovers the SLO verdict must show on /healthz.
 	s := service.New(service.Options{
 		Workers: 2, Metrics: reg,
 		MemSoftLimitBytes: 1000,
 		MemProbe:          heap.Load,
+		SLO:               obs.SLOObjectives{WarmSolveP95: 1, ColdSolveP95: 1, MinEvents: 1},
 	})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { hs.Close(); _ = s.Close() })
@@ -552,6 +556,12 @@ func TestMemoryDegradationShedsAndRecovers(t *testing.T) {
 	}
 	if ev := reg.Counter("degraded.evictions_total").Value(); ev < 2 {
 		t.Fatalf("degraded_evictions_total = %d, want >= 2", ev)
+	}
+	// Recovery clears the memory verdict instead of pinning ok, so the
+	// exhausted SLO budget degrades /healthz again.
+	var h obs.Health
+	if getJSON(t, hs.URL+"/healthz", &h); h.Status != obs.HealthDegraded || !strings.HasPrefix(h.Reason, "SLO error budget exhausted") {
+		t.Fatalf("/healthz after recovery = %+v, want degraded by the exhausted SLO budget", h)
 	}
 }
 

@@ -180,7 +180,6 @@ type Server struct {
 	cache    *PrecondCache
 	adm      *admission
 	jobs     *jobLog
-	watcher  *obs.SolveWatcher
 	obsSrv   *obs.Server
 	traces   *trace.Recorder
 	slo      *obs.SLOMonitor
@@ -214,7 +213,6 @@ func New(opt Options) *Server {
 		cache:    NewPrecondCache(opt.CacheEntries, reg),
 		adm:      newAdmission(opt.MaxInflight, opt.QueueCap, reg),
 		jobs:     newJobLog(opt.JobHistory),
-		watcher:  obs.NewSolveWatcher(),
 		traces:   trace.NewRecorder(opt.TraceHistory, traceJSONL, reg),
 		slo:      obs.NewSLOMonitor(opt.SLO, reg),
 		mux:      http.NewServeMux(),
@@ -235,9 +233,12 @@ func New(opt Options) *Server {
 	// tests), but started only in Start and stopped in Shutdown/Close: a
 	// Server that is never Started spawns no goroutines.
 	s.profiler = prof.NewSampler(po)
+	// No solve watcher: jobs run concurrently, so one shared last-solve state
+	// would describe an arbitrary job. /debug/solve reports the idle state,
+	// /healthz only daemon state (memory degradation, the SLO budget), and
+	// per-job progress lives in /api/v1/jobs/<id> and /traces/<id>.
 	s.obsSrv = obs.NewServer(obs.Options{
 		Registry:  reg,
-		Watcher:   s.watcher,
 		RunsDir:   opt.RunsDir,
 		Heartbeat: opt.Heartbeat,
 		Traces:    s.traces,
@@ -247,10 +248,10 @@ func New(opt Options) *Server {
 	})
 	reg.SetHelp("service_matrices", "matrices currently registered")
 	reg.SetHelp("service_jobs", "finished solve jobs by status")
-	reg.SetHelp("service_job_decode_ns", "solve request body read plus JSON decode")
-	reg.SetHelp("service_job_total_ns", "job wall time admission-to-response")
-	reg.SetHelp("service_job_encode_ns", "JSON encode and write of a 200 solve response")
-	reg.SetHelp("service_job_queue_wait_ns", "job time spent waiting for a slot")
+	reg.SetHelp("service_job_decode_ns", "solve request body read plus JSON decode (the decode span)")
+	reg.SetHelp("service_job_total_ns", "job wall time from enqueue to the start of the response (the job span)")
+	reg.SetHelp("service_job_encode_ns", "job record, JSON encode and write of a 200 solve response (the encode span)")
+	reg.SetHelp("service_job_queue_wait_ns", "job time in the batch window plus waiting for a slot")
 	reg.SetHelp("retry_replays_total", "solve responses replayed from the idempotency index (duplicate of a completed request)")
 	reg.SetHelp("retry_coalesced_total", "duplicate solve requests that waited for an in-flight execution with the same idempotency key")
 	reg.SetHelp("retry_deadline_expired_total", "solve jobs cancelled because the client's propagated deadline expired (504 while queued, cancelled in flight)")
@@ -699,10 +700,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
+	// One tracer per job: span trees of concurrent jobs must never mix, and
+	// the stack-based tracer nests correctly only on its own goroutine. The
+	// tree is the job's only clock. Its root covers the handler from the
+	// body read to the response write; its children decode, job and encode
+	// are the stages every reported time is read from.
+	tr := telemetry.NewTracer(nil)
+	root := tr.StartSpan("solve-request")
 	// The body is read whole into a pooled buffer and decoded with
 	// Unmarshal, which copies every string out, so the buffer is reusable
 	// at once.
-	decodeStart := time.Now()
+	decode := tr.StartSpan("decode")
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxUploadBytes))
@@ -715,11 +723,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if buf.Cap() <= maxPooledBody {
 		bodyBufs.Put(buf)
 	}
+	decodeNS := decode.End().Nanoseconds()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	decodeNS := time.Since(decodeStart).Nanoseconds()
 	rm, ok := s.matrices.Get(req.Matrix)
 	if !ok {
 		writeError(w, http.StatusNotFound, "matrix %q not registered (POST /api/v1/matrices first)", req.Matrix)
@@ -790,16 +798,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("traceparent", tc.Traceparent())
 	logw := s.log.With("job_id", id, "trace_id", tc.TraceID)
-
-	// One tracer per job: span trees of concurrent jobs must never mix, and
-	// the stack-based tracer nests correctly only on its own goroutine.
-	tr := telemetry.NewTracer(nil)
-	root := tr.StartSpan("solve-request")
 	root.SetAttr("job_id", id)
 	root.SetAttr("matrix", rm.Info.Fingerprint)
 	root.SetAttr("precond", req.Precond)
 
-	enqueued := time.Now()
+	timeout := s.opt.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
 	ji := JobInfo{
 		ID:         id,
 		TraceID:    tc.TraceID,
@@ -807,7 +813,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Precond:    req.Precond,
 		State:      JobQueued,
 		DecodeNS:   decodeNS,
-		EnqueuedAt: enqueued.UTC().Format(time.RFC3339Nano),
+		EnqueuedAt: time.Now().UTC().Format(time.RFC3339Nano),
+	}
+	j := &job{
+		id: id, req: &req, rm: rm, ji: &ji, tr: tr, tc: tc, root: root,
+		span: tr.StartSpan("job"), parentSpan: parentSpan, logw: logw,
+		reqCtx: reqCtx, clientDeadline: clientDeadline, timeout: timeout,
+		done: make(chan jobOutcome, 1),
 	}
 	s.jobs.put(ji)
 	s.reg.Histogram("service.job.decode_ns", stageBuckets).Observe(float64(decodeNS))
@@ -818,71 +830,51 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// skip the allocation-heavy setup phase (warm cache hits, none/jacobi)
 	// are admitted; under critical everything sheds. Shedding answers 429
 	// exactly like queue saturation, so retrying clients back off the same
-	// way.
+	// way. Otherwise the one job path: the batcher runs the job's group (a
+	// group of one right here, a batch after its window). Either way this
+	// handler finishes the job; idempotency completion stays with it via
+	// finalResp.
+	var out jobOutcome
 	if state, shed := s.degrade.admit(s.solveIsWarm(&req, rm)); shed {
-		ji.State = JobRejected
-		ji.Err = fmt.Sprintf("shed: memory %s", degradeName(state))
-		ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
-		s.jobs.put(ji)
-		root.SetAttr("outcome", JobRejected)
-		root.End()
-		s.recordTrace(tr, tc, parentSpan, &ji, JobRejected)
-		logw.Warn("job shed under memory pressure", "state", degradeName(state))
-		secs := int(math.Ceil(s.adm.retryAfter().Seconds()))
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-		writeJSON(w, http.StatusTooManyRequests, ErrorBody{
-			Error:       fmt.Sprintf("service: shedding load, memory state %q", degradeName(state)),
-			RetryAfterS: secs, JobID: id, TraceID: tc.TraceID})
-		return
+		out = jobOutcome{rejected: true,
+			err: &SaturatedError{RetryAfter: s.adm.retryAfter(), Shed: degradeName(state)}}
+	} else {
+		s.batch.submit(j)
+		out = <-j.done
 	}
-
-	// The one job path: the batcher runs the job's group (a group of one
-	// right here, a batch after its window), then this handler finishes it.
-	// Idempotency completion stays with this handler via finalResp.
-	timeout := s.opt.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	j := &job{
-		id: id, req: &req, rm: rm, ji: &ji, tr: tr, tc: tc, root: root,
-		parentSpan: parentSpan, logw: logw, enqueued: enqueued,
-		reqCtx: reqCtx, clientDeadline: clientDeadline, timeout: timeout,
-		done: make(chan jobOutcome, 1),
-	}
-	s.batch.submit(j)
-	out := <-j.done
-	j.window.End()
 	finalResp = s.finish(w, j, out)
 }
 
-// finish is the one tail of every submitted job: the job record, the
-// latency histograms and status counter, deadline attribution, the root
-// span and trace record, the log line, and the HTTP answer — 200 with the
-// response, 429 with Retry-After when admission was saturated, 504 when
-// the client's deadline expired in the queue, 503 when the client left,
-// 500 when execution failed. It returns the response for the idempotency
-// index (nil on failure).
+// finish is the one tail of every job: it ends the job stage and, inside
+// the encode stage, writes the job record, the latency histograms and
+// status counter, deadline attribution, the log line, and the HTTP answer —
+// 200 with the response, 429 with Retry-After when admission was saturated
+// or memory pressure shed the job, 504 when the client's deadline expired
+// in the queue, 503 when the client left, 500 when execution failed. Then
+// the root span ends and the trace is recorded. It returns the response for
+// the idempotency index (nil on failure).
 func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveResponse {
+	totalNS := j.span.End().Nanoseconds()
+	encode := j.tr.StartSpan("encode")
 	ji := j.ji
 	ji.FinishedAt = time.Now().UTC().Format(time.RFC3339Nano)
 	expired := j.clientDeadline && errors.Is(j.reqCtx.Err(), context.DeadlineExceeded)
 	if !out.rejected {
-		ji.TotalNS = time.Since(j.enqueued).Nanoseconds()
-		s.adm.observe(ji.TotalNS)
+		ji.TotalNS = totalNS
+		s.adm.observe(totalNS)
 		s.reg.Histogram("service.job.total_ns", telemetry.ExpBuckets(1e6, 2, 24)).
-			Observe(float64(ji.TotalNS))
+			Observe(float64(totalNS))
 	}
+	resp := out.resp
+	var outcome string
 	if out.err != nil {
-		state := JobRejected
+		outcome = JobRejected
 		if !out.rejected {
-			state = JobFailed
+			outcome = JobFailed
 			s.reg.Counter(`service.jobs{status="setup-error"}`).Inc()
 		}
-		ji.State, ji.Err = state, out.err.Error()
+		ji.State, ji.Err = outcome, out.err.Error()
 		s.jobs.put(*ji)
-		j.root.SetAttr("outcome", state)
-		j.root.End()
-		s.recordTrace(j.tr, j.tc, j.parentSpan, ji, state)
 		if out.rejected {
 			j.logw.Warn("job rejected", "error", out.err.Error())
 		} else {
@@ -909,46 +901,47 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 			// The client went away while queued; the body is written for the log.
 			writeJSON(w, http.StatusServiceUnavailable, body)
 		}
-		return nil
+	} else {
+		outcome = resp.Status
+		resp.DecodeNS = ji.DecodeNS
+		resp.TotalNS = ji.TotalNS
+		resp.QueueWaitNS = ji.QueueWaitNS
+		ji.State = JobDone
+		ji.Cache = resp.Cache
+		ji.Status = resp.Status
+		ji.Iterations = resp.Iterations
+		ji.Converged = resp.Converged
+		ji.RelRes = resp.RelRes
+		ji.SetupNS = resp.SetupNS
+		ji.SolveNS = resp.SolveNS
+		logAttrs := []any{"status", resp.Status, "cache", resp.Cache, "iterations", resp.Iterations,
+			"converged", resp.Converged, "queue_wait_ns", resp.QueueWaitNS,
+			"setup_ns", resp.SetupNS, "solve_ns", resp.SolveNS, "total_ns", resp.TotalNS}
+		if bi := resp.Batch; bi != nil {
+			ji.Batch = bi.ID
+			j.root.SetAttr("batch_id", bi.ID)
+			logAttrs = append(logAttrs, "batch_id", bi.ID, "batch_size", bi.Size)
+		}
+		s.jobs.put(*ji)
+		s.reg.Counter(fmt.Sprintf("service.jobs{status=%q}", resp.Status)).Inc()
+		if expired {
+			// The client's budget expired mid-flight; the cancellation already
+			// stopped CG (status "cancelled") — for a batch member, its column
+			// deflated out of the block — this just attributes it.
+			s.reg.Counter("retry.deadline_expired_total").Inc()
+			j.logw.Warn("client deadline expired in flight", "status", resp.Status)
+		}
+		j.root.SetAttr("cache", resp.Cache)
+		j.logw.Info("job done", logAttrs...)
+		writeJSON(w, http.StatusOK, resp)
 	}
-
-	resp := out.resp
-	resp.DecodeNS = ji.DecodeNS
-	resp.TotalNS = ji.TotalNS
-	resp.QueueWaitNS = ji.QueueWaitNS
-	ji.State = JobDone
-	ji.Cache = resp.Cache
-	ji.Status = resp.Status
-	ji.Iterations = resp.Iterations
-	ji.Converged = resp.Converged
-	ji.RelRes = resp.RelRes
-	ji.SetupNS = resp.SetupNS
-	ji.SolveNS = resp.SolveNS
-	logAttrs := []any{"status", resp.Status, "cache", resp.Cache, "iterations", resp.Iterations,
-		"converged", resp.Converged, "queue_wait_ns", resp.QueueWaitNS,
-		"setup_ns", resp.SetupNS, "solve_ns", resp.SolveNS, "total_ns", resp.TotalNS}
-	if bi := resp.Batch; bi != nil {
-		ji.Batch = bi.ID
-		j.root.SetAttr("batch_id", bi.ID)
-		logAttrs = append(logAttrs, "batch_id", bi.ID, "batch_size", bi.Size)
+	encodeNS := encode.End().Nanoseconds()
+	if resp != nil {
+		s.reg.Histogram("service.job.encode_ns", stageBuckets).Observe(float64(encodeNS))
 	}
-	s.jobs.put(*ji)
-	s.reg.Counter(fmt.Sprintf("service.jobs{status=%q}", resp.Status)).Inc()
-	if expired {
-		// The client's budget expired mid-flight; the cancellation already
-		// stopped CG (status "cancelled") — for a batch member, its column
-		// deflated out of the block — this just attributes it.
-		s.reg.Counter("retry.deadline_expired_total").Inc()
-		j.logw.Warn("client deadline expired in flight", "status", resp.Status)
-	}
-	j.root.SetAttr("outcome", resp.Status)
-	j.root.SetAttr("cache", resp.Cache)
+	j.root.SetAttr("outcome", outcome)
 	j.root.End()
-	s.recordTrace(j.tr, j.tc, j.parentSpan, ji, resp.Status)
-	j.logw.Info("job done", logAttrs...)
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	s.reg.Histogram("service.job.encode_ns", stageBuckets).Observe(float64(time.Since(encodeStart).Nanoseconds()))
+	s.recordTrace(j, outcome)
 	return resp
 }
 
@@ -1004,18 +997,18 @@ func (s *Server) replayIdempotent(w http.ResponseWriter, r *http.Request, ent *i
 // Called after root.End(), on every outcome path — rejected and failed jobs
 // leave traces too, so a client holding only an error body's trace id can
 // still see where the request spent its time.
-func (s *Server) recordTrace(tr *telemetry.Tracer, tc trace.Context, parentSpan string, ji *JobInfo, status string) {
-	report := tr.Report()
+func (s *Server) recordTrace(j *job, status string) {
+	report := j.tr.Report()
 	if len(report) == 0 {
 		return
 	}
 	s.traces.Record(&trace.Trace{
-		TraceID:      tc.TraceID,
-		SpanID:       tc.SpanID,
-		ParentSpanID: parentSpan,
-		JobID:        ji.ID,
-		Fingerprint:  ji.Matrix,
-		Name:         ji.Precond,
+		TraceID:      j.tc.TraceID,
+		SpanID:       j.tc.SpanID,
+		ParentSpanID: j.parentSpan,
+		JobID:        j.id,
+		Fingerprint:  j.rm.Info.Fingerprint,
+		Name:         j.req.Precond,
 		Status:       status,
 		Root:         report[0],
 	})
@@ -1063,39 +1056,25 @@ func (s *Server) fsaiOptions(ctx context.Context, req *SolveRequest) fsai.Option
 	}
 }
 
-// solveOptions is the PCG configuration of req, wired to the live watcher.
+// solveOptions is the PCG configuration of req. Its kernel-class timing
+// is the solve's clock: Timing.Total covers the code of the cg-solve span.
 func (s *Server) solveOptions(ctx context.Context, req *SolveRequest) krylov.Options {
 	return krylov.Options{
-		Tol:            req.Tol,
-		MaxIter:        req.MaxIter,
-		Workers:        s.opt.Workers,
-		CollectTiming:  true,
-		Metrics:        s.reg,
-		Ctx:            ctx,
-		ProgressDetail: s.watcher.ProgressDetail,
+		Tol:           req.Tol,
+		MaxIter:       req.MaxIter,
+		Workers:       s.opt.Workers,
+		CollectTiming: true,
+		Metrics:       s.reg,
+		Ctx:           ctx,
 	}
-}
-
-// watch announces the group's solve on the live watcher.
-func (s *Server) watch(g *group) {
-	lead := g.jobs[0]
-	label := lead.rm.Info.Name
-	if label == "" {
-		label = shortFP(lead.rm.Info.Fingerprint)
-	}
-	label += "/" + lead.req.Precond
-	if g.batched() {
-		label += fmt.Sprintf("[k=%d]", len(g.jobs))
-	}
-	s.watcher.Begin(label, lead.req.Tol, lead.req.MaxIter)
 }
 
 // factor returns the cached FSAI-family preconditioner for req inside a
 // "precond-cache" span, building it on a miss (single-flight: the build
-// runs on this goroutine, so its setup spans nest under this span while
+// runs on this goroutine, so its setup span nests under this span while
 // coalesced waiters get the factor without foreign spans). A freshly built
 // factor is written through to the store, then swept again if the matrix
-// was unregistered meanwhile.
+// was unregistered meanwhile. The setup span is the factor's SetupNS.
 func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, req *SolveRequest) (*CachedPrecond, bool, error) {
 	fp := rm.Info.Fingerprint
 	key := PrecondKey(fp, req)
@@ -1105,12 +1084,13 @@ func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, re
 		span.SetAttr("setup_only", "1")
 	}
 	entry, hit, err := s.cache.GetOrBuild(ctx, key, func() (*CachedPrecond, error) {
-		t0 := time.Now()
+		setup := trace.StartSpan(ctx, "setup")
 		p, err := fsai.ComputeNamed(req.Precond, rm.A, s.fsaiOptions(ctx, req))
+		setupNS := setup.End().Nanoseconds()
 		if err != nil {
 			return nil, err
 		}
-		return &CachedPrecond{P: p, SetupNS: time.Since(t0).Nanoseconds()}, nil
+		return &CachedPrecond{P: p, SetupNS: setupNS}, nil
 	})
 	if err != nil {
 		span.SetAttr("cache", "error")
@@ -1125,7 +1105,10 @@ func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, re
 		// Durability write-through: the factor this job just paid for
 		// survives a crash. Best-effort — a store failure costs the next
 		// restart a recomputation, never this response.
-		if serr := s.store.PutFactor(key, fp, entry.P, entry.SetupNS); serr != nil {
+		write := trace.StartSpan(ctx, "store-write")
+		serr := s.store.PutFactor(key, fp, entry.P, entry.SetupNS)
+		write.End()
+		if serr != nil {
 			s.log.Warn("store factor write failed",
 				"job_id", id, "matrix", shortFP(fp), "error", serr.Error())
 		}
@@ -1153,7 +1136,6 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 	req, rm := lead.req, lead.rm
 	a := rm.A
 	n, k := a.Rows, len(g.jobs)
-	s.watch(g)
 
 	var (
 		m       krylov.Preconditioner
@@ -1165,12 +1147,12 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 	)
 	switch req.Precond {
 	case "none", "jacobi":
-		t0 := time.Now()
+		setup := trace.StartSpan(ctx, "setup")
 		m = krylov.Identity{}
 		if req.Precond == "jacobi" {
 			m = krylov.NewJacobi(a)
 		}
-		setupNS = time.Since(t0).Nanoseconds()
+		setupNS = setup.End().Nanoseconds()
 	default: // cacheable FSAI family
 		var (
 			hit bool
@@ -1178,7 +1160,6 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 		)
 		entry, hit, err = s.factor(ctx, lead.id, rm, req)
 		if err != nil {
-			s.watcher.End(krylov.Result{})
 			return nil, err
 		}
 		cache = CacheHit // the whole point: warm solves pay no setup
@@ -1206,10 +1187,8 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 	if g.batched() {
 		ko.ColumnCtx = g.colCtx
 	}
-	t0 := time.Now()
 	br := krylov.SolveBlock(a, x, b, k, m, ko)
-	solveNS := time.Since(t0).Nanoseconds()
-	s.watcher.End(watcherResult(br))
+	solveNS := br.Timing.Total.Nanoseconds()
 
 	rsol := s.placeRoofline(g, gm, br)
 	if g.batched() {
@@ -1236,7 +1215,7 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 				ID:           g.id,
 				Size:         k,
 				Column:       i,
-				WindowWaitNS: g.launched.Sub(j.enqueued).Nanoseconds(),
+				WindowWaitNS: j.window.Duration().Nanoseconds(),
 				SolveWallNS:  solveNS,
 				PerRHSNS:     solveNS / int64(k),
 				AchievedAI:   g.achievedAI,
@@ -1264,20 +1243,14 @@ func (s *Server) runResilient(ctx context.Context, g *group) (*SolveResponse, er
 		}
 	}
 	x := make([]float64, a.Rows)
-	s.watch(g)
 	out, rerr := resilience.Solve(ctx, a, x, b, resilience.Options{
 		Precond: j.req.Precond,
 		Setup:   s.fsaiOptions(ctx, j.req),
 		Solve:   s.solveOptions(ctx, j.req),
 		Metrics: s.reg,
 	})
-	if out == nil {
-		s.watcher.End(krylov.Result{})
-		return nil, fmt.Errorf("resilient solve: %v", rerr)
-	}
-	if rerr != nil && !errors.Is(rerr, resilience.ErrNotConverged) &&
+	if out == nil || rerr != nil && !errors.Is(rerr, resilience.ErrNotConverged) &&
 		!errors.Is(rerr, context.Canceled) && !errors.Is(rerr, context.DeadlineExceeded) {
-		s.watcher.End(out.Result)
 		return nil, fmt.Errorf("resilient solve: %v", rerr)
 	}
 	res := out.Result
@@ -1289,12 +1262,6 @@ func (s *Server) runResilient(ctx context.Context, g *group) (*SolveResponse, er
 			resp.SolveNS += at.NS
 		}
 	}
-	if out.Recovered && res.Converged {
-		s.obsSrv.SetHealth(obs.HealthDegraded, fmt.Sprintf(
-			"job %s recovered on %q after %d retries and %d fallbacks",
-			j.id, out.Precond, out.Log.Retries, out.Log.Fallbacks))
-	}
-	s.watcher.End(res)
 	var gm *sparse.CSR
 	if out.FSAI != nil {
 		gm = out.FSAI.G
@@ -1307,8 +1274,8 @@ func (s *Server) runResilient(ctx context.Context, g *group) (*SolveResponse, er
 
 // runSetupOnly executes a setup_only job: the preconditioner lands in the
 // cache (and the store) and the response reports the cache outcome, but no
-// CG runs and the watcher is never engaged — a warm-up is not a solve and
-// must not flip /healthz or the SLO series. A warm fleet replica answers
+// CG runs — a warm-up is not a solve and must not touch the SLO series or
+// the roofline. A warm fleet replica answers
 // these in microseconds — the cluster router's replication path calls it
 // repeatedly without occupying shard solve capacity for long.
 func (s *Server) runSetupOnly(ctx context.Context, j *job) (*SolveResponse, error) {
@@ -1328,7 +1295,7 @@ func (s *Server) runSetupOnly(ctx context.Context, j *job) (*SolveResponse, erro
 		resp.Cache, resp.SetupNS = CacheMiss, entry.SetupNS
 	}
 	if s.opt.RunsDir != "" {
-		resp.Report = s.writeJobReport(j.id, j.rm, j.req, resp, entry.P, nil, krylov.Result{}, j.ji, nil)
+		resp.Report = s.writeJobReport(j, resp, entry.P, nil, krylov.Result{}, nil)
 	}
 	return resp, nil
 }
@@ -1417,32 +1384,17 @@ func (s *Server) finishColumn(j *job, resp *SolveResponse, res krylov.Result, x 
 		s.slo.RecordIterationAnomaly(fp)
 	}
 	if s.opt.RunsDir != "" {
-		resp.Report = s.writeJobReport(j.id, j.rm, j.req, resp, g, rout, res, j.ji, rsol)
+		resp.Report = s.writeJobReport(j, resp, g, rout, res, rsol)
 	}
 }
 
-// watcherResult condenses a block result into the single-solve shape the
-// live watcher displays: the block's sweep count and timing, converged
-// only when every column converged, the status and residual of the worst
-// column.
-func watcherResult(br krylov.BlockResult) krylov.Result {
-	out := krylov.Result{Iterations: br.Iterations, Converged: br.AllConverged,
-		Status: krylov.StatusConverged, Timing: br.Timing}
-	for _, c := range br.Columns {
-		if !c.Converged {
-			out.Status = c.Status
-		}
-		if c.RelResidual > out.RelResidual || math.IsNaN(c.RelResidual) {
-			out.RelResidual = c.RelResidual
-		}
-	}
-	return out
-}
-
-// writeJobReport emits the job's run report into RunsDir, returning the
-// file name ("" on write failure — reports are best-effort; the job result
-// already went to the client).
-func (s *Server) writeJobReport(id string, rm *RegisteredMatrix, req *SolveRequest, resp *SolveResponse, g *fsai.Preconditioner, rout *resilience.Outcome, res krylov.Result, ji *JobInfo, rsol *obs.RooflineSolve) string {
+// writeJobReport emits the job's run report into RunsDir inside a "report"
+// span of the job's trace, returning the file name ("" on write failure —
+// reports are best-effort; a failed write never fails the job).
+func (s *Server) writeJobReport(j *job, resp *SolveResponse, g *fsai.Preconditioner, rout *resilience.Outcome, res krylov.Result, rsol *obs.RooflineSolve) string {
+	span := j.tr.StartSpan("report")
+	defer span.End()
+	rm, req := j.rm, j.req
 	label := rm.Info.Name
 	if label == "" {
 		label = shortFP(rm.Info.Fingerprint)
@@ -1459,11 +1411,11 @@ func (s *Server) writeJobReport(id string, rm *RegisteredMatrix, req *SolveReque
 		SetupWallNS: resp.SetupNS,
 		SolveWallNS: resp.SolveNS,
 		Service: &experiments.RunService{
-			JobID:       id,
+			JobID:       j.id,
 			TraceID:     resp.TraceID,
 			Fingerprint: rm.Info.Fingerprint,
 			Cache:       resp.Cache,
-			QueueWaitNS: ji.QueueWaitNS,
+			QueueWaitNS: j.ji.QueueWaitNS,
 		},
 	}
 	// The slo section snapshots the fingerprint's solve-latency series
@@ -1527,7 +1479,7 @@ func (s *Server) writeJobReport(id string, rm *RegisteredMatrix, req *SolveReque
 		LineBytes: req.LineBytes,
 		Entries:   []experiments.RunEntry{entry},
 	}
-	name := id + ".json"
+	name := j.id + ".json"
 	if err := experiments.WriteRunReportFile(filepath.Join(s.opt.RunsDir, name), rep); err != nil {
 		return ""
 	}

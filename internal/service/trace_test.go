@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -441,4 +442,183 @@ func TestSLOSectionTracksWarmAndCold(t *testing.T) {
 			t.Errorf("/slo missing %s series for the solved fingerprint: %v", want, got)
 		}
 	}
+}
+
+// TestSpanTreeIsTheStageClock: a job's span tree is the only record of its
+// stage times. One daemon runs a cold and a warm fsaie solve, a held jacobi
+// job and the 429 it causes; a batching daemon runs a priming solve and a
+// batch of three warm solves. Every trace's root has exactly the children
+// decode, job and encode, in that order, and for solved jobs they cover at
+// least 98% of the root. The response's decode_ns, total_ns, queue_wait_ns,
+// window_wait_ns and a cache miss's setup_ns equal their spans, the job
+// record equals the response, and every run report's solve_wall_ns equals
+// its timing.total_ns.
+func TestSpanTreeIsTheStageClock(t *testing.T) {
+	ctx := context.Background()
+	dirA, dirB := t.TempDir(), t.TempDir()
+	sa, ca := newTestServer(t, service.Options{RunsDir: dirA, MaxInflight: 1, QueueCap: -1})
+	sb, cb := newTestServer(t, service.Options{RunsDir: dirB, BatchWindow: 300 * time.Millisecond})
+	type solved struct {
+		s    *service.Server
+		c    *client.Client
+		resp *service.SolveResponse
+	}
+	var jobs []solved
+	solve := func(s *service.Server, c *client.Client, req service.SolveRequest, cache string) {
+		t.Helper()
+		resp, err := c.Solve(ctx, req)
+		if err != nil || resp.Cache != cache {
+			t.Fatalf("solve %+v: %+v, err %v; want cache %s", req, resp, err, cache)
+		}
+		jobs = append(jobs, solved{s, c, resp})
+	}
+
+	info, err := ca.RegisterMatgen(ctx, "lap64x64", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := service.SolveRequest{Matrix: info.Fingerprint, Precond: "fsaie"}
+	solve(sa, ca, req, service.CacheMiss)
+	solve(sa, ca, req, service.CacheHit)
+	held := make(chan *service.SolveResponse, 1)
+	go func() {
+		resp, err := ca.Solve(ctx, service.SolveRequest{
+			Matrix: info.Fingerprint, Precond: "jacobi", HoldMS: 1000, MaxIter: 5})
+		if err != nil {
+			t.Errorf("held job: %v", err)
+		}
+		held <- resp
+	}()
+	waitForInflight(t, ca, 1)
+	_, err = ca.Solve(ctx, req)
+	var rejected *client.APIError
+	if !asAPIError(err, &rejected) || rejected.StatusCode != 429 {
+		t.Fatalf("solve on a saturated daemon: %v, want 429", err)
+	}
+	resp := <-held
+	if resp == nil {
+		t.FailNow()
+	}
+	jobs = append(jobs, solved{sa, ca, resp})
+
+	if _, err := cb.RegisterMatgen(ctx, "lap64x64", ""); err != nil {
+		t.Fatal(err)
+	}
+	solve(sb, cb, req, service.CacheMiss)
+	batch := make([]*service.SolveResponse, 3)
+	var wg sync.WaitGroup
+	for i := range batch {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := cb.Solve(ctx, req)
+			if err != nil || resp.Batch == nil {
+				t.Errorf("batched solve %d: %+v, err %v", i, resp, err)
+			}
+			batch[i] = resp
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, resp := range batch {
+		jobs = append(jobs, solved{sb, cb, resp})
+	}
+
+	// The 429's tree has the same three stages.
+	tr, ok := sa.Traces().Get(rejected.Body.TraceID)
+	if !ok || tr.Status != service.JobRejected {
+		t.Fatalf("429 trace: %+v ok=%v", tr, ok)
+	}
+	if got := stageNames(tr.Root); got != "decode,job,encode" {
+		t.Errorf("429 trace stages %s, want decode,job,encode", got)
+	}
+	if ji, err := ca.Job(ctx, rejected.Body.JobID); err != nil || ji.State != service.JobRejected || ji.TraceID != tr.TraceID {
+		t.Errorf("429 job record: %+v err=%v", ji, err)
+	}
+
+	for _, j := range jobs {
+		r := j.resp
+		tr, ok := j.s.Traces().Get(r.TraceID)
+		if !ok {
+			t.Fatalf("job %s: no trace", r.JobID)
+		}
+		root := tr.Root
+		if got := stageNames(root); got != "decode,job,encode" {
+			t.Errorf("job %s: stages %s, want decode,job,encode", r.JobID, got)
+		}
+		var covered int64
+		for _, c := range root.Children {
+			covered += c.NS
+		}
+		if float64(covered) < 0.98*float64(root.NS) {
+			t.Errorf("job %s: stages cover %d of %d ns (%.2f%%), want >= 98%%",
+				r.JobID, covered, root.NS, 100*float64(covered)/float64(root.NS))
+		}
+		window := spanNS(root, "batch-window")
+		for _, f := range []struct {
+			field      string
+			got, spans int64
+		}{
+			{"decode_ns", r.DecodeNS, spanNS(root, "decode")},
+			{"total_ns", r.TotalNS, spanNS(root, "job")},
+			{"queue_wait_ns", r.QueueWaitNS, window + spanNS(root, "admission-wait")},
+		} {
+			if f.got != f.spans || f.got <= 0 {
+				t.Errorf("job %s: %s = %d, spans say %d", r.JobID, f.field, f.got, f.spans)
+			}
+		}
+		if r.Batch != nil && r.Batch.WindowWaitNS != window {
+			t.Errorf("job %s: window_wait_ns = %d, batch-window span %d", r.JobID, r.Batch.WindowWaitNS, window)
+		}
+		if r.Cache == service.CacheMiss && r.SetupNS != spanNS(root, "setup") {
+			t.Errorf("job %s: setup_ns = %d, setup span %d", r.JobID, r.SetupNS, spanNS(root, "setup"))
+		}
+		ji, err := j.c.Job(ctx, r.JobID)
+		if err != nil {
+			t.Fatalf("job %s record: %v", r.JobID, err)
+		}
+		want := service.JobInfo{
+			ID: r.JobID, TraceID: r.TraceID, Matrix: r.Matrix, Precond: r.Precond,
+			State: service.JobDone, Cache: r.Cache, Status: r.Status,
+			Iterations: r.Iterations, Converged: r.Converged, RelRes: r.RelRes,
+			DecodeNS: r.DecodeNS, QueueWaitNS: r.QueueWaitNS, SetupNS: r.SetupNS,
+			SolveNS: r.SolveNS, TotalNS: r.TotalNS,
+			EnqueuedAt: ji.EnqueuedAt, FinishedAt: ji.FinishedAt,
+		}
+		if r.Batch != nil {
+			want.Batch = r.Batch.ID
+		}
+		if ji != want {
+			t.Errorf("job %s: record %+v, response says %+v", r.JobID, ji, want)
+		}
+	}
+
+	// One solve time per report: the block's kernel timing total.
+	for dir, n := range map[string]int{dirA: 3, dirB: 4} {
+		names, _ := filepath.Glob(filepath.Join(dir, "j-*.json"))
+		if len(names) != n {
+			t.Fatalf("%d run reports in %s, want %d", len(names), dir, n)
+		}
+		for _, name := range names {
+			rep, err := experiments.ReadRunReportFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := rep.Entries[0]
+			if e.Timing == nil || e.SolveWallNS != e.Timing.TotalNS {
+				t.Errorf("%s: solve_wall_ns %d, timing %+v", filepath.Base(name), e.SolveWallNS, e.Timing)
+			}
+		}
+	}
+}
+
+// stageNames lists the names of root's direct children, comma-separated.
+func stageNames(root telemetry.SpanSnapshot) string {
+	names := make([]string, len(root.Children))
+	for i, c := range root.Children {
+		names[i] = c.Name
+	}
+	return strings.Join(names, ",")
 }

@@ -69,29 +69,11 @@ func (m *CSR) TransposeParallel(workers int) *CSR {
 }
 
 // Lower returns the lower triangle of A including the diagonal.
-func (m *CSR) Lower() *CSR { return m.triangle(true, true) }
-
-// StrictLower returns the strictly lower triangle of A.
-func (m *CSR) StrictLower() *CSR { return m.triangle(true, false) }
-
-// Upper returns the upper triangle of A including the diagonal.
-func (m *CSR) Upper() *CSR { return m.triangle(false, true) }
-
-func (m *CSR) triangle(lower, withDiag bool) *CSR {
+func (m *CSR) Lower() *CSR {
 	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
-	keep := func(i, j int) bool {
-		switch {
-		case i == j:
-			return withDiag
-		case lower:
-			return j < i
-		default:
-			return j > i
-		}
-	}
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if keep(i, m.ColIdx[k]) {
+			if m.ColIdx[k] <= i {
 				out.ColIdx = append(out.ColIdx, m.ColIdx[k])
 				out.Val = append(out.Val, m.Val[k])
 			}
@@ -173,13 +155,6 @@ func (m *CSR) FrobNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Scale multiplies every stored entry by s, in place.
-func (m *CSR) Scale(s float64) {
-	for k := range m.Val {
-		m.Val[k] *= s
-	}
 }
 
 // AddDiag returns A + s*I for a square matrix A, keeping sparsity (diagonal

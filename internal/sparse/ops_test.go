@@ -101,14 +101,6 @@ func TestTriangles(t *testing.T) {
 	if lo.NNZ() != 5 || lo.Has(0, 2) {
 		t.Errorf("Lower wrong: %v", lo)
 	}
-	sl := m.StrictLower()
-	if sl.NNZ() != 2 || sl.Has(0, 0) {
-		t.Errorf("StrictLower wrong: %v", sl)
-	}
-	up := m.Upper()
-	if up.NNZ() != 4 || up.Has(1, 0) {
-		t.Errorf("Upper wrong: %v", up)
-	}
 }
 
 func TestThreshold(t *testing.T) {
@@ -155,14 +147,6 @@ func TestNorms(t *testing.T) {
 	}
 	if math.Abs(m.FrobNorm()-5) > 1e-15 {
 		t.Errorf("FrobNorm=%g", m.FrobNorm())
-	}
-}
-
-func TestScale(t *testing.T) {
-	m, _ := NewCSRFromTriplets(1, 1, []Triplet{{0, 0, 2}})
-	m.Scale(2.5)
-	if m.At(0, 0) != 5 {
-		t.Errorf("Scale result %g", m.At(0, 0))
 	}
 }
 

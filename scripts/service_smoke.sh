@@ -3,8 +3,9 @@
 # generated matrix, run a cold solve then a warm solve, and assert the
 # preconditioner cache did its job — the warm solve reports a cache hit with
 # zero setup time and beats the cold solve end-to-end. Also drills the
-# admission-control path (429 + Retry-After on saturation), the mounted
-# observability endpoints, and asserts the robustness metric families
+# admission-control path (429 + Retry-After on saturation; /healthz stays
+# ok after the held, non-converged job), the job span tree's decode/job/
+# encode stages, the mounted observability endpoints, and asserts the robustness metric families
 # (store_*, retry_*, degraded_*) render with # HELP/# TYPE headers. The
 # crash-recovery path itself is drilled separately by crash_drill.sh.
 # Run via `make service-smoke`.
@@ -105,6 +106,10 @@ curl -fsS "http://$addr/traces/$warm_trace" >"$workdir/trace.json"
 json_ok "$workdir/trace.json" || { echo "FAIL: /traces/<id> is not well-formed JSON"; fail=1; }
 grep -q '"solve-request"' "$workdir/trace.json" || { echo "FAIL: trace missing solve-request root span"; cat "$workdir/trace.json"; fail=1; }
 grep -q '"cg-solve"' "$workdir/trace.json" || { echo "FAIL: trace missing cg-solve span"; cat "$workdir/trace.json"; fail=1; }
+# The root's stages: the span tree is the job's only clock.
+for stage in decode job encode; do
+    grep -q "\"name\": *\"$stage\"" "$workdir/trace.json" || { echo "FAIL: trace missing $stage stage span"; cat "$workdir/trace.json"; fail=1; }
+done
 
 echo "== SLO monitor: /slo =="
 curl -fsS "http://$addr/slo" >"$workdir/slo.json"
@@ -196,6 +201,12 @@ code=$(curl -sS -o "$workdir/reject.json" -w '%{http_code}' -X POST \
 retry_after=$(json_num "$workdir/reject.json" retry_after_s)
 [ "${retry_after:-0}" -ge 1 ] || { echo "FAIL: 429 without retry_after_s:"; cat "$workdir/reject.json"; fail=1; }
 wait "$holdpid" || { echo "FAIL: holding job failed"; cat "$workdir/hold.json"; fail=1; }
+# The held job stopped at max_iter 5 without converging. That is one
+# client's outcome, not the daemon's health: /healthz stays 200 ok.
+grep -q '"converged": *false' "$workdir/hold.json" || { echo "FAIL: held max_iter 5 job converged:"; cat "$workdir/hold.json"; fail=1; }
+code=$(curl -sS -o "$workdir/health2.json" -w '%{http_code}' "http://$addr/healthz")
+[ "$code" = "200" ] && grep -q '"status": *"ok"' "$workdir/health2.json" \
+    || { echo "FAIL: /healthz after a non-converged job answered $code:"; cat "$workdir/health2.json"; fail=1; }
 
 echo "== run reports =="
 curl -fsS "http://$addr/runs" >"$workdir/runs.json"

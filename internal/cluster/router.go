@@ -503,9 +503,11 @@ func (rt *Router) warmReplicas(fp string, body []byte) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return
 	}
-	// Strip the per-request parts; keep the setup knobs that shape the
-	// cache key (precond, filter, line_bytes, pattern_power, tau).
+	// Strip the per-request parts (a warm-up runs no solve, so no recovery
+	// chain either); keep the setup knobs that shape the cache key (precond,
+	// filter, line_bytes, pattern_power, tau).
 	delete(req, "rhs")
+	delete(req, "resilient")
 	delete(req, "return_solution")
 	delete(req, "hold_ms")
 	delete(req, "timeout_ms")

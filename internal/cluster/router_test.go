@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -303,58 +304,68 @@ func TestRouterFailover(t *testing.T) {
 
 // TestRouterWarmReplication pins the hot-factor replication path: once a
 // fingerprint's routed solves keep hitting the cache, the replica shard
-// builds the same factor via setup_only, so a failover lands warm.
+// builds the same factor via setup_only, so a failover lands warm. A
+// resilient solve's hits replicate too: the warm-up drops "resilient".
 func TestRouterWarmReplication(t *testing.T) {
-	tc := startCluster(t, 2, cluster.RouterOptions{Replicas: 1, WarmThreshold: 1})
-	c := tc.client()
-	ctx := context.Background()
-	if _, err := c.RegisterMatgen(ctx, "lap64x64", "lap"); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	// First solve: miss on the primary. Second: hit, crossing the warm
-	// threshold and triggering replication.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "fsaie"}); err != nil {
-			t.Fatalf("solve %d: %v", i, err)
-		}
-	}
-	top := tc.topology(t)
-	replica := top.Matrices[0].Owners[1]
-	rc := client.New(replica)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := rc.Stats(ctx)
-		if err == nil && st.Cache.Entries >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica %s never cached the hot factor (stats: %+v, err: %v)", replica, st, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	for _, req := range []service.SolveRequest{
+		{Matrix: "lap", Precond: "fsaie"},
+		{Matrix: "lap", Precond: "fsaie", Resilient: true},
+	} {
+		t.Run(fmt.Sprintf("resilient=%v", req.Resilient), func(t *testing.T) {
+			tc := startCluster(t, 2, cluster.RouterOptions{Replicas: 1, WarmThreshold: 1})
+			c := tc.client()
+			ctx := context.Background()
+			if _, err := c.RegisterMatgen(ctx, "lap64x64", "lap"); err != nil {
+				t.Fatalf("register: %v", err)
+			}
+			// First solve: miss on the primary. Second: hit, crossing the
+			// warm threshold and triggering replication.
+			for i := 0; i < 2; i++ {
+				if _, err := c.Solve(ctx, req); err != nil {
+					t.Fatalf("solve %d: %v", i, err)
+				}
+			}
+			top := tc.topology(t)
+			replica := top.Matrices[0].Owners[1]
+			rc := client.New(replica)
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				st, err := rc.Stats(ctx)
+				if err == nil && st.Cache.Entries >= 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replica %s never cached the hot factor (stats: %+v, err: %v)", replica, st, err)
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
 
-	// The replica's warm copy must produce the bit-identical solution: kill
-	// the primary and compare X against the primary's answer.
-	want, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "fsaie", ReturnSolution: true})
-	if err != nil {
-		t.Fatalf("solve for reference X: %v", err)
-	}
-	tc.shardFor(t, top.Matrices[0].Owners[0]).kill()
-	got, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "fsaie", ReturnSolution: true})
-	if err != nil {
-		t.Fatalf("failover solve: %v", err)
-	}
-	if got.Cache != service.CacheHit {
-		t.Fatalf("failover solve cache = %q, want hit from the replicated factor", got.Cache)
-	}
-	if len(got.X) != len(want.X) {
-		t.Fatalf("solution lengths differ: %d vs %d", len(got.X), len(want.X))
-	}
-	for i := range want.X {
-		if got.X[i] != want.X[i] {
-			t.Fatalf("X[%d] differs after failover: %v vs %v (factors not bit-identical)",
-				i, got.X[i], want.X[i])
-		}
+			// The replica's warm copy must produce the bit-identical
+			// solution: kill the primary and compare X against the
+			// primary's answer.
+			req.ReturnSolution = true
+			want, err := c.Solve(ctx, req)
+			if err != nil {
+				t.Fatalf("solve for reference X: %v", err)
+			}
+			tc.shardFor(t, top.Matrices[0].Owners[0]).kill()
+			got, err := c.Solve(ctx, req)
+			if err != nil {
+				t.Fatalf("failover solve: %v", err)
+			}
+			if got.Cache != service.CacheHit {
+				t.Fatalf("failover solve cache = %q, want hit from the replicated factor", got.Cache)
+			}
+			if len(got.X) != len(want.X) {
+				t.Fatalf("solution lengths differ: %d vs %d", len(got.X), len(want.X))
+			}
+			for i := range want.X {
+				if got.X[i] != want.X[i] {
+					t.Fatalf("X[%d] differs after failover: %v vs %v (factors not bit-identical)",
+						i, got.X[i], want.X[i])
+				}
+			}
+		})
 	}
 }
 

@@ -208,8 +208,10 @@ type RunService struct {
 	// Fingerprint is the registry handle of the operator (sparse.CSR
 	// content fingerprint).
 	Fingerprint string `json:"fingerprint"`
-	// Cache is the preconditioner-cache outcome: "hit", "miss", "bypass"
-	// (resilient job) or "uncached" (none/jacobi).
+	// Cache is the preconditioner-cache outcome: "hit" (a cached factor,
+	// no setup paid), "miss" (a cached factor this job paid to build) or
+	// "uncached" (none/jacobi, or a resilient job that used no cached
+	// factor).
 	Cache string `json:"cache"`
 	// QueueWaitNS is how long the job waited for a concurrency slot.
 	QueueWaitNS int64 `json:"queue_wait_ns"`
@@ -237,19 +239,6 @@ type RunSLO struct {
 	IterAnomaly bool `json:"iter_anomaly,omitempty"`
 }
 
-// RunAttempt is one recorded setup or solve attempt of a resilient solve
-// (the report-side mirror of resilience.Attempt).
-type RunAttempt struct {
-	Stage      string  `json:"stage"`
-	Precond    string  `json:"precond"`
-	Shift      float64 `json:"shift,omitempty"`
-	Status     string  `json:"status"`
-	Err        string  `json:"error,omitempty"`
-	Iterations int     `json:"iterations,omitempty"`
-	RelRes     float64 `json:"relres,omitempty"`
-	NS         int64   `json:"ns"`
-}
-
 // RunResilience is the report's recovery section: the requested and final
 // preconditioner rungs, the counters, and the full attempt log.
 type RunResilience struct {
@@ -265,7 +254,7 @@ type RunResilience struct {
 	Fallbacks int  `json:"fallbacks"`
 	Recovered bool `json:"recovered"`
 	// Attempts is the ordered attempt log.
-	Attempts []RunAttempt `json:"attempts,omitempty"`
+	Attempts []resilience.Attempt `json:"attempts,omitempty"`
 }
 
 // RunCacheSweep serializes one sweep's miss attribution (cachesim.SweepAttrib).
@@ -336,27 +325,15 @@ func RunResilienceOf(requested string, out *resilience.Outcome) *RunResilience {
 	if out == nil {
 		return nil
 	}
-	r := &RunResilience{
+	return &RunResilience{
 		Requested: requested,
 		Final:     out.Precond,
 		Shift:     out.Shift,
 		Retries:   out.Log.Retries,
 		Fallbacks: out.Log.Fallbacks,
 		Recovered: out.Recovered,
+		Attempts:  out.Log.Attempts,
 	}
-	for _, at := range out.Log.Attempts {
-		r.Attempts = append(r.Attempts, RunAttempt{
-			Stage:      at.Stage,
-			Precond:    at.Precond,
-			Shift:      at.Shift,
-			Status:     at.Status,
-			Err:        at.Err,
-			Iterations: at.Iterations,
-			RelRes:     at.RelRes,
-			NS:         at.NS,
-		})
-	}
-	return r
 }
 
 func runTimingOf(t krylov.Timing) *RunTiming {

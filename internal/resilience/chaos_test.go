@@ -27,6 +27,19 @@ func testProblem() (*sparse.CSR, []float64, []float64) {
 	return a, make([]float64, a.Rows), b
 }
 
+// build is the rung builder the suite hands Solve: none, Jacobi and the
+// FSAI family at default setup knobs, as cmd/fsaisolve builds them.
+func build(rung string, m *sparse.CSR) (krylov.Preconditioner, *fsai.Preconditioner, error) {
+	switch rung {
+	case PrecondNone:
+		return krylov.Identity{}, nil, nil
+	case PrecondJacobi:
+		return krylov.NewJacobi(m), nil, nil
+	}
+	p, err := fsai.ComputeNamed(rung, m, fsai.Options{})
+	return p, p, err
+}
+
 func solveStatuses(log RecoveryLog) []string {
 	var out []string
 	for _, at := range log.Attempts {
@@ -58,7 +71,7 @@ func TestChainOrder(t *testing.T) {
 
 func TestCleanSolveNoRecovery(t *testing.T) {
 	a, x, b := testProblem()
-	out, err := Solve(context.Background(), a, x, b, Options{})
+	out, err := Solve(context.Background(), a, x, b, Options{Build: build})
 	if err != nil {
 		t.Fatalf("clean solve: %v", err)
 	}
@@ -78,7 +91,7 @@ func TestCleanSolveNoRecovery(t *testing.T) {
 
 func TestUnknownPrecondRejected(t *testing.T) {
 	a, x, b := testProblem()
-	if _, err := Solve(context.Background(), a, x, b, Options{Precond: "ilu"}); err == nil {
+	if _, err := Solve(context.Background(), a, x, b, Options{Precond: "ilu", Build: build}); err == nil {
 		t.Fatalf("unknown rung accepted")
 	}
 }
@@ -92,6 +105,7 @@ func TestChaosShiftRetryRepairsSetup(t *testing.T) {
 	bad, row := in.PerturbDiagonal(a, -4.0000001) // a[row,row] goes slightly negative
 	reg := telemetry.NewRegistry()
 	out, err := Solve(context.Background(), a, x, b, Options{
+		Build:       build,
 		SetupMatrix: bad,
 		ShiftScale:  0.25, // first retry shifts by 0.25 × max|diag| = 1
 		Metrics:     reg,
@@ -136,6 +150,7 @@ func TestChaosFallbackToJacobi(t *testing.T) {
 	bad, _ := in.ZeroDiagonal(a)
 	reg := telemetry.NewRegistry()
 	out, err := Solve(context.Background(), a, x, b, Options{
+		Build:           build,
 		SetupMatrix:     bad,
 		MaxShiftRetries: 1, // default tiny shifts cannot fix a zeroed diagonal
 		Metrics:         reg,
@@ -175,7 +190,7 @@ func TestChaosNaNSpMVWarmRestart(t *testing.T) {
 	defer restore()
 
 	a, x, b := testProblem()
-	out, err := Solve(context.Background(), a, x, b, Options{Precond: PrecondFSAI})
+	out, err := Solve(context.Background(), a, x, b, Options{Precond: PrecondFSAI, Build: build})
 	if err != nil {
 		t.Fatalf("solve: %v (attempts %v)", err, solveStatuses(out.Log))
 	}
@@ -209,12 +224,14 @@ func TestChaosDroppedFactorRowStagnation(t *testing.T) {
 	corrupted := false
 	out, err := Solve(context.Background(), a, x, b, Options{
 		Precond: PrecondFSAI,
-		OnPrecond: func(rung string, p *fsai.Preconditioner) {
-			if !corrupted {
+		Build: func(rung string, m *sparse.CSR) (krylov.Preconditioner, *fsai.Preconditioner, error) {
+			pc, p, err := build(rung, m)
+			if p != nil && !corrupted {
 				corrupted = true
 				in.DropGRow(p.G)
 				p.GT = p.G.Transpose()
 			}
+			return pc, p, err
 		},
 		Solve: krylov.Options{StagnationWindow: 30},
 	})
@@ -239,14 +256,14 @@ func TestChaosDroppedFactorRowStagnation(t *testing.T) {
 // the same tolerance as an uninterrupted run.
 func TestChaosCancellationAndResume(t *testing.T) {
 	a, xr, b := testProblem()
-	ref, err := Solve(context.Background(), a, xr, b, Options{})
+	ref, err := Solve(context.Background(), a, xr, b, Options{Build: build})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	x := make([]float64, a.Rows)
-	opt := Options{}
+	opt := Options{Build: build}
 	opt.Solve.CancelCheckEvery = 1
 	opt.Solve.ProgressDetail = func(pi krylov.ProgressInfo) {
 		if pi.Status == krylov.StatusUnknown && pi.Iteration == ref.Result.Iterations/2 {
@@ -261,7 +278,7 @@ func TestChaosCancellationAndResume(t *testing.T) {
 		t.Fatalf("cancellation did not leave a checkpoint: %+v", out.Result.Status)
 	}
 
-	opt2 := Options{}
+	opt2 := Options{Build: build}
 	opt2.Solve.Resume = out.Result.Checkpoint
 	out2, err := Solve(context.Background(), a, x, b, opt2)
 	if err != nil {
@@ -279,7 +296,7 @@ func TestChaosCancellationAndResume(t *testing.T) {
 
 func TestMaxIterStopsChain(t *testing.T) {
 	a, x, b := testProblem()
-	opt := Options{}
+	opt := Options{Build: build}
 	opt.Solve.MaxIter = 3
 	out, err := Solve(context.Background(), a, x, b, opt)
 	if err != ErrNotConverged {

@@ -1,11 +1,14 @@
-// Package resilience wraps FSAI setup and the PCG solve with adaptive
-// recovery: typed breakdowns (see krylov.Status and fsai.SetupError) are not
-// returned to the caller as failures but met with an escalation chain —
-// diagonal-shift setup retries first, then degradation to progressively
-// cheaper, more robust preconditioners, re-solving from the best iterate
-// after every breakdown:
+// Package resilience is the recovery policy around preconditioner setup and
+// the PCG solve: typed breakdowns (see krylov.Status and fsai.SetupError)
+// are not returned to the caller as failures but met with an escalation
+// chain — diagonal-shift setup retries first, then degradation to
+// progressively cheaper, more robust preconditioners, re-solving from the
+// best iterate after every breakdown:
 //
 //	FSAIE(full) → FSAIE(sp) → FSAI → Jacobi → plain CG
+//
+// The caller builds each rung (Options.Build) and krylov times each solve;
+// this package decides the order, the shifts and the restarts.
 //
 // Every attempt is recorded in a RecoveryLog and mirrored into telemetry
 // ("resilience.retries", "resilience.fallbacks{from,to}"), so a recovered
@@ -69,10 +72,14 @@ type Options struct {
 	// Precond is the starting rung (default PrecondFSAIEFull). The chain
 	// degrades from here; see Chain.
 	Precond string
-	// Setup configures the FSAI-family rungs. Variant is overridden per rung.
-	Setup fsai.Options
+	// Build (required) constructs one rung's preconditioner from m, the
+	// setup matrix (plus αI on an FSAI-family shift retry); the second
+	// result is an FSAI-family rung's factor. A *krylov.Jacobi result
+	// reports its diagonal repairs into the attempt log.
+	Build func(rung string, m *sparse.CSR) (krylov.Preconditioner, *fsai.Preconditioner, error)
 	// Solve configures the PCG attempts. Ctx and Resume are managed by the
-	// resilience loop; StagnationWindow defaults to DefaultStagnationWindow.
+	// resilience loop, CollectTiming is always on (each attempt's Timing
+	// is its clock); StagnationWindow defaults to DefaultStagnationWindow.
 	Solve krylov.Options
 	// SetupMatrix, when non-nil, is the matrix handed to preconditioner
 	// setup, while the solve itself runs on the true operator. They differ
@@ -90,12 +97,6 @@ type Options struct {
 	// OnAttempt, when non-nil, observes every attempt as it is recorded
 	// (progress logging for CLIs).
 	OnAttempt func(Attempt)
-	// OnPrecond, when non-nil, observes every successfully built FSAI-family
-	// preconditioner before its solve attempt. It exists as the seam where
-	// the chaos suite corrupts a computed factor (faultinject.DropGRow) to
-	// prove the stagnation guard catches a damaged preconditioner; it also
-	// serves plain instrumentation.
-	OnPrecond func(rung string, p *fsai.Preconditioner)
 }
 
 // Attempt is one recorded step of the recovery chain.
@@ -114,7 +115,8 @@ type Attempt struct {
 	// Iterations / RelRes describe a solve attempt's end state.
 	Iterations int     `json:"iterations,omitempty"`
 	RelRes     float64 `json:"relres,omitempty"`
-	// NS is the attempt's wall time.
+	// NS is the attempt's wall time: Build's for a setup attempt, the
+	// solve's Timing.Total for a solve attempt.
 	NS int64 `json:"ns"`
 }
 
@@ -130,7 +132,8 @@ type RecoveryLog struct {
 
 // Outcome is the result of a resilient solve.
 type Outcome struct {
-	// Result is the final PCG result (the last attempt's).
+	// Result is the final PCG result: the last attempt's, except that its
+	// Timing sums every solve attempt.
 	Result krylov.Result
 	// Precond is the rung that produced the final result; Shift the
 	// diagonal shift its setup needed (0: none).
@@ -157,6 +160,9 @@ func (o *Outcome) record(opt *Options, a Attempt) {
 // all; the error is nil on convergence, ctx.Err() on cancellation and
 // ErrNotConverged when every rung was exhausted.
 func Solve(ctx context.Context, a *sparse.CSR, x, b []float64, opt Options) (*Outcome, error) {
+	if opt.Build == nil {
+		return nil, errors.New("resilience: Options.Build is required")
+	}
 	if opt.Precond == "" {
 		opt.Precond = PrecondFSAIEFull
 	}
@@ -177,6 +183,7 @@ func Solve(ctx context.Context, a *sparse.CSR, x, b []float64, opt Options) (*Ou
 
 	ko := opt.Solve
 	ko.Ctx = ctx
+	ko.CollectTiming = true
 	if ko.StagnationWindow <= 0 {
 		ko.StagnationWindow = DefaultStagnationWindow
 	}
@@ -202,19 +209,21 @@ func Solve(ctx context.Context, a *sparse.CSR, x, b []float64, opt Options) (*Ou
 			// in the log; degrade to the next rung.
 			continue
 		}
-		if g != nil && opt.OnPrecond != nil {
-			opt.OnPrecond(rung, g)
-		}
 		ko2 := ko
 		ko2.Resume = cp
-		t0 := time.Now()
 		res := krylov.Solve(a, x, b, m, ko2)
+		t := res.Timing
 		out.record(&opt, Attempt{
 			Stage: "solve", Precond: rung, Shift: shift,
 			Status: res.Status.String(), Iterations: res.Iterations,
-			RelRes: res.RelResidual, NS: time.Since(t0).Nanoseconds(),
+			RelRes: res.RelResidual, NS: t.Total.Nanoseconds(),
 		})
+		sum := out.Result.Timing
 		out.Result = res
+		out.Result.Timing = krylov.Timing{
+			SpMV: sum.SpMV + t.SpMV, Precond: sum.Precond + t.Precond,
+			BLAS1: sum.BLAS1 + t.BLAS1, Total: sum.Total + t.Total,
+		}
 		out.Precond, out.Shift, out.FSAI = rung, shift, g
 		out.Recovered = out.Log.Retries > 0 || out.Log.Fallbacks > 0
 		switch {
@@ -246,38 +255,27 @@ func Solve(ctx context.Context, a *sparse.CSR, x, b []float64, opt Options) (*Ou
 	return out, ErrNotConverged
 }
 
-// buildRung constructs the preconditioner for one rung, retrying FSAI-family
+// buildRung asks Build for one rung's preconditioner, retrying FSAI-family
 // setups with a doubling diagonal shift when the failure is retryable. All
 // attempts land in the log; the returned error means the rung is unusable.
 func (o *Outcome) buildRung(a *sparse.CSR, rung string, opt *Options, reg *telemetry.Registry) (krylov.Preconditioner, *fsai.Preconditioner, float64, error) {
-	switch rung {
-	case PrecondNone:
-		o.record(opt, Attempt{Stage: "setup", Precond: rung, Status: "ok"})
-		return krylov.Identity{}, nil, 0, nil
-	case PrecondJacobi:
-		t0 := time.Now()
-		j := krylov.NewJacobi(a)
-		j.PublishWarnings(reg)
-		status := "ok"
-		if n := j.NegDiag + j.ZeroDiag; n > 0 {
-			status = fmt.Sprintf("ok (%d diagonal entries repaired)", n)
-		}
-		o.record(opt, Attempt{Stage: "setup", Precond: rung, Status: status, NS: time.Since(t0).Nanoseconds()})
-		return j, nil, 0, nil
-	}
-	if !fsai.IsFamily(rung) {
-		return nil, nil, 0, fmt.Errorf("resilience: unknown rung %q", rung)
-	}
 	shift := 0.0
 	as := a
 	maxd := -1.0
 	for try := 0; ; try++ {
 		t0 := time.Now()
-		p, err := fsai.ComputeNamed(rung, as, opt.Setup)
+		m, p, err := opt.Build(rung, as)
 		ns := time.Since(t0).Nanoseconds()
 		if err == nil {
-			o.record(opt, Attempt{Stage: "setup", Precond: rung, Shift: shift, Status: "ok", NS: ns})
-			return p, p, shift, nil
+			status := "ok"
+			if j, ok := m.(*krylov.Jacobi); ok {
+				j.PublishWarnings(reg)
+				if n := j.NegDiag + j.ZeroDiag; n > 0 {
+					status = fmt.Sprintf("ok (%d diagonal entries repaired)", n)
+				}
+			}
+			o.record(opt, Attempt{Stage: "setup", Precond: rung, Shift: shift, Status: status, NS: ns})
+			return m, p, shift, nil
 		}
 		reason := fsai.ReasonUnknown
 		if se, ok := fsai.AsSetupError(err); ok {
@@ -287,7 +285,7 @@ func (o *Outcome) buildRung(a *sparse.CSR, rung string, opt *Options, reg *telem
 			Stage: "setup", Precond: rung, Shift: shift,
 			Status: "error:" + reason.String(), Err: err.Error(), NS: ns,
 		})
-		if !reason.Retryable() || try >= opt.MaxShiftRetries {
+		if !fsai.IsFamily(rung) || !reason.Retryable() || try >= opt.MaxShiftRetries {
 			return nil, nil, shift, err
 		}
 		if shift == 0 {

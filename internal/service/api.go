@@ -60,9 +60,10 @@ type SolveRequest struct {
 	Tol     float64 `json:"tol,omitempty"`
 	MaxIter int     `json:"max_iter,omitempty"`
 
-	// Resilient routes the job through the adaptive recovery chain
-	// (internal/resilience). Resilient jobs bypass the preconditioner cache:
-	// the chain owns its own setup/retry/fallback sequence.
+	// Resilient runs the solve under the adaptive recovery chain
+	// (internal/resilience). Each rung's preconditioner comes as a plain
+	// job's does: FSAI-family factors from the cache, except a shift
+	// retry's, built for this job alone. Resilient jobs are never batched.
 	Resilient bool `json:"resilient,omitempty"`
 
 	// TimeoutMS bounds the job wall clock (0 or negative: the server
@@ -125,10 +126,9 @@ const StatusSetupOnly = "setup-only"
 // Cache-outcome values reported in SolveResponse.Cache and the run report's
 // service section.
 const (
-	CacheHit      = "hit"      // warm: the factor came from the cache, zero setup
-	CacheMiss     = "miss"     // cold: this job computed (and cached) the factor
-	CacheBypass   = "bypass"   // resilient job: the recovery chain owns setup
-	CacheUncached = "uncached" // none/jacobi: too cheap to cache
+	CacheHit      = "hit"      // warm: the job used a cached factor and paid no setup
+	CacheMiss     = "miss"     // cold: the job used a cached factor and paid setup
+	CacheUncached = "uncached" // none/jacobi, or no FSAI rung came from the cache
 )
 
 // SolveResponse is the JSON result of POST /api/v1/solve.
@@ -144,8 +144,8 @@ type SolveResponse struct {
 	// Precond is the preconditioner that produced the result (for resilient
 	// jobs: the final recovery rung).
 	Precond string `json:"precond"`
-	// Cache is the preconditioner-cache outcome (CacheHit, CacheMiss,
-	// CacheBypass or CacheUncached).
+	// Cache is the preconditioner-cache outcome (CacheHit, CacheMiss or
+	// CacheUncached).
 	Cache string `json:"cache"`
 
 	Iterations int     `json:"iterations"`
@@ -169,9 +169,10 @@ type SolveResponse struct {
 	// /traces/<trace-id>). DecodeNS is the "decode" span: the request body
 	// read plus JSON decode. TotalNS is the "job" span: from enqueue to the
 	// start of the answer. QueueWaitNS is the "batch-window" plus the
-	// "admission-wait" span; SetupNS the "setup" span, the preconditioner
-	// setup this job actually paid (0 on a cache hit); SolveNS the PCG
-	// kernel-timing total, which covers the "cg-solve" span. DecodeNS +
+	// "admission-wait" span; SetupNS the sum of the "setup" spans, the
+	// preconditioner setup this job actually paid (0 on a cache hit);
+	// SolveNS the PCG kernel-timing total, which covers the "cg-solve" span
+	// (summed over a resilient job's solve attempts). DecodeNS +
 	// TotalNS plus the "encode" span (the service.job.encode_ns histogram)
 	// is the server's whole share.
 	DecodeNS    int64 `json:"decode_ns"`

@@ -113,8 +113,9 @@ func batchKey(fingerprint string, req *SolveRequest) string {
 // groupable reports whether req may wait in a batch window: windows are
 // open, and the job is a plain FSAI-family solve whose factor is already
 // resident (warm). Cold solves would serialize the group behind a setup;
-// resilient solves own their recovery sequence; HoldMS jobs are
-// admission-control drills and must occupy their own slot.
+// a resilient solve's recovery would have to run per column inside the
+// block solve; HoldMS jobs are admission-control drills and must occupy
+// their own slot.
 func (b *batcher) groupable(req *SolveRequest, rm *RegisteredMatrix) bool {
 	if b.window <= 0 || req.Resilient || req.HoldMS > 0 || req.SetupOnly {
 		return false

@@ -170,8 +170,8 @@ func (d *degrader) transitionLocked(prev, next int, heap uint64) {
 
 // admit decides whether a solve may proceed at the current watermark:
 // critical sheds everything, pressure sheds jobs that would pay setup
-// (cold: not resilient-bypass, key not resident). Returns the state and
-// whether to shed.
+// (cold: an FSAI-family key not resident, resilient or not). Returns the
+// state and whether to shed.
 func (d *degrader) admit(warm bool) (state int, shed bool) {
 	state = d.level()
 	switch state {

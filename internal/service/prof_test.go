@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faultinject"
 	"repro/internal/prof"
 	"repro/internal/prof/proftest"
 	"repro/internal/roofline"
@@ -309,4 +310,56 @@ func metricValue(body, prefix string) (float64, bool) {
 		return v, true
 	}
 	return 0, false
+}
+
+// TestRecoveredSolveStaysOffRoofline: a recovered resilient solve's
+// iterations ran on several preconditioners, so its kernel times price no
+// one of them. Its report has no roofline section and the matrix's rolling
+// baseline does not see it; a resilient solve that needed no recovery is
+// placed like any solve.
+func TestRecoveredSolveStaysOffRoofline(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newTestServer(t, service.Options{RunsDir: dir})
+	ctx := context.Background()
+	info, err := c.RegisterMatgen(ctx, "lap64x64", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	observations := func() int64 {
+		for _, m := range s.Roofline().Report().Matrices {
+			if m.Fingerprint == info.Fingerprint {
+				return m.Observations
+			}
+		}
+		return 0
+	}
+	req := service.SolveRequest{Matrix: info.Fingerprint, Precond: "fsaie", Resilient: true}
+	for _, fault := range []bool{false, true} {
+		before := observations()
+		restore := func() {}
+		if fault {
+			restore = faultinject.Activate(faultinject.New(21).WithSpMVNaN(4))
+		}
+		resp, err := c.Solve(ctx, req)
+		restore()
+		if err != nil || !resp.Converged {
+			t.Fatalf("resilient solve (fault %v): %+v, err %v", fault, resp, err)
+		}
+		rep, err := experiments.ReadRunReportFile(filepath.Join(dir, resp.Report))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := rep.Entries[0]
+		if recovered := e.Resilience != nil && e.Resilience.Recovered; recovered != fault {
+			t.Fatalf("fault %v: report says recovered=%v", fault, recovered)
+		}
+		wantMoved := int64(1)
+		if fault {
+			wantMoved = 0
+		}
+		placed, moved := e.Roofline != nil, observations()-before
+		if placed == fault || moved != wantMoved {
+			t.Errorf("fault %v: roofline section %v, /roofline observations +%d", fault, placed, moved)
+		}
+	}
 }

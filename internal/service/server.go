@@ -467,7 +467,7 @@ func normalizeSolveRequest(req *SolveRequest) error {
 	if req.SetupOnly {
 		switch {
 		case req.Resilient:
-			return errors.New("setup_only is incompatible with resilient (the recovery chain owns setup)")
+			return errors.New("setup_only is incompatible with resilient (a warm-up runs no solve to recover)")
 		case !fsai.IsFamily(req.Precond):
 			return fmt.Errorf("setup_only needs a cacheable FSAI-family preconditioner, not %q", req.Precond)
 		}
@@ -907,6 +907,7 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 		resp.TotalNS = ji.TotalNS
 		resp.QueueWaitNS = ji.QueueWaitNS
 		ji.State = JobDone
+		ji.Precond = resp.Precond // a resilient job's final rung
 		ji.Cache = resp.Cache
 		ji.Status = resp.Status
 		ji.Iterations = resp.Iterations
@@ -947,12 +948,8 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 
 // solveIsWarm reports whether req would skip the allocation-heavy setup
 // phase: an FSAI-family factor already resident in the cache, or a
-// preconditioner too cheap to matter (none/jacobi). Resilient solves bypass
-// the cache and always count as cold.
+// preconditioner too cheap to matter (none/jacobi).
 func (s *Server) solveIsWarm(req *SolveRequest, rm *RegisteredMatrix) bool {
-	if req.Resilient {
-		return false
-	}
 	if req.Precond == "none" || req.Precond == "jacobi" {
 		return true
 	}
@@ -1014,24 +1011,15 @@ func (s *Server) recordTrace(j *job, status string) {
 	})
 }
 
-// execute runs one admitted group. Setup-only and resilient jobs (always
-// alone) keep their own bodies; FSAI, none and jacobi groups are one block
-// solve. An error means the group could not produce a result at all (setup
-// failure); a non-converged solve is a normal response with
-// Converged=false.
+// execute runs one admitted group. A setup-only job (always alone) builds
+// and answers; every other group solves its columns. An error means the
+// group could not produce a result at all (setup failure); a non-converged
+// solve is a normal response with Converged=false.
 func (s *Server) execute(ctx context.Context, g *group) ([]*SolveResponse, error) {
-	var (
-		resp *SolveResponse
-		err  error
-	)
-	switch req := g.jobs[0].req; {
-	case req.SetupOnly:
-		resp, err = s.runSetupOnly(ctx, g.jobs[0])
-	case req.Resilient:
-		resp, err = s.runResilient(ctx, g)
-	default:
+	if !g.jobs[0].req.SetupOnly {
 		return s.solveColumns(ctx, g)
 	}
+	resp, err := s.runSetupOnly(ctx, g.jobs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -1074,8 +1062,10 @@ func (s *Server) solveOptions(ctx context.Context, req *SolveRequest) krylov.Opt
 // runs on this goroutine, so its setup span nests under this span while
 // coalesced waiters get the factor without foreign spans). A freshly built
 // factor is written through to the store, then swept again if the matrix
-// was unregistered meanwhile. The setup span is the factor's SetupNS.
-func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, req *SolveRequest) (*CachedPrecond, bool, error) {
+// was unregistered meanwhile. The setup span is the factor's SetupNS. The
+// second result is the setup this call paid: its own build's setup span,
+// failed or not, and 0 when the factor came from the cache.
+func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, req *SolveRequest) (*CachedPrecond, int64, error) {
 	fp := rm.Info.Fingerprint
 	key := PrecondKey(fp, req)
 	span := trace.StartSpan(ctx, "precond-cache")
@@ -1083,10 +1073,11 @@ func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, re
 	if req.SetupOnly {
 		span.SetAttr("setup_only", "1")
 	}
+	var setupNS int64
 	entry, hit, err := s.cache.GetOrBuild(ctx, key, func() (*CachedPrecond, error) {
 		setup := trace.StartSpan(ctx, "setup")
 		p, err := fsai.ComputeNamed(req.Precond, rm.A, s.fsaiOptions(ctx, req))
-		setupNS := setup.End().Nanoseconds()
+		setupNS = setup.End().Nanoseconds()
 		if err != nil {
 			return nil, err
 		}
@@ -1094,11 +1085,12 @@ func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, re
 	})
 	if err != nil {
 		span.SetAttr("cache", "error")
-		return nil, false, fmt.Errorf("preconditioner: %v", err)
+		// %w: the typed fsai.SetupError reaches the shift-retry policy.
+		return nil, setupNS, fmt.Errorf("preconditioner: %w", err)
 	}
 	if hit {
 		span.SetAttr("cache", CacheHit)
-		return entry, true, nil
+		return entry, 0, nil
 	}
 	span.SetAttr("cache", CacheMiss)
 	if s.store != nil {
@@ -1124,50 +1116,49 @@ func (s *Server) factor(ctx context.Context, id string, rm *RegisteredMatrix, re
 			_ = s.store.DeleteMatrix(fp)
 		}
 	}
-	return entry, false, nil
+	return entry, setupNS, nil
 }
 
-// solveColumns executes an FSAI, none or jacobi group: the preconditioner
-// (the cached factor or a cheap diagonal), one SolveBlock over every
-// member's right-hand side, one roofline placement, and the per-column
-// completion.
+// solveColumns executes a group through one preconditioner builder: a
+// plain group builds once and runs one SolveBlock over every member's
+// right-hand side; a resilient job (always a group of one) hands the
+// builder to the recovery chain, which asks it for each rung it reaches.
+// Then come one roofline placement and the per-column completion.
 func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, error) {
 	lead := g.jobs[0]
 	req, rm := lead.req, lead.rm
 	a := rm.A
 	n, k := a.Rows, len(g.jobs)
 
+	// An FSAI-family rung on the registered operator comes from the cache;
+	// none, jacobi and a shift retry's A+αI (no other job could reuse it)
+	// are built in a setup span of their own. setupNS sums what the job paid.
 	var (
-		m       krylov.Preconditioner
 		entry   *CachedPrecond
-		fac     *fsai.Preconditioner
-		gm      *sparse.CSR
-		cache   = CacheUncached
 		setupNS int64
 	)
-	switch req.Precond {
-	case "none", "jacobi":
+	build := func(rung string, m *sparse.CSR) (krylov.Preconditioner, *fsai.Preconditioner, error) {
+		if fsai.IsFamily(rung) && m == a {
+			r := *req
+			r.Precond = rung
+			e, paid, err := s.factor(ctx, lead.id, rm, &r)
+			setupNS += paid
+			if err != nil {
+				return nil, nil, err
+			}
+			entry = e
+			return e.P.CloneForApply(s.opt.Workers), e.P, nil
+		}
 		setup := trace.StartSpan(ctx, "setup")
-		m = krylov.Identity{}
-		if req.Precond == "jacobi" {
-			m = krylov.NewJacobi(a)
+		defer func() { setupNS += setup.End().Nanoseconds() }()
+		switch rung {
+		case "none":
+			return krylov.Identity{}, nil, nil
+		case "jacobi":
+			return krylov.NewJacobi(m), nil, nil
 		}
-		setupNS = setup.End().Nanoseconds()
-	default: // cacheable FSAI family
-		var (
-			hit bool
-			err error
-		)
-		entry, hit, err = s.factor(ctx, lead.id, rm, req)
-		if err != nil {
-			return nil, err
-		}
-		cache = CacheHit // the whole point: warm solves pay no setup
-		if !hit {
-			cache, setupNS = CacheMiss, entry.SetupNS
-		}
-		fac, gm = entry.P, entry.P.G
-		m = entry.P.CloneForApply(s.opt.Workers)
+		p, err := fsai.ComputeNamed(rung, m, s.fsaiOptions(ctx, req))
+		return p, p, err
 	}
 
 	// Column-major right-hand sides; an empty RHS means all-ones.
@@ -1184,13 +1175,54 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 	}
 	x := make([]float64, n*k)
 	ko := s.solveOptions(ctx, req)
-	if g.batched() {
-		ko.ColumnCtx = g.colCtx
+	var (
+		br      krylov.BlockResult
+		fac     *fsai.Preconditioner
+		rout    *resilience.Outcome
+		precond = req.Precond
+	)
+	if req.Resilient {
+		out, err := resilience.Solve(ctx, a, x, b, resilience.Options{
+			Precond: req.Precond, Build: build, Solve: ko, Metrics: s.reg})
+		if out == nil {
+			return nil, fmt.Errorf("resilient solve: %w", err)
+		}
+		res := out.Result
+		br = krylov.BlockResult{Columns: []krylov.Result{res}, Iterations: res.Iterations, Timing: res.Timing}
+		fac, rout, precond = out.FSAI, out, out.Precond
+	} else {
+		m, f, err := build(req.Precond, a)
+		if err != nil {
+			return nil, err
+		}
+		fac = f
+		if g.batched() {
+			ko.ColumnCtx = g.colCtx
+		}
+		br = krylov.SolveBlock(a, x, b, k, m, ko)
 	}
-	br := krylov.SolveBlock(a, x, b, k, m, ko)
 	solveNS := br.Timing.Total.Nanoseconds()
+	cache := CacheUncached
+	if entry != nil {
+		cache = CacheHit // the whole point: warm solves pay no setup
+		if setupNS > 0 {
+			cache = CacheMiss
+		}
+	}
 
-	rsol := s.placeRoofline(g, gm, br)
+	// A recovered solve ran on several preconditioners: its kernel times
+	// price none of them, so it stays off the roofline, and its iteration
+	// count says nothing about the final factor's baseline.
+	var rsol *obs.RooflineSolve
+	if rout != nil && rout.Recovered {
+		entry = nil
+	} else {
+		var gm *sparse.CSR
+		if fac != nil {
+			gm = fac.G
+		}
+		rsol = s.placeRoofline(g, gm, br)
+	}
 	if g.batched() {
 		s.reg.Counter("batch.batches_total").Inc()
 		s.reg.Counter("batch.jobs_total").Add(int64(k))
@@ -1205,7 +1237,7 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 		resp := &SolveResponse{
 			JobID:   j.id,
 			Matrix:  rm.Info.Fingerprint,
-			Precond: req.Precond,
+			Precond: precond,
 			Cache:   cache,
 			SetupNS: setupNS,
 			SolveNS: solveNS,
@@ -1223,53 +1255,10 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 			s.reg.Histogram("batch.window_wait_ns", telemetry.ExpBuckets(1e5, 4, 10)).
 				Observe(float64(resp.Batch.WindowWaitNS))
 		}
-		s.finishColumn(j, resp, br.Columns[i], x[i*n:(i+1)*n:(i+1)*n], entry, fac, nil, rsol)
+		s.finishColumn(j, resp, br.Columns[i], x[i*n:(i+1)*n:(i+1)*n], entry, fac, rout, rsol)
 		resps[i] = resp
 	}
 	return resps, nil
-}
-
-// runResilient executes a resilient job: the recovery chain owns setup and
-// solve (bypassing the cache), then the per-column completion runs as for
-// any solve.
-func (s *Server) runResilient(ctx context.Context, g *group) (*SolveResponse, error) {
-	j := g.jobs[0]
-	a := j.rm.A
-	b := j.req.RHS
-	if len(b) == 0 {
-		b = make([]float64, a.Rows)
-		for i := range b {
-			b[i] = 1
-		}
-	}
-	x := make([]float64, a.Rows)
-	out, rerr := resilience.Solve(ctx, a, x, b, resilience.Options{
-		Precond: j.req.Precond,
-		Setup:   s.fsaiOptions(ctx, j.req),
-		Solve:   s.solveOptions(ctx, j.req),
-		Metrics: s.reg,
-	})
-	if out == nil || rerr != nil && !errors.Is(rerr, resilience.ErrNotConverged) &&
-		!errors.Is(rerr, context.Canceled) && !errors.Is(rerr, context.DeadlineExceeded) {
-		return nil, fmt.Errorf("resilient solve: %v", rerr)
-	}
-	res := out.Result
-	resp := &SolveResponse{JobID: j.id, Matrix: j.rm.Info.Fingerprint, Precond: out.Precond, Cache: CacheBypass}
-	for _, at := range out.Log.Attempts {
-		if at.Stage == "setup" {
-			resp.SetupNS += at.NS
-		} else {
-			resp.SolveNS += at.NS
-		}
-	}
-	var gm *sparse.CSR
-	if out.FSAI != nil {
-		gm = out.FSAI.G
-	}
-	rsol := s.placeRoofline(g, gm, krylov.BlockResult{
-		Columns: []krylov.Result{res}, Iterations: res.Iterations, Timing: res.Timing})
-	s.finishColumn(j, resp, res, x, nil, out.FSAI, out, rsol)
-	return resp, nil
 }
 
 // runSetupOnly executes a setup_only job: the preconditioner lands in the
@@ -1279,7 +1268,7 @@ func (s *Server) runResilient(ctx context.Context, g *group) (*SolveResponse, er
 // these in microseconds — the cluster router's replication path calls it
 // repeatedly without occupying shard solve capacity for long.
 func (s *Server) runSetupOnly(ctx context.Context, j *job) (*SolveResponse, error) {
-	entry, hit, err := s.factor(ctx, j.id, j.rm, j.req)
+	entry, setupNS, err := s.factor(ctx, j.id, j.rm, j.req)
 	if err != nil {
 		return nil, err
 	}
@@ -1289,10 +1278,11 @@ func (s *Server) runSetupOnly(ctx context.Context, j *job) (*SolveResponse, erro
 		Matrix:  j.rm.Info.Fingerprint,
 		Precond: j.req.Precond,
 		Cache:   CacheHit,
+		SetupNS: setupNS,
 		Status:  StatusSetupOnly,
 	}
-	if !hit {
-		resp.Cache, resp.SetupNS = CacheMiss, entry.SetupNS
+	if setupNS > 0 {
+		resp.Cache = CacheMiss
 	}
 	if s.opt.RunsDir != "" {
 		resp.Report = s.writeJobReport(j, resp, entry.P, nil, krylov.Result{}, nil)

@@ -1,16 +1,21 @@
 package service_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faultinject"
+	"repro/internal/matgen"
+	"repro/internal/mmio"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/telemetry"
@@ -247,27 +252,110 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
-func TestResilientSolveBypassesCache(t *testing.T) {
+// TestResilientSolveUsesCache: a resilient job takes its factor from the
+// preconditioner cache like any job. The cold one builds it (miss, setup
+// paid), the next one reuses it (hit, no setup), and both answer with the
+// plain solve's bit-identical x.
+func TestResilientSolveUsesCache(t *testing.T) {
 	_, c := newTestServer(t, service.Options{})
 	ctx := context.Background()
 	info, err := c.RegisterMatgen(ctx, "lap64x64", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Solve(ctx, service.SolveRequest{
-		Matrix: info.Fingerprint, Precond: "fsaie", Resilient: true,
-	})
+	req := service.SolveRequest{
+		Matrix: info.Fingerprint, Precond: "fsaie", Resilient: true, ReturnSolution: true,
+	}
+	cold, err := c.Solve(ctx, req)
+	if err != nil {
+		t.Fatalf("cold resilient solve: %v", err)
+	}
+	if cold.Cache != service.CacheMiss || !cold.Converged || cold.SetupNS <= 0 || cold.Precond != "fsaie" {
+		t.Fatalf("cold resilient solve: %+v, want a converged fsaie miss that paid setup", cold)
+	}
+	warm, err := c.Solve(ctx, req)
+	if err != nil {
+		t.Fatalf("warm resilient solve: %v", err)
+	}
+	if warm.Cache != service.CacheHit || !warm.Converged || warm.SetupNS != 0 {
+		t.Fatalf("warm resilient solve: %+v, want a converged hit with setup_ns 0", warm)
+	}
+	req.Resilient = false
+	plain, err := c.Solve(ctx, req)
+	if err != nil {
+		t.Fatalf("plain solve: %v", err)
+	}
+	for _, r := range []*service.SolveResponse{cold, warm} {
+		if r.Iterations != plain.Iterations || len(r.X) != len(plain.X) {
+			t.Fatalf("job %s: %d iterations, %d values; plain solve %d, %d",
+				r.JobID, r.Iterations, len(r.X), plain.Iterations, len(plain.X))
+		}
+		for i := range plain.X {
+			if r.X[i] != plain.X[i] {
+				t.Fatalf("job %s: x[%d] = %v, plain solve %v", r.JobID, i, r.X[i], plain.X[i])
+			}
+		}
+	}
+	if st, _ := c.Stats(ctx); st.Cache.Entries != 1 {
+		t.Fatalf("cache holds %d factors, want the one all three jobs shared", st.Cache.Entries)
+	}
+}
+
+// TestResilientShiftRetriesThroughDaemon: an uploaded operator with one
+// slightly negative diagonal entry fails every FSAI rung's setup, shifted
+// or not, and the chain ends on plain CG. The daemon logs the attempt
+// sequence resilience.Solve has always logged, and caches no factor: the
+// failed builds are not entries and shifted factors are never cached.
+func TestResilientShiftRetriesThroughDaemon(t *testing.T) {
+	dir := t.TempDir()
+	_, c := newTestServer(t, service.Options{RunsDir: dir})
+	ctx := context.Background()
+	a, _ := faultinject.New(11).PerturbDiagonal(matgen.Laplace2D(12, 12), -4.0000001)
+	var mtx bytes.Buffer
+	if err := mmio.Write(&mtx, a, true); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.RegisterMatrixMarket(ctx, &mtx, "indefinite")
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	resp, err := c.Solve(ctx, service.SolveRequest{Matrix: info.Fingerprint, Precond: "fsaie", Resilient: true})
 	if err != nil {
 		t.Fatalf("resilient solve: %v", err)
 	}
-	if resp.Cache != service.CacheBypass {
-		t.Fatalf("resilient cache=%q, want %q", resp.Cache, service.CacheBypass)
+	if resp.Converged || resp.Status != "indefinite-curvature" || resp.Precond != "none" ||
+		resp.Cache != service.CacheUncached {
+		t.Fatalf("resilient solve: %+v, want an uncached indefinite-curvature answer from none", resp)
 	}
-	if !resp.Converged || resp.SetupNS <= 0 {
-		t.Fatalf("resilient solve: %+v", resp)
+	rep, err := experiments.ReadRunReportFile(filepath.Join(dir, resp.Report))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		stage, rung string
+		shift       float64
+		status      string
+	}
+	var want []step
+	for _, rung := range []string{"fsaie", "fsaie-sp", "fsai"} {
+		for _, shift := range []float64{0, 4e-6, 8e-6, 1.6e-5, 3.2e-5} {
+			want = append(want, step{"setup", rung, shift, "error:not-spd"})
+		}
+	}
+	want = append(want,
+		step{"setup", "jacobi", 0, "ok (1 diagonal entries repaired)"},
+		step{"solve", "jacobi", 0, "indefinite-curvature"},
+		step{"setup", "none", 0, "ok"},
+		step{"solve", "none", 0, "indefinite-curvature"})
+	var got []step
+	for _, at := range rep.Entries[0].Resilience.Attempts {
+		got = append(got, step{at.Stage, at.Precond, at.Shift, at.Status})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("attempts:\n got %v\nwant %v", got, want)
 	}
 	if st, _ := c.Stats(ctx); st.Cache.Entries != 0 {
-		t.Fatal("resilient solve must not populate the cache")
+		t.Fatalf("cache holds %d factors after failed and shifted setups, want 0", st.Cache.Entries)
 	}
 }
 

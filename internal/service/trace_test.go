@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faultinject"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/telemetry"
@@ -446,13 +447,15 @@ func TestSLOSectionTracksWarmAndCold(t *testing.T) {
 
 // TestSpanTreeIsTheStageClock: a job's span tree is the only record of its
 // stage times. One daemon runs a cold and a warm fsaie solve, a held jacobi
-// job and the 429 it causes; a batching daemon runs a priming solve and a
-// batch of three warm solves. Every trace's root has exactly the children
-// decode, job and encode, in that order, and for solved jobs they cover at
-// least 98% of the root. The response's decode_ns, total_ns, queue_wait_ns,
-// window_wait_ns and a cache miss's setup_ns equal their spans, the job
-// record equals the response, and every run report's solve_wall_ns equals
-// its timing.total_ns.
+// job and the 429 it causes, and a resilient job that recovers from an
+// injected NaN; a batching daemon runs a priming solve and a batch of three
+// warm solves. Every trace's root has exactly the children decode, job and
+// encode, in that order, and for solved jobs they cover at least 98% of the
+// root. The response's decode_ns, total_ns, queue_wait_ns, window_wait_ns
+// and setup_ns equal their spans, the job record equals the response, and
+// every run report's solve_wall_ns equals its timing.total_ns. The
+// recovered job's report adds up too: its solve attempts' ns sum to
+// solve_wall_ns, and its trace has one cg-solve span per solve attempt.
 func TestSpanTreeIsTheStageClock(t *testing.T) {
 	ctx := context.Background()
 	dirA, dirB := t.TempDir(), t.TempDir()
@@ -500,6 +503,14 @@ func TestSpanTreeIsTheStageClock(t *testing.T) {
 		t.FailNow()
 	}
 	jobs = append(jobs, solved{sa, ca, resp})
+	// The fsaie attempt breaks on the NaN; fsaie-sp, built cold, recovers.
+	restore := faultinject.Activate(faultinject.New(21).WithSpMVNaN(4))
+	solve(sa, ca, service.SolveRequest{Matrix: info.Fingerprint, Precond: "fsaie", Resilient: true}, service.CacheMiss)
+	restore()
+	recovered := jobs[len(jobs)-1].resp
+	if !recovered.Converged || recovered.Precond == "fsaie" {
+		t.Fatalf("resilient solve: %+v, want convergence on a fallback rung", recovered)
+	}
 
 	if _, err := cb.RegisterMatgen(ctx, "lap64x64", ""); err != nil {
 		t.Fatal(err)
@@ -572,8 +583,8 @@ func TestSpanTreeIsTheStageClock(t *testing.T) {
 		if r.Batch != nil && r.Batch.WindowWaitNS != window {
 			t.Errorf("job %s: window_wait_ns = %d, batch-window span %d", r.JobID, r.Batch.WindowWaitNS, window)
 		}
-		if r.Cache == service.CacheMiss && r.SetupNS != spanNS(root, "setup") {
-			t.Errorf("job %s: setup_ns = %d, setup span %d", r.JobID, r.SetupNS, spanNS(root, "setup"))
+		if r.SetupNS != spanNS(root, "setup") {
+			t.Errorf("job %s: setup_ns = %d, setup spans %d", r.JobID, r.SetupNS, spanNS(root, "setup"))
 		}
 		ji, err := j.c.Job(ctx, r.JobID)
 		if err != nil {
@@ -596,7 +607,7 @@ func TestSpanTreeIsTheStageClock(t *testing.T) {
 	}
 
 	// One solve time per report: the block's kernel timing total.
-	for dir, n := range map[string]int{dirA: 3, dirB: 4} {
+	for dir, n := range map[string]int{dirA: 4, dirB: 4} {
 		names, _ := filepath.Glob(filepath.Join(dir, "j-*.json"))
 		if len(names) != n {
 			t.Fatalf("%d run reports in %s, want %d", len(names), dir, n)
@@ -612,6 +623,42 @@ func TestSpanTreeIsTheStageClock(t *testing.T) {
 			}
 		}
 	}
+	rep, err := experiments.ReadRunReportFile(filepath.Join(dirA, recovered.Report))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := rep.Entries[0].Resilience
+	if rs == nil || !rs.Recovered {
+		t.Fatalf("recovered job's resilience section: %+v", rs)
+	}
+	var attempts int
+	var attemptNS int64
+	for _, at := range rs.Attempts {
+		if at.Stage == "solve" {
+			attempts++
+			attemptNS += at.NS
+		}
+	}
+	if e := rep.Entries[0]; attempts < 2 || attemptNS != e.SolveWallNS || recovered.SolveNS != e.SolveWallNS {
+		t.Errorf("recovered job: %d solve attempts sum to %d ns; solve_wall_ns %d, solve_ns %d",
+			attempts, attemptNS, e.SolveWallNS, recovered.SolveNS)
+	}
+	tr, _ = sa.Traces().Get(recovered.TraceID)
+	if n := spanCount(tr.Root, "cg-solve"); n != attempts {
+		t.Errorf("recovered job: %d cg-solve spans for %d solve attempts", n, attempts)
+	}
+}
+
+// spanCount counts the spans called name in the tree under s.
+func spanCount(s telemetry.SpanSnapshot, name string) int {
+	n := 0
+	if s.Name == name {
+		n = 1
+	}
+	for _, c := range s.Children {
+		n += spanCount(c, name)
+	}
+	return n
 }
 
 // stageNames lists the names of root's direct children, comma-separated.

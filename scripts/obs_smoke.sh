@@ -83,6 +83,13 @@ grep -q '"roofline"' "$workdir/fetched.json" || { echo "FAIL: run report missing
 for want in '"variant": "fsaie"' '"iterations": 17,' '"nnz_g": 33775,' '"converged": true'; do
     grep -q "$want" "$workdir/run.json" || { echo "FAIL: reference run report lacks $want"; fail=1; }
 done
+# One solve clock: the report's solve time is krylov's kernel-timing total.
+solve_wall=$(sed -n 's/.*"solve_wall_ns": *\([0-9]*\).*/\1/p' "$workdir/run.json" | head -1)
+timing_total=$(sed -n 's/.*"total_ns": *\([0-9]*\).*/\1/p' "$workdir/run.json" | head -1)
+if [ -z "$solve_wall" ] || [ "$solve_wall" != "$timing_total" ]; then
+    echo "FAIL: reference run solve_wall_ns ${solve_wall:-missing} != timing.total_ns ${timing_total:-missing}"
+    fail=1
+fi
 
 echo "== GET /roofline =="
 curl -fsS "http://$addr/roofline" >"$workdir/roofline.json"

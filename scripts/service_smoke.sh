@@ -5,7 +5,9 @@
 # zero setup time and beats the cold solve end-to-end. Also drills the
 # admission-control path (429 + Retry-After on saturation; /healthz stays
 # ok after the held, non-converged job), the job span tree's decode/job/
-# encode stages, the mounted observability endpoints, and asserts the robustness metric families
+# encode stages, resilient jobs sharing the preconditioner cache (miss,
+# then hit with zero setup), the mounted observability endpoints, and
+# asserts the robustness metric families
 # (store_*, retry_*, degraded_*) render with # HELP/# TYPE headers. The
 # crash-recovery path itself is drilled separately by crash_drill.sh.
 # Run via `make service-smoke`.
@@ -221,6 +223,20 @@ fi
 grep -q '"slo"' "$workdir/warmreport.json" || { echo "FAIL: warm run report missing slo section"; fail=1; }
 grep -q '"roofline"' "$workdir/warmreport.json" || { echo "FAIL: warm run report missing roofline section"; cat "$workdir/warmreport.json"; fail=1; }
 grep -q '"achieved_bandwidth_bytes"' "$workdir/warmreport.json" || { echo "FAIL: roofline section has no achieved bandwidth"; fail=1; }
+
+echo "== resilient jobs share the preconditioner cache =="
+# Filter 0.05 gives the pair a key no earlier job built: the first resilient
+# job pays the setup, the second reuses its factor.
+for i in 1 2; do
+    curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d '{"matrix":"lap","precond":"fsaie","filter":0.05,"resilient":true}' \
+        "http://$addr/api/v1/solve" >"$workdir/resilient$i.json"
+    grep -q '"converged": *true' "$workdir/resilient$i.json" || { echo "FAIL: resilient solve $i did not converge"; cat "$workdir/resilient$i.json"; fail=1; }
+done
+grep -q '"cache": *"miss"' "$workdir/resilient1.json" || { echo "FAIL: first resilient solve not a miss:"; cat "$workdir/resilient1.json"; fail=1; }
+grep -q '"cache": *"hit"' "$workdir/resilient2.json" || { echo "FAIL: second resilient solve not a hit:"; cat "$workdir/resilient2.json"; fail=1; }
+res_setup=$(json_num "$workdir/resilient2.json" setup_ns)
+[ "${res_setup:-1}" -eq 0 ] || { echo "FAIL: warm resilient solve paid setup: ${res_setup}ns"; fail=1; }
 
 echo "== batched multi-RHS solving =="
 # A second daemon with the batcher armed: concurrent warm solves on the

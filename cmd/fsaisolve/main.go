@@ -385,14 +385,7 @@ func main() {
 			entry.Status = res.Status.String()
 		}
 		entry.Resilience = experiments.RunResilienceOf(*precName, rout)
-		if t := res.Timing; t != (krylov.Timing{}) {
-			entry.Timing = &experiments.RunTiming{
-				SpMVNS:    t.SpMV.Nanoseconds(),
-				PrecondNS: t.Precond.Nanoseconds(),
-				BLAS1NS:   t.BLAS1.Nanoseconds(),
-				TotalNS:   t.Total.Nanoseconds(),
-			}
-		}
+		entry.Timing = experiments.RunTimingOf(res.Timing)
 		if g != nil {
 			entry.NNZG = g.NNZ()
 			entry.ExtPct = g.ExtensionPct()

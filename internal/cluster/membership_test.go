@@ -46,11 +46,12 @@ func newFakePeer(t *testing.T) *fakePeer {
 func TestMembershipStateMachine(t *testing.T) {
 	good, bad := newFakePeer(t), newFakePeer(t)
 	ring := cluster.NewRing(0)
+	reg := telemetry.NewRegistry()
 	m := cluster.NewMembership([]string{good.hs.URL, bad.hs.URL}, ring, cluster.MembershipOptions{
 		FailThreshold:    1,
 		EjectThreshold:   2,
 		RecoverThreshold: 1,
-		Registry:         telemetry.NewRegistry(),
+		Registry:         reg,
 	})
 	defer m.Close()
 	if ring.Len() != 2 {
@@ -89,6 +90,13 @@ func TestMembershipStateMachine(t *testing.T) {
 	if ring.Len() != 2 || m.Epoch() != 2 {
 		t.Fatalf("rejoin: ring=%d epoch=%d, want 2/2", ring.Len(), m.Epoch())
 	}
+	// Two failed probes, two ring mutations (the ejection and the rejoin).
+	if got := reg.Counter("cluster.probe_failures").Value(); got != 2 {
+		t.Errorf("cluster_probe_failures = %d, want 2", got)
+	}
+	if got := reg.Counter("cluster.rebalances").Value(); got != 2 {
+		t.Errorf("cluster_rebalances = %d, want 2", got)
+	}
 }
 
 // TestMembershipDataPathFailures pins that forward-path transport errors
@@ -97,10 +105,11 @@ func TestMembershipStateMachine(t *testing.T) {
 func TestMembershipDataPathFailures(t *testing.T) {
 	good, dead := newFakePeer(t), newFakePeer(t)
 	ring := cluster.NewRing(0)
+	reg := telemetry.NewRegistry()
 	m := cluster.NewMembership([]string{good.hs.URL, dead.hs.URL}, ring, cluster.MembershipOptions{
 		FailThreshold:  1,
 		EjectThreshold: 2,
-		Registry:       telemetry.NewRegistry(),
+		Registry:       reg,
 	})
 	defer m.Close()
 	err := http.ErrServerClosed
@@ -123,6 +132,15 @@ func TestMembershipDataPathFailures(t *testing.T) {
 	}
 	if ring.Len() != 2 {
 		t.Fatal("recovered peer missing from the ring")
+	}
+	if got := reg.Counter("cluster.forward_failures").Value(); got != 2 {
+		t.Errorf("cluster_forward_failures = %d, want 2", got)
+	}
+	if got := reg.Counter("cluster.rebalances").Value(); got != 2 {
+		t.Errorf("cluster_rebalances = %d, want 2 (ejection and rejoin)", got)
+	}
+	if got := reg.Counter("cluster.probe_failures").Value(); got != 0 {
+		t.Errorf("cluster_probe_failures = %d, want 0: no probe ran", got)
 	}
 }
 
@@ -157,11 +175,12 @@ func TestMembershipProber(t *testing.T) {
 	bad := newFakePeer(t)
 	bad.healthy.Store(false)
 	ring := cluster.NewRing(0)
+	reg := telemetry.NewRegistry()
 	m := cluster.NewMembership([]string{bad.hs.URL}, ring, cluster.MembershipOptions{
 		ProbeInterval:  20 * time.Millisecond,
 		FailThreshold:  1,
 		EjectThreshold: 2,
-		Registry:       telemetry.NewRegistry(),
+		Registry:       reg,
 	})
 	m.Start()
 	defer m.Close()
@@ -174,5 +193,47 @@ func TestMembershipProber(t *testing.T) {
 	}
 	if ring.Len() != 0 {
 		t.Fatal("ejected peer still on the ring")
+	}
+	// The peer stays down: later failed probes change nothing on the ring.
+	m.Close()
+	if got := reg.Counter("cluster.rebalances").Value(); got != 1 {
+		t.Errorf("cluster_rebalances = %d, want 1", got)
+	}
+}
+
+// TestMembershipEjectsIncompatibleBuild: a peer whose /version names another
+// module is ejected on first contact, once, and stays out.
+func TestMembershipEjectsIncompatibleBuild(t *testing.T) {
+	if obs.Version().Module == "" {
+		t.Fatal("this binary reports no module path, so no peer can mismatch it")
+	}
+	good := newFakePeer(t)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(obs.Health{Status: obs.HealthOK})
+	})
+	mux.HandleFunc("/version", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(obs.VersionInfo{Module: "example.com/other"})
+	})
+	other := httptest.NewServer(mux)
+	t.Cleanup(other.Close)
+
+	ring := cluster.NewRing(0)
+	reg := telemetry.NewRegistry()
+	m := cluster.NewMembership([]string{good.hs.URL, other.URL}, ring, cluster.MembershipOptions{Registry: reg})
+	defer m.Close()
+	for range 2 {
+		m.ProbeAll()
+	}
+	if st := m.State(other.URL); st != cluster.PeerEjected || ring.Len() != 1 {
+		t.Fatalf("incompatible peer: state %q, ring %d nodes; want ejected and off the ring", st, ring.Len())
+	}
+	if st := m.State(good.hs.URL); st != cluster.PeerHealthy {
+		t.Fatalf("compatible peer: state %q, want healthy", st)
+	}
+	for name, want := range map[string]int64{"cluster.probe_incompatible": 1, "cluster.rebalances": 1, "cluster.probe_failures": 0} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

@@ -49,6 +49,7 @@ type testCluster struct {
 	shards  []*testShard
 	members *cluster.Membership
 	router  *cluster.Router
+	reg     *telemetry.Registry
 	hs      *httptest.Server
 }
 
@@ -62,6 +63,7 @@ func startCluster(t *testing.T, n int, opt cluster.RouterOptions) *testCluster {
 		peers = append(peers, sh.hs.URL)
 	}
 	reg := telemetry.NewRegistry()
+	tc.reg = reg
 	ring := cluster.NewRing(0)
 	tc.members = cluster.NewMembership(peers, ring, cluster.MembershipOptions{
 		ProbeInterval:    50 * time.Millisecond,
@@ -158,6 +160,17 @@ func TestRouterRegisterSolveAndPlacement(t *testing.T) {
 	if resp2.Cache != service.CacheHit {
 		t.Fatalf("repeat routed solve cache = %q, want hit (same shard must serve it)", resp2.Cache)
 	}
+	for name, want := range map[string]int64{
+		`cluster.requests{api="register"}`: 1, `cluster.requests{api="solve"}`: 2,
+		`cluster.forwards{outcome="ok"}`: 2, "cluster.failovers": 0,
+	} {
+		if got := tc.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := tc.reg.Gauge(`cluster.peers{state="healthy"}`).Value(); got != 3 {
+		t.Errorf(`cluster_peers{state="healthy"} = %v, want 3`, got)
+	}
 }
 
 // TestRouterEnvelopePassThrough pins the byte-level compatibility
@@ -240,6 +253,36 @@ func TestRouterLoopGuard(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusLoopDetected {
 		t.Fatalf("forwarded request got HTTP %d, want 508", resp.StatusCode)
+	}
+	if got := tc.reg.Counter("cluster.loop_rejects").Value(); got != 1 {
+		t.Fatalf("cluster_loop_rejects = %d, want 1", got)
+	}
+}
+
+// TestRouterReregistersLostMatrix: a shard that lost a matrix the router
+// cataloged (restarted without a store) answers the forwarded solve 404;
+// the router replays the registration once and the solve succeeds.
+func TestRouterReregistersLostMatrix(t *testing.T) {
+	tc := startCluster(t, 1, cluster.RouterOptions{WarmThreshold: -1})
+	c := tc.client()
+	ctx := context.Background()
+	info, err := c.RegisterMatgen(ctx, "lap64x64", "lap")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	shard := client.New(tc.shards[0].hs.URL)
+	if err := shard.Unregister(ctx, info.Fingerprint); err != nil {
+		t.Fatalf("unregister on the shard: %v", err)
+	}
+	resp, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "jacobi"})
+	if err != nil || !resp.Converged {
+		t.Fatalf("solve after the shard lost the matrix: %+v err=%v", resp, err)
+	}
+	if _, err := shard.Matrix(ctx, info.Fingerprint); err != nil {
+		t.Fatalf("the shard does not hold the replayed matrix: %v", err)
+	}
+	if got := tc.reg.Counter("cluster.reregistrations").Value(); got != 1 {
+		t.Fatalf("cluster_reregistrations = %d, want 1", got)
 	}
 }
 

@@ -188,7 +188,7 @@ func (r *MultiRHSResult) ReportEntries() []RunEntry {
 		Iterations: r.BlockSweeps, Converged: r.Converged,
 		SetupWallNS: r.SetupWallNS, SolveWallNS: r.BlockWallNS,
 		NRHS:   r.K,
-		Timing: runTimingOf(r.Timing),
+		Timing: RunTimingOf(r.Timing),
 	}
 	return []RunEntry{scalar, block}
 }

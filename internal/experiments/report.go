@@ -336,7 +336,9 @@ func RunResilienceOf(requested string, out *resilience.Outcome) *RunResilience {
 	}
 }
 
-func runTimingOf(t krylov.Timing) *RunTiming {
+// RunTimingOf serializes a solve's kernel-class timing into the report's
+// timing section; nil when no timing was collected.
+func RunTimingOf(t krylov.Timing) *RunTiming {
 	if t == (krylov.Timing{}) {
 		return nil
 	}
@@ -379,7 +381,7 @@ func runEntryOf(mr *MatrixRaw, m *MethodRaw) RunEntry {
 		SetupWallNS: m.WallSetup.Nanoseconds(),
 		SolveWallNS: m.WallSolve.Nanoseconds(),
 		History:     m.History,
-		Timing:      runTimingOf(m.Timing),
+		Timing:      RunTimingOf(m.Timing),
 		Cache:       RunCacheOf(m.CacheAttrib, modelLV),
 	}
 }

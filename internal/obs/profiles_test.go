@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +103,54 @@ func TestProfilesEndpointServesWindows(t *testing.T) {
 		if code, _, _ := get(t, hs.URL+path); code != 404 {
 			t.Fatalf("%s: status %d, want 404", path, code)
 		}
+	}
+}
+
+// TestProfilesServeTheSamplerSeries: /profiles and /metrics serve one set
+// of sampler numbers. The overhead is the gauge set at the end of the last
+// window, so a read between windows gets the same value from both; the
+// window counts are the ring's.
+func TestProfilesServeTheSamplerSeries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sampler := prof.NewSampler(prof.Options{Capacity: 2, Registry: reg})
+	srv := NewServer(Options{Registry: reg, Profiles: sampler})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	for range 3 {
+		sampler.Capture(20 * time.Millisecond)
+	}
+	time.Sleep(30 * time.Millisecond) // between windows: wall time moves on
+	_, _, body := get(t, hs.URL+"/profiles")
+	var idx struct {
+		OverheadPct float64           `json:"overhead_pct"`
+		Windows     []json.RawMessage `json:"windows"`
+	}
+	if err := json.Unmarshal([]byte(body), &idx); err != nil {
+		t.Fatalf("bad index JSON: %v", err)
+	}
+	_, _, text := get(t, hs.URL+"/metrics")
+	sample := func(name string) float64 {
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("%s missing from /metrics", name)
+		return 0
+	}
+	if got := sample("prof_overhead_pct"); idx.OverheadPct != got || got <= 0 {
+		t.Errorf("/profiles overhead_pct %v, prof_overhead_pct %v: want one positive number", idx.OverheadPct, got)
+	}
+	if got := sample("prof_windows_captured"); got != 3 {
+		t.Errorf("prof_windows_captured = %v, want 3", got)
+	}
+	if got := sample("prof_windows_retained"); got != 2 || len(idx.Windows) != 2 {
+		t.Errorf("prof_windows_retained = %v, /profiles lists %d windows; the ring holds 2", got, len(idx.Windows))
 	}
 }
 

@@ -48,8 +48,8 @@ type RooflineSolve struct {
 type rooflineSeries struct {
 	fp           string
 	observations int64
-	baselineBW   float64 // EWMA of spmv achieved bandwidth
-	flagged      int64
+	baselineBW   float64            // EWMA of spmv achieved bandwidth
+	flagged      *telemetry.Counter // roofline.low_bandwidth_solves{fp}
 	latest       RooflineSolve
 }
 
@@ -64,8 +64,9 @@ type RooflineMonitor struct {
 	clock   func() time.Time
 }
 
-// NewRooflineMonitor builds a monitor for the given machine model. reg,
-// when non-nil, receives the roofline_* series.
+// NewRooflineMonitor builds a monitor for the given machine model. reg
+// holds the roofline_* series, whose low-bandwidth counter Report reads; a
+// nil reg turns counting off.
 func NewRooflineMonitor(machine arch.Arch, reg *telemetry.Registry) *RooflineMonitor {
 	reg.SetHelp("roofline_achieved_bandwidth_bytes", "achieved memory bandwidth of the last solve, B/s by kernel class and matrix fingerprint")
 	reg.SetHelp("roofline_achieved_flops", "achieved flop rate of the last solve, flop/s by kernel class and matrix fingerprint")
@@ -118,16 +119,18 @@ func (m *RooflineMonitor) Observe(jobID, fp string, iters int, est []roofline.Ac
 		}
 	}
 
+	lfp := shortFP(fp)
 	sr := m.series[fp]
 	if sr == nil {
-		sr = &rooflineSeries{fp: fp}
+		sr = &rooflineSeries{fp: fp,
+			flagged: m.reg.Counter(`roofline.low_bandwidth_solves{fp="` + lfp + `"}`)}
 		m.series[fp] = sr
 	}
 	rs.BaselineBandwidthBytes = sr.baselineBW
 	if spmvBW > 0 && sr.observations >= rooflineMinObservations &&
 		spmvBW < RooflineLowBandwidthFraction*sr.baselineBW {
 		rs.LowBandwidth = true
-		sr.flagged++
+		sr.flagged.Inc()
 	}
 	if spmvBW > 0 {
 		// Fold into the EWMA after flagging, so a single slow solve is
@@ -144,7 +147,6 @@ func (m *RooflineMonitor) Observe(jobID, fp string, iters int, est []roofline.Ac
 	sr.latest = rs
 
 	if m.reg != nil {
-		lfp := shortFP(fp)
 		for _, e := range est {
 			lbl := `{kernel="` + e.Kernel + `",fp="` + lfp + `"}`
 			m.reg.Gauge("roofline.achieved_bandwidth_bytes" + lbl).Set(e.AchievedBandwidthBytes)
@@ -152,9 +154,6 @@ func (m *RooflineMonitor) Observe(jobID, fp string, iters int, est []roofline.Ac
 			m.reg.Gauge("roofline.pct_of_attainable" + lbl).Set(e.PctOfAttainable)
 		}
 		m.reg.Gauge(`roofline.baseline_bandwidth_bytes{fp="` + lfp + `"}`).Set(sr.baselineBW)
-		if rs.LowBandwidth {
-			m.reg.Counter(`roofline.low_bandwidth_solves{fp="` + lfp + `"}`).Inc()
-		}
 	}
 	return rs
 }
@@ -201,7 +200,7 @@ func (m *RooflineMonitor) Report() RooflineReport {
 			Fingerprint:            sr.fp,
 			Observations:           sr.observations,
 			BaselineBandwidthBytes: sr.baselineBW,
-			LowBandwidthSolves:     sr.flagged,
+			LowBandwidthSolves:     sr.flagged.Value(),
 			Latest:                 sr.latest,
 		})
 	}

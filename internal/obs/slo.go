@@ -70,15 +70,18 @@ type sloEvent struct {
 	bad bool
 }
 
-// sloSeries tracks one (fingerprint, kind) pair: the window events plus the
-// full-history latency histogram (telemetry.Histogram provides the p95).
+// sloSeries tracks one (fingerprint, kind) pair: the window events plus its
+// registry series, the only full-history account: the latency histogram
+// (telemetry.Histogram provides the p95), the event and breach counters,
+// and the fingerprint's iteration-anomaly counter (one per fingerprint,
+// shared by its series).
 type sloSeries struct {
-	fp, kind    string
-	objectiveNS int64
-	events      []sloEvent
-	hist        *telemetry.Histogram
-	breachTotal int64
-	eventTotal  int64
+	fp, kind                   string
+	objectiveNS                int64
+	events                     []sloEvent
+	hist                       *telemetry.Histogram
+	total, breaches, anomalies *telemetry.Counter
+	burn, budgetLeft           *telemetry.Gauge
 }
 
 // SLOMonitor tracks per-fingerprint latency objectives over a sliding
@@ -90,13 +93,13 @@ type SLOMonitor struct {
 	mu     sync.Mutex
 	obj    SLOObjectives
 	series map[string]*sloSeries
-	anom   map[string]int64 // fingerprint → iteration anomalies
 	reg    *telemetry.Registry
 	clock  func() time.Time
 }
 
 // NewSLOMonitor builds a monitor with the given objectives (zero fields
-// defaulted). reg, when non-nil, receives the slo_* series.
+// defaulted). reg holds the slo_* series that Report reads; a nil reg
+// turns counting off, and the report's totals and p95s read 0.
 func NewSLOMonitor(obj SLOObjectives, reg *telemetry.Registry) *SLOMonitor {
 	obj.normalize()
 	reg.SetHelp("slo_latency_ns", "observed latency by matrix fingerprint and SLO kind")
@@ -108,7 +111,6 @@ func NewSLOMonitor(obj SLOObjectives, reg *telemetry.Registry) *SLOMonitor {
 	return &SLOMonitor{
 		obj:    obj,
 		series: map[string]*sloSeries{},
-		anom:   map[string]int64{},
 		reg:    reg,
 		clock:  time.Now,
 	}
@@ -148,46 +150,56 @@ func (m *SLOMonitor) ObserveSolve(fp string, warm bool, solveNS, queueWaitNS int
 	m.observe(fp, SLOQueueWait, m.obj.QueueWaitP95, queueWaitNS)
 }
 
-// RecordIterationAnomaly counts one warm-solve iteration drift for fp.
-// Nil-safe.
+// RecordIterationAnomaly counts one warm-solve iteration drift for fp on
+// its warm-solve series. Nil-safe.
 func (m *SLOMonitor) RecordIterationAnomaly(fp string) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.anom[fp]++
+	s := m.seriesLocked(fp, SLOWarmSolve, m.obj.WarmSolveP95)
 	m.mu.Unlock()
-	m.reg.Counter(`slo.iteration_anomalies{fp="` + fp + `"}`).Inc()
+	s.anomalies.Inc()
+}
+
+// seriesLocked returns the (fp, kind) series, taking its registry series
+// on first use. The caller holds m.mu.
+func (m *SLOMonitor) seriesLocked(fp, kind string, objective time.Duration) *sloSeries {
+	key := fp + "|" + kind
+	s, ok := m.series[key]
+	if !ok {
+		lbl := `{fp="` + fp + `",slo="` + kind + `"}`
+		s = &sloSeries{
+			fp: fp, kind: kind, objectiveNS: objective.Nanoseconds(),
+			hist:       m.reg.Histogram("slo.latency_ns"+lbl, telemetry.ExpBuckets(1e5, 4, 14)),
+			total:      m.reg.Counter("slo.events" + lbl),
+			breaches:   m.reg.Counter("slo.breaches" + lbl),
+			anomalies:  m.reg.Counter(`slo.iteration_anomalies{fp="` + fp + `"}`),
+			burn:       m.reg.Gauge("slo.burn_rate" + lbl),
+			budgetLeft: m.reg.Gauge("slo.budget_remaining" + lbl),
+		}
+		m.series[key] = s
+	}
+	return s
 }
 
 func (m *SLOMonitor) observe(fp, kind string, objective time.Duration, ns int64) {
 	m.mu.Lock()
-	key := fp + "|" + kind
-	s, ok := m.series[key]
-	if !ok {
-		s = &sloSeries{
-			fp: fp, kind: kind, objectiveNS: objective.Nanoseconds(),
-			hist: m.reg.Histogram(`slo.latency_ns{fp="`+fp+`",slo="`+kind+`"}`,
-				telemetry.ExpBuckets(1e5, 4, 14)),
-		}
-		m.series[key] = s
-	}
+	defer m.mu.Unlock()
+	s := m.seriesLocked(fp, kind, objective)
 	now := m.clock()
 	bad := ns > s.objectiveNS
 	s.events = append(s.events, sloEvent{at: now, bad: bad})
 	s.prune(now.Add(-m.obj.Window))
-	s.eventTotal++
-	if bad {
-		s.breachTotal++
-	}
-	m.mu.Unlock()
-
 	s.hist.Observe(float64(ns))
-	m.reg.Counter(`slo.events{fp="` + fp + `",slo="` + kind + `"}`).Inc()
+	s.total.Inc()
 	if bad {
-		m.reg.Counter(`slo.breaches{fp="` + fp + `",slo="` + kind + `"}`).Inc()
+		s.breaches.Inc()
 	}
-	m.publishGauges(fp, kind)
+	n, nbad := s.windowCounts()
+	burn, remaining := burnAndBudget(n, nbad, m.obj.Target)
+	s.burn.Set(burn)
+	s.budgetLeft.Set(remaining)
 }
 
 // prune drops events older than cutoff (events are appended in time order).
@@ -228,23 +240,6 @@ func burnAndBudget(n, bad int, target float64) (burn, remaining float64) {
 		remaining = 0
 	}
 	return burn, remaining
-}
-
-func (m *SLOMonitor) publishGauges(fp, kind string) {
-	m.mu.Lock()
-	s, ok := m.series[fp+"|"+kind]
-	if !ok {
-		m.mu.Unlock()
-		return
-	}
-	s.prune(m.clock().Add(-m.obj.Window))
-	n, bad := s.windowCounts()
-	target := m.obj.Target
-	m.mu.Unlock()
-	burn, remaining := burnAndBudget(n, bad, target)
-	lbl := `{fp="` + fp + `",slo="` + kind + `"}`
-	m.reg.Gauge("slo.burn_rate" + lbl).Set(burn)
-	m.reg.Gauge("slo.budget_remaining" + lbl).Set(remaining)
 }
 
 // SLOSeriesState is one series of the GET /slo document.
@@ -298,11 +293,11 @@ func (m *SLOMonitor) Report() SLOReport {
 	cutoff := m.clock().Add(-m.obj.Window)
 	for _, s := range m.series {
 		rep.Series = append(rep.Series, m.stateLocked(s, cutoff))
-	}
-	if len(m.anom) > 0 {
-		rep.IterationAnomalies = make(map[string]int64, len(m.anom))
-		for fp, n := range m.anom {
-			rep.IterationAnomalies[fp] = n
+		if n := s.anomalies.Value(); n > 0 {
+			if rep.IterationAnomalies == nil {
+				rep.IterationAnomalies = map[string]int64{}
+			}
+			rep.IterationAnomalies[s.fp] = n
 		}
 	}
 	return rep
@@ -333,8 +328,8 @@ func (m *SLOMonitor) stateLocked(s *sloSeries, cutoff time.Time) SLOSeriesState 
 		P95NS:           s.hist.Quantile(0.95),
 		WindowEvents:    n,
 		WindowBreaches:  bad,
-		TotalEvents:     s.eventTotal,
-		TotalBreaches:   s.breachTotal,
+		TotalEvents:     s.total.Value(),
+		TotalBreaches:   s.breaches.Value(),
 		BurnRate:        burn,
 		BudgetRemaining: remaining,
 		Exhausted:       remaining <= 0 && n >= m.obj.MinEvents,

@@ -31,7 +31,8 @@ type Options struct {
 	Gap time.Duration
 	// Capacity is the maximum number of retained windows. Default 32.
 	Capacity int
-	// Registry receives prof.* metrics (nil-safe).
+	// Registry receives the prof.* series, which the sampler's own
+	// accessors read. Nil: a private registry.
 	Registry *telemetry.Registry
 }
 
@@ -70,7 +71,6 @@ type Sampler struct {
 
 	started  time.Time
 	bookNS   atomic.Int64 // cumulative bookkeeping (non-sleep) nanos
-	nwin     atomic.Int64 // windows captured (for per-window averages)
 	windows  *telemetry.Counter
 	skipped  *telemetry.Counter
 	overhead *telemetry.Gauge
@@ -80,18 +80,21 @@ type Sampler struct {
 // NewSampler builds a sampler; it does not start the background loop.
 func NewSampler(opt Options) *Sampler {
 	opt = opt.withDefaults()
-	s := &Sampler{opt: opt, ring: newRing(opt.Capacity), started: time.Now()}
-	if r := opt.Registry; r != nil {
-		r.SetHelp("prof_windows_captured", "Profiling windows captured by the continuous sampler.")
-		r.SetHelp("prof_windows_cpu_skipped", "Windows whose CPU capture was skipped because the process-wide profiler was busy.")
-		r.SetHelp("prof_overhead_pct", "Measured sampler bookkeeping overhead as a percent of wall time.")
-		r.SetHelp("prof_windows_retained", "Profiling windows currently retained in the ring buffer.")
-		s.windows = r.Counter("prof.windows_captured")
-		s.skipped = r.Counter("prof.windows_cpu_skipped")
-		s.overhead = r.Gauge("prof.overhead_pct")
-		s.retained = r.Gauge("prof.windows_retained")
+	r := opt.Registry
+	if r == nil {
+		r = telemetry.NewRegistry()
 	}
-	return s
+	r.SetHelp("prof_windows_captured", "Profiling windows captured by the continuous sampler.")
+	r.SetHelp("prof_windows_cpu_skipped", "Windows whose CPU capture was skipped because the process-wide profiler was busy.")
+	r.SetHelp("prof_overhead_pct", "Measured sampler bookkeeping overhead as a percent of wall time, set at the end of each window.")
+	r.SetHelp("prof_windows_retained", "Profiling windows currently retained in the ring buffer.")
+	return &Sampler{
+		opt: opt, ring: newRing(opt.Capacity), started: time.Now(),
+		windows:  r.Counter("prof.windows_captured"),
+		skipped:  r.Counter("prof.windows_cpu_skipped"),
+		overhead: r.Gauge("prof.overhead_pct"),
+		retained: r.Gauge("prof.windows_retained"),
+	}
 }
 
 // Start launches the background capture loop: capture Window, idle Gap,
@@ -199,16 +202,16 @@ func (s *Sampler) capture(d time.Duration, stop <-chan struct{}) *Window {
 	w.End = time.Now()
 	w.Dur = w.End.Sub(w.Start)
 	s.ring.add(w)
-	s.windows.Inc()
 	s.retained.Set(float64(s.ring.len()))
 
 	// Overhead accounting: everything but the sleep is bookkeeping. The
 	// denominator is wall time since the sampler started (or was created),
 	// so the gauge reflects steady-state duty-cycle overhead, not the
-	// in-window cost alone.
+	// in-window cost alone. The total grows before the window count, so
+	// BookkeepingPerWindow never counts a window without its time.
 	book := setup + time.Since(b0)
-	s.nwin.Add(1)
 	total := s.bookNS.Add(int64(book))
+	s.windows.Inc()
 	if wall := time.Since(s.started); wall > 0 {
 		s.overhead.Set(100 * float64(total) / float64(wall))
 	}
@@ -234,23 +237,20 @@ func (s *Sampler) Windows() []*Window { return s.ring.list() }
 // Window returns the retained window with the given id, or nil.
 func (s *Sampler) Window(id uint64) *Window { return s.ring.get(id) }
 
-// MeasuredOverheadPct returns the sampler's cumulative bookkeeping time as
-// a percent of wall time since Start (or construction). This is the value
-// the CI overhead guard asserts stays under 2%.
-func (s *Sampler) MeasuredOverheadPct() float64 {
-	wall := time.Since(s.started)
-	if wall <= 0 {
-		return 0
-	}
-	return 100 * float64(s.bookNS.Load()) / float64(wall)
-}
+// MeasuredOverheadPct returns the prof_overhead_pct gauge: the sampler's
+// cumulative bookkeeping time as a percent of wall time since Start (or
+// construction), as of the end of the last captured window (0 before the
+// first). /profiles serves this value; the overhead guard asserts
+// ProjectedOverheadPct instead.
+func (s *Sampler) MeasuredOverheadPct() float64 { return s.overhead.Value() }
 
 // BookkeepingPerWindow returns the average non-sleep time spent per
-// captured window (profile start/stop, snapshots). Most of it is
-// StopCPUProfile's flush wait, which is latency in the sampler goroutine
-// rather than CPU stolen from solves, so treat it as an upper bound.
+// captured window (profile start/stop, snapshots), over the
+// prof_windows_captured count. Most of it is StopCPUProfile's flush wait,
+// which is latency in the sampler goroutine rather than CPU stolen from
+// solves, so treat it as an upper bound.
 func (s *Sampler) BookkeepingPerWindow() time.Duration {
-	n := s.nwin.Load()
+	n := s.windows.Value()
 	if n == 0 {
 		return 0
 	}

@@ -179,6 +179,9 @@ func TestChaosFallbackToJacobi(t *testing.T) {
 	if got := reg.Counter("krylov.jacobi.zero_diag_fixed").Value(); got != 1 {
 		t.Errorf("jacobi guard counter = %d", got)
 	}
+	if got := reg.Counter(`resilience.solves{status="converged"}`).Value(); got != 1 {
+		t.Errorf(`resilience_solves{status="converged"} = %d, want 1`, got)
+	}
 }
 
 // Fault class 3: a NaN lands in an SpMV output mid-solve. Detection:

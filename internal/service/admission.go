@@ -39,18 +39,18 @@ type admission struct {
 	slots    chan struct{}
 	queueCap int
 
-	waiting  atomic.Int64
-	inflight atomic.Int64
+	// waiting and inflight gate admission; the gauges publish them.
+	waiting, inflight atomic.Int64
+	depth, running    *telemetry.Gauge
 
-	accepted  atomic.Int64
-	rejected  atomic.Int64
-	completed atomic.Int64
+	// accepted and completed count admission groups; no registry series
+	// mirrors them. rejected is the service.jobs.rejected counter.
+	accepted, completed atomic.Int64
+	rejected            *telemetry.Counter
 
 	// ewmaNS tracks recent job wall time (exponentially weighted) to derive
 	// Retry-After suggestions proportional to the actual backlog drain rate.
 	ewmaNS atomic.Int64
-
-	reg *telemetry.Registry
 }
 
 func newAdmission(maxInflight, queueCap int, reg *telemetry.Registry) *admission {
@@ -66,7 +66,9 @@ func newAdmission(maxInflight, queueCap int, reg *telemetry.Registry) *admission
 	return &admission{
 		slots:    make(chan struct{}, maxInflight),
 		queueCap: queueCap,
-		reg:      reg,
+		depth:    reg.Gauge("service.queue.depth"),
+		running:  reg.Gauge("service.jobs.inflight"),
+		rejected: reg.Counter("service.jobs.rejected"),
 	}
 }
 
@@ -81,14 +83,12 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	}
 	if a.waiting.Add(1) > int64(a.queueCap) {
 		a.waiting.Add(-1)
-		a.rejected.Add(1)
-		a.reg.Counter("service.jobs.rejected").Inc()
+		a.rejected.Inc()
 		return nil, &SaturatedError{RetryAfter: a.retryAfter()}
 	}
-	a.reg.Gauge("service.queue.depth").Set(float64(a.waiting.Load()))
+	a.depth.Set(float64(a.waiting.Load()))
 	defer func() {
-		a.waiting.Add(-1)
-		a.reg.Gauge("service.queue.depth").Set(float64(a.waiting.Load()))
+		a.depth.Set(float64(a.waiting.Add(-1)))
 	}()
 	select {
 	case a.slots <- struct{}{}:
@@ -102,7 +102,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 // release.
 func (a *admission) admitted() func() {
 	a.accepted.Add(1)
-	a.reg.Gauge("service.jobs.inflight").Set(float64(a.inflight.Add(1)))
+	a.running.Set(float64(a.inflight.Add(1)))
 	var once atomic.Bool
 	return func() {
 		if once.Swap(true) {
@@ -110,7 +110,7 @@ func (a *admission) admitted() func() {
 		}
 		<-a.slots
 		a.completed.Add(1)
-		a.reg.Gauge("service.jobs.inflight").Set(float64(a.inflight.Add(-1)))
+		a.running.Set(float64(a.inflight.Add(-1)))
 	}
 }
 
@@ -156,7 +156,7 @@ func (a *admission) stats() QueueStats {
 		Inflight:    int(a.inflight.Load()),
 		MaxInflight: cap(a.slots),
 		Accepted:    a.accepted.Load(),
-		Rejected:    a.rejected.Load(),
+		Rejected:    a.rejected.Value(),
 		Completed:   a.completed.Load(),
 	}
 }

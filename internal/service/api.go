@@ -14,6 +14,8 @@
 // service turns the reproduction into exactly that amortizing system.
 package service
 
+import "repro/internal/store"
+
 // MatrixInfo describes one registered matrix.
 type MatrixInfo struct {
 	// Fingerprint is the hex SHA-256 content fingerprint (sparse.CSR
@@ -264,6 +266,8 @@ type JobInfo struct {
 }
 
 // CacheStats is the preconditioner-cache section of GET /api/v1/stats.
+// Every field but Capacity reads a service_cache_* series; Hits and Misses
+// count lookups, one per job group or FSAI rung, not one per job.
 type CacheStats struct {
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
@@ -273,6 +277,8 @@ type CacheStats struct {
 }
 
 // QueueStats is the admission-control section of GET /api/v1/stats.
+// Inflight, Accepted, Completed and Rejected count admission groups (a
+// batch is one); Rejected is the service_jobs_rejected counter.
 type QueueStats struct {
 	// Depth is the number of jobs currently waiting for a slot; Inflight
 	// the number currently holding one.
@@ -285,23 +291,13 @@ type QueueStats struct {
 	Completed   int64 `json:"completed"`
 }
 
-// StoreStats is the durable-store section of GET /api/v1/stats, present
-// only when the daemon runs with -data-dir.
-type StoreStats struct {
-	Matrices int   `json:"matrices"`
-	Factors  int   `json:"factors"`
-	Bytes    int64 `json:"bytes"`
-	// Corrupt counts entries quarantined at recovery or rejected at read.
-	Corrupt int64 `json:"corrupt"`
-}
-
 // Stats is the GET /api/v1/stats document.
 type Stats struct {
 	Matrices int        `json:"matrices"`
 	Cache    CacheStats `json:"cache"`
 	Queue    QueueStats `json:"queue"`
 	// Store summarizes the durable store (nil without -data-dir).
-	Store *StoreStats `json:"store,omitempty"`
+	Store *store.Stats `json:"store,omitempty"`
 	// Degraded is the memory-pressure degradation state: "normal",
 	// "pressure" (cold solves shed) or "critical" (all solves shed).
 	Degraded string `json:"degraded,omitempty"`

@@ -299,7 +299,7 @@ func (b *batcher) run(g *group) {
 		resps, err = s.execute(lctx, g)
 	})
 	for i, j := range g.jobs {
-		out, outcome := jobOutcome{err: err}, "setup-error"
+		out, outcome := jobOutcome{err: err}, JobFailed
 		if err == nil {
 			out, outcome = jobOutcome{resp: resps[i]}, resps[i].Status
 			solveSpans[i].SetAttr("cache", resps[i].Cache)

@@ -83,8 +83,10 @@ type PrecondCache struct {
 	items    map[string]*list.Element
 	building map[string]*buildCall
 
-	hits, misses, evictions atomic.Int64
-	reg                     *telemetry.Registry
+	// The registry's service.cache.* series are the only count: Stats and
+	// /metrics read the same values. Nil when the cache counts nothing.
+	hits, misses, evictions *telemetry.Counter
+	entries                 *telemetry.Gauge
 
 	// evictHook observes every key leaving the cache (LRU overflow,
 	// EvictMatrix, EvictOldest). The server points it at the durable store
@@ -94,22 +96,25 @@ type PrecondCache struct {
 }
 
 // NewPrecondCache returns a cache holding at most capacity factors
-// (capacity < 1 is treated as 1). reg, when non-nil, receives the
-// service.cache.* counters and gauges.
+// (capacity < 1 is treated as 1). reg holds the service.cache.* counters
+// and gauge that Stats reports; a nil reg turns counting off.
 func NewPrecondCache(capacity int, reg *telemetry.Registry) *PrecondCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	reg.SetHelp("service_cache_hits", "preconditioner cache hits (warm solves, zero setup)")
-	reg.SetHelp("service_cache_misses", "preconditioner cache misses (cold solves paying setup)")
+	reg.SetHelp("service_cache_hits", "preconditioner cache lookups served without a build (one per job group or FSAI rung, not per job)")
+	reg.SetHelp("service_cache_misses", "preconditioner cache lookups that ran a setup build")
 	reg.SetHelp("service_cache_evictions", "preconditioner cache LRU evictions")
 	reg.SetHelp("service_cache_entries", "preconditioner factors currently cached")
 	return &PrecondCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-		building: map[string]*buildCall{},
-		reg:      reg,
+		capacity:  capacity,
+		ll:        list.New(),
+		items:     map[string]*list.Element{},
+		building:  map[string]*buildCall{},
+		hits:      reg.Counter("service.cache.hits"),
+		misses:    reg.Counter("service.cache.misses"),
+		evictions: reg.Counter("service.cache.evictions"),
+		entries:   reg.Gauge("service.cache.entries"),
 	}
 }
 
@@ -135,8 +140,7 @@ func (c *PrecondCache) GetOrBuild(ctx context.Context, key string, build func() 
 		c.ll.MoveToFront(el)
 		e := el.Value.(*CachedPrecond)
 		c.mu.Unlock()
-		c.hits.Add(1)
-		c.reg.Counter("service.cache.hits").Inc()
+		c.hits.Inc()
 		return e, true, nil
 	}
 	if call, ok := c.building[key]; ok {
@@ -149,8 +153,7 @@ func (c *PrecondCache) GetOrBuild(ctx context.Context, key string, build func() 
 		if call.err != nil {
 			return nil, false, call.err
 		}
-		c.hits.Add(1)
-		c.reg.Counter("service.cache.hits").Inc()
+		c.hits.Inc()
 		return call.e, true, nil
 	}
 	call := &buildCall{done: make(chan struct{})}
@@ -184,8 +187,7 @@ func (c *PrecondCache) GetOrBuild(ctx context.Context, key string, build func() 
 		hook(evicted...)
 	}
 
-	c.misses.Add(1)
-	c.reg.Counter("service.cache.misses").Inc()
+	c.misses.Inc()
 	return call.e, false, call.err
 }
 
@@ -240,10 +242,9 @@ func (c *PrecondCache) insertLocked(key string, e *CachedPrecond) []string {
 		c.ll.Remove(oldest)
 		delete(c.items, old.Key)
 		evicted = append(evicted, old.Key)
-		c.evictions.Add(1)
-		c.reg.Counter("service.cache.evictions").Inc()
+		c.evictions.Inc()
 	}
-	c.reg.Gauge("service.cache.entries").Set(float64(c.ll.Len()))
+	c.entries.Set(float64(c.ll.Len()))
 	return evicted
 }
 
@@ -264,8 +265,7 @@ func (c *PrecondCache) EvictMatrix(fingerprint string) int {
 	n := len(evicted)
 	if n > 0 {
 		c.evictions.Add(int64(n))
-		c.reg.Counter("service.cache.evictions").Add(int64(n))
-		c.reg.Gauge("service.cache.entries").Set(float64(c.ll.Len()))
+		c.entries.Set(float64(c.ll.Len()))
 	}
 	hook := c.evictHook
 	c.mu.Unlock()
@@ -293,8 +293,7 @@ func (c *PrecondCache) EvictOldest(n int) int {
 	}
 	if len(evicted) > 0 {
 		c.evictions.Add(int64(len(evicted)))
-		c.reg.Counter("service.cache.evictions").Add(int64(len(evicted)))
-		c.reg.Gauge("service.cache.entries").Set(float64(c.ll.Len()))
+		c.entries.Set(float64(c.ll.Len()))
 	}
 	hook := c.evictHook
 	c.mu.Unlock()
@@ -311,16 +310,13 @@ func (c *PrecondCache) Len() int {
 	return c.ll.Len()
 }
 
-// Stats snapshots the cache counters.
+// Stats reads the cache's registry series: the numbers /metrics renders.
 func (c *PrecondCache) Stats() CacheStats {
-	c.mu.Lock()
-	entries := c.ll.Len()
-	c.mu.Unlock()
 	return CacheStats{
-		Entries:   entries,
+		Entries:   int(c.entries.Value()),
 		Capacity:  c.capacity,
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Evictions: c.evictions.Value(),
 	}
 }

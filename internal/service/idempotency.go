@@ -16,8 +16,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-
-	"repro/internal/telemetry"
 )
 
 // idemEntry tracks one idempotency key's lifecycle. done closes when the
@@ -37,10 +35,9 @@ type idemIndex struct {
 	ll    *list.List // completed entries only, front = most recent
 	items map[string]*list.Element
 	live  map[string]*idemEntry // in-flight (owner still executing)
-	reg   *telemetry.Registry
 }
 
-func newIdemIndex(capacity int, reg *telemetry.Registry) *idemIndex {
+func newIdemIndex(capacity int) *idemIndex {
 	if capacity < 1 {
 		capacity = 256
 	}
@@ -49,7 +46,6 @@ func newIdemIndex(capacity int, reg *telemetry.Registry) *idemIndex {
 		ll:    list.New(),
 		items: map[string]*list.Element{},
 		live:  map[string]*idemEntry{},
-		reg:   reg,
 	}
 }
 

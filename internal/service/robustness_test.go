@@ -541,6 +541,9 @@ func TestMemoryDegradationShedsAndRecovers(t *testing.T) {
 	if st.Degraded != "critical" || st.Cache.Entries != 0 {
 		t.Fatalf("at critical: degraded=%q cache=%d", st.Degraded, st.Cache.Entries)
 	}
+	if got := reg.Gauge("degraded.state").Value(); got != 2 {
+		t.Fatalf("degraded_state = %v at critical, want 2", got)
+	}
 
 	// Recovery: below the hysteresis exit the daemon serves cold solves again.
 	heap.Store(100)
@@ -548,8 +551,9 @@ func TestMemoryDegradationShedsAndRecovers(t *testing.T) {
 	if err != nil || resp.Cache != service.CacheMiss || !resp.Converged {
 		t.Fatalf("solve after recovery: %+v err=%v", resp, err)
 	}
-	if st, _ := c.Stats(ctx); st.Degraded != "normal" {
-		t.Fatalf("degraded = %q after recovery, want normal", st.Degraded)
+	if st, _ := c.Stats(ctx); st.Degraded != "normal" || reg.Gauge("degraded.state").Value() != 0 {
+		t.Fatalf("degraded = %q (degraded_state %v) after recovery, want normal",
+			st.Degraded, reg.Gauge("degraded.state").Value())
 	}
 	if shed := reg.Counter("degraded.shed_total").Value(); shed != 2 {
 		t.Fatalf("degraded_shed_total = %d, want 2", shed)
@@ -705,11 +709,11 @@ func TestBatchedSolvesBitIdenticalToUnbatched(t *testing.T) {
 			}
 		}
 	}
-	if got := regB.Counter("batch.jobs_total").Value(); got != k {
-		t.Fatalf("batch_jobs_total = %d, want %d", got, k)
+	if got := regB.Histogram("batch.size", nil).Sum(); got != k {
+		t.Fatalf("batch_size_sum = %v, want %d", got, k)
 	}
-	if got := regB.Counter("batch.batches_total").Value(); got != 1 {
-		t.Fatalf("batch_batches_total = %d, want 1", got)
+	if got := regB.Histogram("batch.size", nil).Count(); got != 1 {
+		t.Fatalf("batch_size_count = %d, want 1", got)
 	}
 }
 

@@ -51,8 +51,10 @@ var stageBuckets = telemetry.ExpBuckets(1e4, 2, 20)
 // Options configures a service Server. The zero value is usable: every
 // capacity gets a production-shaped default.
 type Options struct {
-	// Metrics, when non-nil, receives the service.* series and backs the
-	// mounted /metrics endpoint.
+	// Metrics receives the service.* series and backs the mounted /metrics
+	// endpoint. It is the daemon's only count: /api/v1/stats, /slo,
+	// /roofline and /profiles read the same series. Nil: a private
+	// registry.
 	Metrics *telemetry.Registry
 	// RunsDir, when set, receives one run report per finished job
 	// (<jobid>.json) and is served under /runs.
@@ -201,6 +203,9 @@ type Server struct {
 func New(opt Options) *Server {
 	opt.setDefaults()
 	reg := opt.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	traceJSONL := ""
 	if opt.RunsDir != "" {
 		traceJSONL = filepath.Join(opt.RunsDir, "traces.jsonl")
@@ -247,7 +252,7 @@ func New(opt Options) *Server {
 		Roofline:  s.roofline,
 	})
 	reg.SetHelp("service_matrices", "matrices currently registered")
-	reg.SetHelp("service_jobs", "finished solve jobs by status")
+	reg.SetHelp("service_jobs", "finished solve jobs by outcome: the solver status, failed or rejected")
 	reg.SetHelp("service_job_decode_ns", "solve request body read plus JSON decode (the decode span)")
 	reg.SetHelp("service_job_total_ns", "job wall time from enqueue to the start of the response (the job span)")
 	reg.SetHelp("service_job_encode_ns", "job record, JSON encode and write of a 200 solve response (the encode span)")
@@ -262,17 +267,11 @@ func New(opt Options) *Server {
 	reg.Counter("retry.deadline_expired_total")
 
 	s.batch = newBatcher(s, opt.BatchWindow, opt.BatchMax)
-	reg.SetHelp("batch_batches_total", "block solves executed by the request batcher (one admission slot each)")
-	reg.SetHelp("batch_jobs_total", "solve jobs executed as columns of a batched block solve")
-	reg.SetHelp("batch_size", "jobs per executed batch (block width)")
+	reg.SetHelp("batch_size", "jobs per executed batch (block width): _count is the batches executed, _sum the jobs they solved")
 	reg.SetHelp("batch_window_wait_ns", "time jobs spent in the open batch window before launch")
 	reg.SetHelp("batch_achieved_ai", "spmm arithmetic intensity of the last executed batch (flop/byte)")
-	// Touch the zero counters so the batch_* families render on /metrics
-	// from the first scrape (the smoke script asserts their presence).
-	reg.Counter("batch.batches_total")
-	reg.Counter("batch.jobs_total")
 
-	s.idem = newIdemIndex(opt.IdempotencyEntries, reg)
+	s.idem = newIdemIndex(opt.IdempotencyEntries)
 	s.degrade = newDegrader(opt.MemSoftLimitBytes, opt.MemProbe, s.cache, reg, s.log, s.obsSrv)
 	if opt.Store != nil {
 		s.store = opt.Store
@@ -684,12 +683,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		ss := s.store.Stats()
-		st.Store = &StoreStats{
-			Matrices: ss.Matrices,
-			Factors:  ss.Factors,
-			Bytes:    ss.Bytes,
-			Corrupt:  ss.Corrupt,
-		}
+		st.Store = &ss
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -846,13 +840,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // finish is the one tail of every job: it ends the job stage and, inside
-// the encode stage, writes the job record, the latency histograms and
-// status counter, deadline attribution, the log line, and the HTTP answer —
-// 200 with the response, 429 with Retry-After when admission was saturated
-// or memory pressure shed the job, 504 when the client's deadline expired
-// in the queue, 503 when the client left, 500 when execution failed. Then
-// the root span ends and the trace is recorded. It returns the response for
-// the idempotency index (nil on failure).
+// the encode stage, writes the job record, the latency histograms,
+// deadline attribution, the log line, and the HTTP answer — 200 with the
+// response, 429 with Retry-After when admission was saturated or memory
+// pressure shed the job, 504 when the client's deadline expired in the
+// queue, 503 when the client left, 500 when execution failed. Then the root
+// span ends, the trace is recorded and the job is counted once under its
+// outcome (the solver status, "failed" or "rejected"), the word its trace
+// and job record carry. It returns the response for the idempotency index
+// (nil on failure).
 func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveResponse {
 	totalNS := j.span.End().Nanoseconds()
 	encode := j.tr.StartSpan("encode")
@@ -871,7 +867,6 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 		outcome = JobRejected
 		if !out.rejected {
 			outcome = JobFailed
-			s.reg.Counter(`service.jobs{status="setup-error"}`).Inc()
 		}
 		ji.State, ji.Err = outcome, out.err.Error()
 		s.jobs.put(*ji)
@@ -924,7 +919,6 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 			logAttrs = append(logAttrs, "batch_id", bi.ID, "batch_size", bi.Size)
 		}
 		s.jobs.put(*ji)
-		s.reg.Counter(fmt.Sprintf("service.jobs{status=%q}", resp.Status)).Inc()
 		if expired {
 			// The client's budget expired mid-flight; the cancellation already
 			// stopped CG (status "cancelled") — for a batch member, its column
@@ -943,6 +937,7 @@ func (s *Server) finish(w http.ResponseWriter, j *job, out jobOutcome) *SolveRes
 	j.root.SetAttr("outcome", outcome)
 	j.root.End()
 	s.recordTrace(j, outcome)
+	s.reg.Counter(`service.jobs{status="` + outcome + `"}`).Inc()
 	return resp
 }
 
@@ -1224,8 +1219,6 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 		rsol = s.placeRoofline(g, gm, br)
 	}
 	if g.batched() {
-		s.reg.Counter("batch.batches_total").Inc()
-		s.reg.Counter("batch.jobs_total").Add(int64(k))
 		s.reg.Histogram("batch.size", telemetry.ExpBuckets(1, 2, 6)).Observe(float64(k))
 		s.log.Info("batch solved", "batch_id", g.id, "matrix", shortFP(rm.Info.Fingerprint),
 			"jobs", k, "iterations", br.Iterations, "all_converged", br.AllConverged,
@@ -1426,14 +1419,7 @@ func (s *Server) writeJobReport(j *job, resp *SolveResponse, g *fsai.Preconditio
 			IterAnomaly:     resp.IterAnomaly,
 		}
 	}
-	if t := res.Timing; t != (krylov.Timing{}) {
-		entry.Timing = &experiments.RunTiming{
-			SpMVNS:    t.SpMV.Nanoseconds(),
-			PrecondNS: t.Precond.Nanoseconds(),
-			BLAS1NS:   t.BLAS1.Nanoseconds(),
-			TotalNS:   t.Total.Nanoseconds(),
-		}
-	}
+	entry.Timing = experiments.RunTimingOf(res.Timing)
 	if rsol != nil {
 		// The exact values the roofline_* gauges exported for this job.
 		entry.Roofline = &experiments.RunRoofline{

@@ -37,7 +37,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	fsai "repro/internal/core"
 	"repro/internal/faultinject"
@@ -59,8 +58,9 @@ const (
 	quarantineDir = "quarantine"
 )
 
-// Options configures a Store. Both fields are optional (the telemetry
-// registry is nil-safe; a nil logger discards).
+// Options configures a Store. Both fields are optional: a nil registry
+// gets a private one (Stats reads its store_corrupt_total), a nil logger
+// discards.
 type Options struct {
 	Metrics *telemetry.Registry
 	Logger  *slog.Logger
@@ -119,8 +119,8 @@ type Stats struct {
 	Matrices int   `json:"matrices"`
 	Factors  int   `json:"factors"`
 	Bytes    int64 `json:"bytes"`
-	// Corrupt counts entries quarantined since Open (also exported as the
-	// store_corrupt_total counter).
+	// Corrupt counts entries quarantined at Open: the store_corrupt_total
+	// counter.
 	Corrupt int64 `json:"corrupt"`
 }
 
@@ -139,7 +139,7 @@ type Store struct {
 	appended int
 	bytes    int64
 
-	corrupt atomic.Int64
+	corrupt *telemetry.Counter
 
 	recMatrices []RecoveredMatrix
 	recFactors  []RecoveredFactor
@@ -163,9 +163,13 @@ func Open(dir string, opt Options) (*Store, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	reg := opt.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	s := &Store{
 		dir:      dir,
-		reg:      opt.Metrics,
+		reg:      reg,
 		log:      logger,
 		matrices: map[string]manifestMatrix{},
 		factors:  map[string]manifestFactor{},
@@ -178,7 +182,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.reg.SetHelp("store_errors_total", "best-effort store operations that failed (entry kept in memory only)")
 	// Touch the zero counters so every family renders on /metrics from the
 	// first scrape, not only after its first event.
-	s.reg.Counter("store.corrupt_total")
+	s.corrupt = s.reg.Counter("store.corrupt_total")
 	s.reg.Counter("store.writes_total")
 	s.reg.Counter("store.deletes_total")
 	s.reg.Counter("store.errors_total")
@@ -193,7 +197,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.publishGauges()
 	s.log.Info("store recovered",
 		"dir", dir, "matrices", len(s.matrices), "factors", len(s.factors),
-		"quarantined", s.corrupt.Load(), "bytes", s.bytes)
+		"quarantined", s.corrupt.Value(), "bytes", s.bytes)
 	return s, nil
 }
 
@@ -230,7 +234,7 @@ func (s *Store) Stats() Stats {
 		Matrices: len(s.matrices),
 		Factors:  len(s.factors),
 		Bytes:    s.bytes,
-		Corrupt:  s.corrupt.Load(),
+		Corrupt:  s.corrupt.Value(),
 	}
 }
 
@@ -404,7 +408,7 @@ func (s *Store) verifyEntries() {
 			s.log.Warn("store matrix entry corrupt, quarantining",
 				"fingerprint", trunc(fp), "file", mm.File, "error", err.Error())
 			s.quarantine(mm.File)
-			s.countCorrupt()
+			s.corrupt.Inc()
 			delete(s.matrices, fp)
 			continue
 		}
@@ -417,7 +421,7 @@ func (s *Store) verifyEntries() {
 			s.log.Warn("store factor entry corrupt, quarantining",
 				"key", trunc(key), "file", mf.File, "error", err.Error())
 			s.quarantine(mf.File)
-			s.countCorrupt()
+			s.corrupt.Inc()
 			delete(s.factors, key)
 		case s.matrices[f.Fingerprint].Fingerprint == "":
 			// A factor whose matrix is gone can never serve a warm solve
@@ -662,11 +666,6 @@ func (s *Store) quarantine(rel string) {
 		// entry is still dropped and counted either way.
 		_ = os.Remove(src)
 	}
-}
-
-func (s *Store) countCorrupt() {
-	s.corrupt.Add(1)
-	s.reg.Counter("store.corrupt_total").Inc()
 }
 
 func (s *Store) publishGauges() {

@@ -155,6 +155,36 @@ func TestDeleteRemovesDiskEntries(t *testing.T) {
 	}
 }
 
+// TestStoreCountsEntryOperations: store_writes_total, store_deletes_total
+// and store_errors_total count entry writes, deletions and failed writes.
+func TestStoreCountsEntryOperations(t *testing.T) {
+	dir := t.TempDir()
+	a, p := fixture(t)
+	fp := a.Fingerprint()
+	s := openStore(t, dir)
+	if err := s.PutMatrix(a, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFactor(fp+"|a", fp, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteFactor(fp + "|a"); err != nil {
+		t.Fatal(err)
+	}
+	// With its directory gone, the next factor write fails and is counted.
+	if err := os.RemoveAll(filepath.Join(dir, factorDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFactor(fp+"|b", fp, p, 0); err == nil {
+		t.Fatal("PutFactor into a missing directory succeeded")
+	}
+	for name, want := range map[string]int64{"store.writes_total": 2, "store.deletes_total": 1, "store.errors_total": 1} {
+		if got := s.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // corruptOneFile flips one byte of the single file in dir/sub.
 func corruptOneFile(t *testing.T, dir, sub string, mutate func([]byte) []byte) string {
 	t.Helper()
@@ -225,6 +255,29 @@ func TestTruncatedMatrixIsQuarantined(t *testing.T) {
 	if len(ms) != 0 {
 		t.Fatal("truncated matrix entry was not dropped")
 	}
+	if got := s2.Stats().Corrupt; got != 1 {
+		t.Fatalf("corrupt counter = %d, want 1", got)
+	}
+}
+
+// TestCorruptCountedWithoutRegistry: a store opened without a metrics
+// registry still counts what it quarantines; Stats reads the count from a
+// private registry.
+func TestCorruptCountedWithoutRegistry(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := fixture(t)
+	s := openStore(t, dir)
+	if err := s.PutMatrix(a, "m"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	corruptOneFile(t, dir, matrixDir, func(b []byte) []byte { return b[:len(b)/3] })
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open without a registry: %v", err)
+	}
+	defer s2.Close()
 	if got := s2.Stats().Corrupt; got != 1 {
 		t.Fatalf("corrupt counter = %d, want 1", got)
 	}

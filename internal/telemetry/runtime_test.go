@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,31 @@ func TestPublishRuntimeMetrics(t *testing.T) {
 			t.Errorf("go.heap.alloc_bytes = %v, want > 0", g)
 		}
 	}
+}
+
+// TestPublishedLastGCPause: go.gc.last_pause_ns is the pause of the last
+// GC that go.gc.num counts, and go.gc.pause_total_ns the pauses up to it,
+// as a MemStats read that saw the same NumGC reports them.
+func TestPublishedLastGCPause(t *testing.T) {
+	r := NewRegistry()
+	for range 10 {
+		runtime.GC()
+		PublishRuntimeMetrics(r)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if uint32(r.Gauge("go.gc.num").Value()) != ms.NumGC {
+			continue // another GC finished between the publish and this read
+		}
+		want := float64(ms.PauseNs[(ms.NumGC+255)%256])
+		if got := r.Gauge("go.gc.last_pause_ns").Value(); got != want {
+			t.Fatalf("go_gc_last_pause_ns = %v after GC %d, MemStats says %v", got, ms.NumGC, want)
+		}
+		if got := r.Gauge("go.gc.pause_total_ns").Value(); got != float64(ms.PauseTotalNs) {
+			t.Fatalf("go_gc_pause_total_ns = %v after GC %d, MemStats says %v", got, ms.NumGC, ms.PauseTotalNs)
+		}
+		return
+	}
+	t.Fatal("a GC finished between every publish and the read after it")
 }
 
 func TestPublishRuntimeMetricsNilRegistry(t *testing.T) {

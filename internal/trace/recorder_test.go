@@ -85,6 +85,26 @@ func TestRecorderJSONLExport(t *testing.T) {
 	}
 }
 
+// TestRecorderExportErrorKeepsTrace: an export path that cannot be written
+// (here a directory) counts one trace_export_errors per Record, and the
+// trace is still recorded and served.
+func TestRecorderExportErrorKeepsTrace(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := NewRecorder(8, t.TempDir(), reg)
+	for i := 0; i < 2; i++ {
+		r.Record(sampleTrace(i))
+	}
+	if got := reg.Counter("trace.export_errors").Value(); got != 2 {
+		t.Fatalf("trace_export_errors = %d, want 2", got)
+	}
+	if got := reg.Counter("trace.recorded").Value(); got != 2 {
+		t.Fatalf("trace_recorded = %d, want 2", got)
+	}
+	if _, ok := r.Get(sampleTrace(1).TraceID); !ok {
+		t.Fatal("a failed export dropped the trace")
+	}
+}
+
 func TestRecorderSubscribe(t *testing.T) {
 	r := NewRecorder(8, "", telemetry.NewRegistry())
 	ch, cancel := r.Subscribe()

@@ -124,6 +124,13 @@ echo "== cache counters on /metrics =="
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 grep -q '^service_cache_hits 1$' "$workdir/metrics.txt" || { echo "FAIL: cache-hit counter not incremented"; grep service_cache "$workdir/metrics.txt" || true; fail=1; }
 grep -q '^service_cache_misses 1$' "$workdir/metrics.txt" || { echo "FAIL: cache-miss counter wrong"; fail=1; }
+# /api/v1/stats reads the same registry counters /metrics renders.
+curl -fsS "http://$addr/api/v1/stats" >"$workdir/cstats.json"
+for key in hits misses; do
+    want=$(sed -n "s/^service_cache_$key \([0-9][0-9]*\)\$/\1/p" "$workdir/metrics.txt")
+    got=$(json_num "$workdir/cstats.json" "$key")
+    [ -n "$want" ] && [ "$got" = "$want" ] || { echo "FAIL: /api/v1/stats cache $key=$got, /metrics service_cache_$key=$want"; cat "$workdir/cstats.json"; fail=1; }
+done
 grep -q '^go_goroutines ' "$workdir/metrics.txt" || { echo "FAIL: runtime metrics missing from /metrics"; fail=1; }
 
 echo "== robustness metric families carry # HELP / # TYPE headers =="
@@ -281,14 +288,14 @@ for i in 1 2 3; do
 done
 curl -fsS "http://$baddr/metrics" >"$workdir/bmetrics.txt"
 for fam in \
-    batch_batches_total:counter batch_jobs_total:counter batch_size:histogram \
-    batch_window_wait_ns:histogram batch_achieved_ai:gauge; do
+    batch_size:histogram batch_window_wait_ns:histogram batch_achieved_ai:gauge; do
     name=${fam%:*}; kind=${fam#*:}
     grep -q "^# HELP $name " "$workdir/bmetrics.txt" || { echo "FAIL: missing # HELP for $name"; fail=1; }
     grep -q "^# TYPE $name $kind\$" "$workdir/bmetrics.txt" || { echo "FAIL: missing # TYPE $name $kind"; fail=1; }
 done
-grep -q '^batch_jobs_total [2-9]' "$workdir/bmetrics.txt" || { echo "FAIL: batch_jobs_total < 2:"; grep '^batch_' "$workdir/bmetrics.txt" || true; fail=1; }
-grep -q '^batch_batches_total [1-9]' "$workdir/bmetrics.txt" || { echo "FAIL: batch_batches_total not incremented"; fail=1; }
+# One batch of three jobs: batch_size's _count is the batches, _sum the jobs.
+grep -q '^batch_size_count 1$' "$workdir/bmetrics.txt" || { echo "FAIL: batch_size_count != 1:"; grep '^batch_size_' "$workdir/bmetrics.txt" || true; fail=1; }
+grep -q '^batch_size_sum 3$' "$workdir/bmetrics.txt" || { echo "FAIL: batch_size_sum != 3:"; grep '^batch_size_' "$workdir/bmetrics.txt" || true; fail=1; }
 # The members' run reports carry the multi-RHS accounting: nrhs and the
 # batch section with the amortized per-RHS wall time.
 batchreport=$(grep -l "\"$bid\"" "$workdir/bruns"/*.json | head -1)

@@ -214,10 +214,10 @@ func cmdServe(args []string) {
 
 	var st *store.Store
 	if *dataDir != "" {
-		// Open replays the manifest, verifies checksums and quarantines
-		// anything corrupt; the server drains the recovered entries into the
-		// registry and preconditioner cache, so the first solve after a crash
-		// is already warm. The server owns the store from here (Close).
+		// Open scans the entry files, verifies each and quarantines anything
+		// corrupt; the server drains the recovered entries into the registry
+		// and preconditioner cache, so the first solve after a crash is
+		// already warm.
 		if st, err = store.Open(*dataDir, store.Options{Metrics: metrics, Logger: logger}); err != nil {
 			fatal("data-dir: %v", err)
 		}

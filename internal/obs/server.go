@@ -191,6 +191,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.opt.SLO.Refresh()
 	if err := s.opt.Registry.WritePrometheus(w); err != nil {
 		// Headers are already out; nothing useful left to do but log-free
 		// best effort. The registry writer only fails on the writer itself.

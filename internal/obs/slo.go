@@ -190,16 +190,27 @@ func (m *SLOMonitor) observe(fp, kind string, objective time.Duration, ns int64)
 	now := m.clock()
 	bad := ns > s.objectiveNS
 	s.events = append(s.events, sloEvent{at: now, bad: bad})
-	s.prune(now.Add(-m.obj.Window))
 	s.hist.Observe(float64(ns))
 	s.total.Inc()
 	if bad {
 		s.breaches.Inc()
 	}
-	n, nbad := s.windowCounts()
-	burn, remaining := burnAndBudget(n, nbad, m.obj.Target)
-	s.burn.Set(burn)
-	s.budgetLeft.Set(remaining)
+	m.stateLocked(s, now.Add(-m.obj.Window))
+}
+
+// Refresh prunes every series' window and brings its burn-rate and budget
+// gauges up to date, so a /metrics scrape reads what /slo reads even when
+// no event arrived since a breach aged out. Nil-safe.
+func (m *SLOMonitor) Refresh() {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cutoff := m.clock().Add(-m.obj.Window)
+	for _, s := range m.series {
+		m.stateLocked(s, cutoff)
+	}
 }
 
 // prune drops events older than cutoff (events are appended in time order).
@@ -317,10 +328,15 @@ func (m *SLOMonitor) State(fp, kind string) (SLOSeriesState, bool) {
 	return m.stateLocked(s, m.clock().Add(-m.obj.Window)), true
 }
 
+// stateLocked prunes one series' window and computes its state. It is the
+// one place burn rate and budget are derived, and it sets the series'
+// slo_burn_rate and slo_budget_remaining gauges from what it returns.
 func (m *SLOMonitor) stateLocked(s *sloSeries, cutoff time.Time) SLOSeriesState {
 	s.prune(cutoff)
 	n, bad := s.windowCounts()
 	burn, remaining := burnAndBudget(n, bad, m.obj.Target)
+	s.burn.Set(burn)
+	s.budgetLeft.Set(remaining)
 	return SLOSeriesState{
 		Fingerprint:     s.fp,
 		SLO:             s.kind,

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,65 @@ func TestSLOWindowSlidesBreachesOut(t *testing.T) {
 	}
 }
 
+// TestSLOGaugesMatchReportAfterBreachAgesOut: a /metrics scrape reads the
+// burn rate and budget /slo reports, also once a breach has aged out of the
+// window with no event since. The scrape comes first, so nothing but its
+// own refresh can have brought the gauges up to date.
+func TestSLOGaugesMatchReportAfterBreachAgesOut(t *testing.T) {
+	m, clk, reg := newTestMonitor(SLOObjectives{
+		WarmSolveP95: time.Millisecond,
+		Window:       time.Minute,
+		MinEvents:    1,
+	})
+	srv := NewServer(Options{Registry: reg, SLO: m})
+	defer srv.Shutdown(t.Context())
+	serve := func(path string) []byte {
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != 200 {
+			t.Fatalf("%s status %d", path, rr.Code)
+		}
+		return rr.Body.Bytes()
+	}
+	gauge := func(text, series string) float64 {
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("%s missing from /metrics:\n%s", series, text)
+		return 0
+	}
+
+	m.ObserveSolve("fp", true, int64(time.Second), 0) // breach
+	clk.Advance(2 * time.Minute)                      // the breach ages out
+
+	text := string(serve("/metrics"))
+	var rep SLOReport
+	if err := json.Unmarshal(serve("/slo"), &rep); err != nil {
+		t.Fatalf("/slo not JSON: %v", err)
+	}
+	if len(rep.Series) != 2 {
+		t.Fatalf("/slo series = %+v, want warm_solve and queue_wait", rep.Series)
+	}
+	for _, st := range rep.Series {
+		if st.BurnRate != 0 || st.BudgetRemaining != 1 {
+			t.Fatalf("/slo %s after the window = %+v, want burn 0 and budget 1", st.SLO, st)
+		}
+		lbl := `{fp="` + st.Fingerprint + `",slo="` + st.SLO + `"}`
+		if got := gauge(text, "slo_burn_rate"+lbl); got != st.BurnRate {
+			t.Errorf("slo_burn_rate%s = %g, /slo burn_rate = %g", lbl, got, st.BurnRate)
+		}
+		if got := gauge(text, "slo_budget_remaining"+lbl); got != st.BudgetRemaining {
+			t.Errorf("slo_budget_remaining%s = %g, /slo budget_remaining = %g", lbl, got, st.BudgetRemaining)
+		}
+	}
+}
+
 func TestSLOWarmColdAndQueueSeries(t *testing.T) {
 	m, _, _ := newTestMonitor(SLOObjectives{MinEvents: 1})
 	m.ObserveSolve("fp", true, int64(time.Millisecond), int64(time.Millisecond))
@@ -145,6 +205,7 @@ func TestNilSLOMonitorIsSafe(t *testing.T) {
 	m.ObserveSolve("fp", true, 1, 1)
 	m.RecordIterationAnomaly("fp")
 	m.SetClock(time.Now)
+	m.Refresh()
 	if got := m.Exhausted(); got != nil {
 		t.Fatalf("nil Exhausted = %v", got)
 	}

@@ -298,6 +298,9 @@ func (b *batcher) run(g *group) {
 	prof.WithJobLabels(ctx, labelID, lead.tc.TraceID, shortFP(fp), func(lctx context.Context) {
 		resps, err = s.execute(lctx, g)
 	})
+	// Free the slot before any caller hears back, so a client holding its
+	// answer never sees its job still in flight.
+	release()
 	for i, j := range g.jobs {
 		out, outcome := jobOutcome{err: err}, JobFailed
 		if err == nil {

@@ -77,7 +77,7 @@ func TestWarmSolveSurvivesRestart(t *testing.T) {
 	if st := s1.Store().Stats(); st.Matrices != 1 || st.Factors != 1 {
 		t.Fatalf("store after cold solve: %+v", st)
 	}
-	stop1() // releases the manifest log; the "crash" is the lack of any other goodbye
+	stop1() // stops serving; the store needs no goodbye, so this is a crash to it
 
 	s2, url2, _ := newDurableServer(t, dir, service.Options{Metrics: telemetry.NewRegistry()})
 	if st := s2.Store().Stats(); st.Matrices != 1 || st.Factors != 1 || st.Corrupt != 0 {
@@ -101,6 +101,51 @@ func TestWarmSolveSurvivesRestart(t *testing.T) {
 	for i := range warm.X {
 		if warm.X[i] != cold.X[i] {
 			t.Fatalf("x[%d] = %v before restart, %v after: not bit-identical", i, cold.X[i], warm.X[i])
+		}
+	}
+}
+
+// TestAliasesSurviveRestart: every alias a matrix was registered under,
+// not only the first, resolves after a restart, to the same fingerprint and
+// the same MatrixInfo.Name as before it.
+func TestAliasesSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	_, url1, stop1 := newDurableServer(t, dir, service.Options{Metrics: telemetry.NewRegistry()})
+	c1 := client.New(url1)
+	// An unnamed matgen registration is aliased by its spec; the second
+	// registration of the same content adds an alias.
+	for _, name := range []string{"", "second"} {
+		if _, err := c1.RegisterMatgen(ctx, "lap64x64", name); err != nil {
+			t.Fatalf("register %q: %v", name, err)
+		}
+	}
+	// An unnamed MatrixMarket upload, named by its second upload.
+	for _, name := range []string{"", "foo"} {
+		if _, err := c1.RegisterMatrixMarket(ctx, strings.NewReader(tinyMTX), name); err != nil {
+			t.Fatalf("upload %q: %v", name, err)
+		}
+	}
+	before := map[string]service.MatrixInfo{}
+	for _, ref := range []string{"lap64x64", "second", "foo"} {
+		info, err := c1.Matrix(ctx, ref)
+		if err != nil {
+			t.Fatalf("lookup %q before restart: %v", ref, err)
+		}
+		before[ref] = info
+	}
+	stop1()
+
+	_, url2, _ := newDurableServer(t, dir, service.Options{Metrics: telemetry.NewRegistry()})
+	c2 := client.New(url2)
+	for ref, want := range before {
+		got, err := c2.Matrix(ctx, ref)
+		if err != nil {
+			t.Fatalf("lookup %q after restart: %v", ref, err)
+		}
+		if got.Fingerprint != want.Fingerprint || got.Name != want.Name {
+			t.Fatalf("%q after restart = %+v, before = %+v", ref, got, want)
 		}
 	}
 }

@@ -105,8 +105,7 @@ type Options struct {
 	// -data-dir): registered matrices and computed factors are written
 	// through to it, deletions and evictions remove the disk entries, and
 	// New rehydrates the registry and preconditioner cache from its
-	// recovered entries — warm solves survive restarts. The server takes
-	// ownership (Close closes it).
+	// recovered entries — warm solves survive restarts.
 	Store *store.Store
 
 	// MemSoftLimitBytes is the soft heap watermark: above it the daemon
@@ -331,11 +330,18 @@ func (s *Server) rehydrate() {
 	matrices, factors := s.store.DrainRecovered()
 	nm := 0
 	for _, rm := range matrices {
-		if _, err := s.matrices.Register(rm.A, rm.Name); err != nil {
-			s.log.Warn("recovered matrix not registered", "name", rm.Name, "error", err.Error())
+		if _, err := s.matrices.Register(rm.A, ""); err != nil {
+			s.log.Warn("recovered matrix not registered", "names", rm.Names, "error", err.Error())
 			continue
 		}
 		nm++
+		// The aliases in registration order: the first one becomes
+		// MatrixInfo.Name, as it was before the restart.
+		for _, name := range rm.Names {
+			if _, err := s.matrices.Register(rm.A, name); err != nil {
+				s.log.Warn("recovered matrix alias not registered", "name", name, "error", err.Error())
+			}
+		}
 	}
 	s.reg.Gauge("service.matrices").Set(float64(s.matrices.Len()))
 	nf := 0
@@ -388,11 +394,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	if hs != nil {
 		if err := hs.Shutdown(ctx); err != nil {
-			s.closeStore()
 			return err
 		}
 	}
-	s.closeStore()
 	return obsErr
 }
 
@@ -408,16 +412,7 @@ func (s *Server) Close() error {
 	if hs != nil {
 		err = hs.Close()
 	}
-	s.closeStore()
 	return err
-}
-
-// closeStore releases the store's manifest log handle once all jobs are
-// done writing through.
-func (s *Server) closeStore() {
-	if s.store != nil {
-		_ = s.store.Close()
-	}
 }
 
 // parseSolveRequest decodes one JSON solve request and normalizes it: the
@@ -610,7 +605,7 @@ func (s *Server) registerMatrix(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		// Write-through is best-effort: a store error costs durability, not
 		// the registration (the store counts it in store_errors_total).
-		if serr := s.store.PutMatrix(a, info.Name); serr != nil {
+		if serr := s.store.PutMatrix(a, name); serr != nil {
 			s.log.Warn("store matrix write failed",
 				"fingerprint", shortFP(info.Fingerprint), "error", serr.Error())
 		}

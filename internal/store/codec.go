@@ -25,7 +25,7 @@ import (
 
 const (
 	fileMagic   = "FSST"
-	fileVersion = 1
+	fileVersion = 2 // 2: a matrix entry holds its alias list
 	headerLen   = 4 + 2 + 1 + 1 + 8
 	sumLen      = sha256.Size
 
@@ -86,6 +86,14 @@ func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
 func (e *enc) str(s string) {
 	e.u64(uint64(len(s)))
 	e.b = append(e.b, s...)
+}
+
+// strs encodes a count-prefixed list of strings.
+func (e *enc) strs(v []string) {
+	e.u64(uint64(len(v)))
+	for _, s := range v {
+		e.str(s)
+	}
 }
 
 func (e *enc) ints(v []int) {
@@ -177,6 +185,15 @@ func (d *dec) str(what string) string {
 	return s
 }
 
+func (d *dec) strs(what string) []string {
+	// Every string carries at least its 8-byte length.
+	v := make([]string, d.length(what, 8))
+	for i := range v {
+		v[i] = d.str(what)
+	}
+	return v
+}
+
 func (d *dec) ints(what string) []int {
 	n := d.length(what, 8)
 	if d.err != nil {
@@ -251,22 +268,23 @@ func (d *dec) pat(what string) *pattern.Pattern {
 	return p
 }
 
-// encodeMatrix seals a registered matrix (alias name + operator).
-func encodeMatrix(a *sparse.CSR, name string) []byte {
+// encodeMatrix seals a registered matrix: its aliases in registration
+// order, then the operator.
+func encodeMatrix(a *sparse.CSR, names []string) []byte {
 	var e enc
-	e.str(name)
+	e.strs(names)
 	e.csr(a)
 	return sealFile(kindMatrix, e.b)
 }
 
-func decodeMatrix(payload []byte) (a *sparse.CSR, name string, err error) {
+func decodeMatrix(payload []byte) (a *sparse.CSR, names []string, err error) {
 	d := dec{b: payload}
-	name = d.str("matrix name")
+	names = d.strs("matrix names")
 	a = d.csr("matrix")
 	if d.err != nil {
-		return nil, "", d.err
+		return nil, nil, d.err
 	}
-	return a, name, nil
+	return a, names, nil
 }
 
 // encodeFactor seals a computed preconditioner factor under its cache key:

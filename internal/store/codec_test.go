@@ -36,7 +36,7 @@ func TestDecodeRejectsOutOfRangeColumn(t *testing.T) {
 	}
 	last := bad.RowPtr[bad.Rows] - 1
 	bad.ColIdx[last] = bad.Cols
-	if _, _, err := decodeMatrix(payload(t, encodeMatrix(bad, "bad"))); !errors.Is(err, errCorrupt) {
+	if _, _, err := decodeMatrix(payload(t, encodeMatrix(bad, []string{"bad"}))); !errors.Is(err, errCorrupt) {
 		t.Fatalf("decodeMatrix accepted column index == Cols: err = %v", err)
 	}
 }
@@ -52,7 +52,7 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Fatalf("fsai.Compute: %v", err)
 	}
 	seeds := [][]byte{
-		payload(f, encodeMatrix(a, "lap")),
+		payload(f, encodeMatrix(a, []string{"lap", "lap3"})),
 		payload(f, encodeFactor("key", a.Fingerprint(), p, 1234)),
 	}
 	for _, s := range seeds {
@@ -96,7 +96,7 @@ func FuzzOpenFile(f *testing.F) {
 	if err != nil {
 		f.Fatalf("fsai.Compute: %v", err)
 	}
-	for _, s := range [][]byte{encodeMatrix(a, "lap"), encodeFactor("key", a.Fingerprint(), p, 1234)} {
+	for _, s := range [][]byte{encodeMatrix(a, []string{"lap", "lap3"}), encodeFactor("key", a.Fingerprint(), p, 1234)} {
 		f.Add(s)
 		for _, n := range []int{0, 1, headerLen, len(s) / 2, len(s) - 1} {
 			f.Add(s[:n])

@@ -9,32 +9,34 @@
 //
 // On-disk layout under the data directory:
 //
-//	manifest.json    snapshot of the live entry set (schema 1)
-//	manifest.log     append-only JSONL of operations since the snapshot
-//	matrices/*.bin   one checksummed entry per registered matrix
-//	factors/*.bin    one checksummed entry per cached preconditioner factor
-//	quarantine/      corrupt entries moved aside at recovery, never deleted
+//	matrices/*.bin   one sealed entry per registered matrix: its aliases and
+//	                 operator, named by the hash of its content fingerprint
+//	factors/*.bin    one sealed entry per cached preconditioner factor,
+//	                 named by the hash of its cache key
+//	quarantine/      files that failed verification at recovery, never deleted
 //
-// Durability discipline: entry files are written to a temp name, fsynced
-// and atomically renamed before the manifest log line that references them
-// is appended (also fsynced) — a crash between the two leaves an orphan
-// file that the next Open removes, never a manifest entry pointing at
-// nothing valid. Recovery replays snapshot+log, re-verifies every entry's
-// SHA-256 (and the matrix content fingerprint), and QUARANTINES corrupt or
-// truncated entries instead of failing startup: losing one factor costs
-// one recomputation; refusing to start costs the whole cache.
+// The entry files are the store: each is self-describing and checksummed,
+// and no other record names them. A write goes to a temp name, is fsynced,
+// renamed over the entry's address and made durable with a directory
+// fsync; a delete is an unlink followed by a directory fsync. Recovery
+// lists matrices/ and factors/ and verifies every file — envelope, SHA-256,
+// kind, decode, structure, and that the file sits at the address its own
+// content hashes to — and QUARANTINES whatever fails (a corrupt entry, a
+// stray file, a file of an older format) instead of failing startup:
+// losing one factor costs one recomputation; refusing to start costs the
+// whole cache.
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -45,14 +47,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// compactEvery bounds the manifest log: after this many appended records
-// the snapshot is rewritten and the log truncated, so recovery replay stays
-// O(recent churn), not O(history).
-const compactEvery = 64
-
 const (
-	manifestName  = "manifest.json"
-	logName       = "manifest.log"
 	matrixDir     = "matrices"
 	factorDir     = "factors"
 	quarantineDir = "quarantine"
@@ -66,40 +61,11 @@ type Options struct {
 	Logger  *slog.Logger
 }
 
-// manifestMatrix is one matrix entry of the manifest snapshot/log.
-type manifestMatrix struct {
-	Fingerprint string `json:"fingerprint"`
-	Name        string `json:"name,omitempty"`
-	File        string `json:"file"`
-}
-
-// manifestFactor is one factor entry of the manifest snapshot/log.
-type manifestFactor struct {
-	Key         string `json:"key"`
-	Fingerprint string `json:"fingerprint"`
-	File        string `json:"file"`
-	SetupNS     int64  `json:"setup_ns,omitempty"`
-}
-
-// manifest is the snapshot document (manifest.json).
-type manifest struct {
-	Schema   int              `json:"schema"`
-	Matrices []manifestMatrix `json:"matrices"`
-	Factors  []manifestFactor `json:"factors"`
-}
-
-// logRecord is one line of manifest.log.
-type logRecord struct {
-	Op     string          `json:"op"` // put-matrix|del-matrix|put-factor|del-factor
-	Matrix *manifestMatrix `json:"matrix,omitempty"`
-	Factor *manifestFactor `json:"factor,omitempty"`
-	Ref    string          `json:"ref,omitempty"` // fingerprint / key for deletes
-}
-
 // RecoveredMatrix is a verified matrix entry rehydrated at Open.
 type RecoveredMatrix struct {
-	A    *sparse.CSR
-	Name string
+	A *sparse.CSR
+	// Names are the matrix's aliases in registration order.
+	Names []string
 }
 
 // RecoveredFactor is a verified preconditioner factor rehydrated at Open.
@@ -119,9 +85,22 @@ type Stats struct {
 	Matrices int   `json:"matrices"`
 	Factors  int   `json:"factors"`
 	Bytes    int64 `json:"bytes"`
-	// Corrupt counts entries quarantined at Open: the store_corrupt_total
+	// Corrupt counts files quarantined at Open: the store_corrupt_total
 	// counter.
 	Corrupt int64 `json:"corrupt"`
+}
+
+// matrixEntry and factorEntry index the entry files in memory: what Stats,
+// the puts and the deletes need without reading the disk. An entry's file
+// name follows from its fingerprint or key (matrixFile, factorFile).
+type matrixEntry struct {
+	names []string // aliases in registration order
+	size  int64    // entry file bytes
+}
+
+type factorEntry struct {
+	fingerprint string
+	size        int64
 }
 
 // Store is the disk-backed persistence layer. All methods are safe for
@@ -133,10 +112,8 @@ type Store struct {
 	log *slog.Logger
 
 	mu       sync.Mutex
-	matrices map[string]manifestMatrix // by fingerprint
-	factors  map[string]manifestFactor // by cache key
-	logf     *os.File
-	appended int
+	matrices map[string]matrixEntry // by fingerprint
+	factors  map[string]factorEntry // by cache key
 	bytes    int64
 
 	corrupt *telemetry.Counter
@@ -145,11 +122,10 @@ type Store struct {
 	recFactors  []RecoveredFactor
 }
 
-// Open attaches to (creating if needed) the data directory, replays the
-// manifest, verifies every referenced entry and quarantines what fails.
-// It returns an error only when the directory itself is unusable — a
-// corrupt manifest or corrupt entries degrade to an emptier store, they
-// never fail startup.
+// Open attaches to (creating if needed) the data directory, verifies every
+// entry file in it and quarantines what fails. It returns an error only
+// when the directory itself is unusable — corrupt entries degrade to an
+// emptier store, they never fail startup.
 func Open(dir string, opt Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty data directory")
@@ -171,15 +147,15 @@ func Open(dir string, opt Options) (*Store, error) {
 		dir:      dir,
 		reg:      reg,
 		log:      logger,
-		matrices: map[string]manifestMatrix{},
-		factors:  map[string]manifestFactor{},
+		matrices: map[string]matrixEntry{},
+		factors:  map[string]factorEntry{},
 	}
 	s.reg.SetHelp("store_entries", "durable store entries by kind (matrix, factor)")
 	s.reg.SetHelp("store_bytes", "bytes of verified durable store entries")
-	s.reg.SetHelp("store_corrupt_total", "store entries quarantined for failed verification (checksum, truncation, fingerprint mismatch)")
+	s.reg.SetHelp("store_corrupt_total", "files quarantined at recovery: entries failing verification (checksum, truncation, format version, address) and stray files")
 	s.reg.SetHelp("store_writes_total", "durable store entry writes")
-	s.reg.SetHelp("store_deletes_total", "durable store entry deletions")
-	s.reg.SetHelp("store_errors_total", "best-effort store operations that failed (entry kept in memory only)")
+	s.reg.SetHelp("store_deletes_total", "durable store entry deletions (unlinks that succeeded)")
+	s.reg.SetHelp("store_errors_total", "store entry writes and unlinks that failed")
 	// Touch the zero counters so every family renders on /metrics from the
 	// first scrape, not only after its first event.
 	s.corrupt = s.reg.Counter("store.corrupt_total")
@@ -187,13 +163,8 @@ func Open(dir string, opt Options) (*Store, error) {
 	s.reg.Counter("store.deletes_total")
 	s.reg.Counter("store.errors_total")
 
-	s.loadManifest()
 	s.removeTempFiles()
-	s.verifyEntries()
-	s.sweepOrphans()
-	if err := s.compactLocked(); err != nil {
-		return nil, err
-	}
+	s.recover()
 	s.publishGauges()
 	s.log.Info("store recovered",
 		"dir", dir, "matrices", len(s.matrices), "factors", len(s.factors),
@@ -203,18 +174,6 @@ func Open(dir string, opt Options) (*Store, error) {
 
 // Dir returns the data directory root.
 func (s *Store) Dir() string { return s.dir }
-
-// Close releases the manifest log handle. The store must not be used after.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.logf == nil {
-		return nil
-	}
-	err := s.logf.Close()
-	s.logf = nil
-	return err
-}
 
 // DrainRecovered hands over (and releases) the entries verified at Open.
 // The service calls it once to rehydrate its registry and cache.
@@ -238,68 +197,62 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// PutMatrix persists a registered matrix. Re-putting known content is a
-// cheap manifest update at most (the entry file is content-addressed by
-// fingerprint and never rewritten); a fresh name updates the alias.
+// PutMatrix persists a registered matrix under alias name ("" for none).
+// The entry file is content-addressed by fingerprint and holds every alias
+// in registration order: re-putting known content is a no-op unless name
+// is a new alias, which atomically rewrites the entry.
 func (s *Store) PutMatrix(a *sparse.CSR, name string) error {
 	fp := a.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if mm, ok := s.matrices[fp]; ok {
-		if name == "" || mm.Name == name {
-			return nil
-		}
-		mm.Name = name
-		s.matrices[fp] = mm
-		return s.appendLogLocked(logRecord{Op: "put-matrix", Matrix: &mm})
+	me, ok := s.matrices[fp]
+	if ok && (name == "" || slices.Contains(me.names, name)) {
+		return nil
 	}
-	mm := manifestMatrix{
-		Fingerprint: fp,
-		Name:        name,
-		File:        filepath.Join(matrixDir, shortHex(fp)+".bin"),
+	names := slices.Clip(me.names)
+	if name != "" {
+		names = append(names, name)
 	}
-	data := encodeMatrix(a, name)
-	if err := s.writeEntryLocked(mm.File, data); err != nil {
+	data := encodeMatrix(a, names)
+	if err := s.writeEntryLocked(matrixFile(fp), data); err != nil {
 		return err
 	}
-	s.matrices[fp] = mm
-	s.bytes += int64(len(data))
+	s.matrices[fp] = matrixEntry{names: names, size: int64(len(data))}
+	s.bytes += int64(len(data)) - me.size
 	s.publishGauges()
-	return s.appendLogLocked(logRecord{Op: "put-matrix", Matrix: &mm})
+	return nil
 }
 
 // DeleteMatrix removes a matrix entry and its file. Factor entries are
 // deleted separately (the cache's eviction hook calls DeleteFactor per
-// key), so disk state mirrors cache state exactly.
+// key), so disk state mirrors cache state exactly; any factor of the
+// matrix still on disk goes first, so a crash part-way leaves at most
+// factors without their matrix, which recovery drops.
 func (s *Store) DeleteMatrix(fingerprint string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mm, ok := s.matrices[fingerprint]
+	me, ok := s.matrices[fingerprint]
 	if !ok {
 		return nil
 	}
-	delete(s.matrices, fingerprint)
-	s.removeEntryLocked(mm.File)
-	// Factors are meaningless without their operator: sweep them with the
-	// matrix so an unregister leaves nothing to rehydrate. Normally the
-	// cache's evict hook has already removed them — this catches any that
-	// raced past it.
-	var firstErr error
-	for key, mf := range s.factors {
-		if mf.Fingerprint != fingerprint {
+	var errs []error
+	for key, fe := range s.factors {
+		if fe.fingerprint != fingerprint {
 			continue
 		}
-		delete(s.factors, key)
-		s.removeEntryLocked(mf.File)
-		if err := s.appendLogLocked(logRecord{Op: "del-factor", Ref: key}); err != nil && firstErr == nil {
-			firstErr = err
+		if err := s.removeEntryLocked(factorFile(key), fe.size); err != nil {
+			errs = append(errs, err)
+		} else {
+			delete(s.factors, key)
 		}
 	}
-	s.publishGauges()
-	if err := s.appendLogLocked(logRecord{Op: "del-matrix", Ref: fingerprint}); err != nil && firstErr == nil {
-		firstErr = err
+	if err := s.removeEntryLocked(matrixFile(fingerprint), me.size); err != nil {
+		errs = append(errs, err)
+	} else {
+		delete(s.matrices, fingerprint)
 	}
-	return firstErr
+	s.publishGauges()
+	return errors.Join(errs...)
 }
 
 // PutFactor persists one computed preconditioner factor under its cache
@@ -311,20 +264,14 @@ func (s *Store) PutFactor(key, fingerprint string, p *fsai.Preconditioner, setup
 	if _, ok := s.factors[key]; ok {
 		return nil
 	}
-	mf := manifestFactor{
-		Key:         key,
-		Fingerprint: fingerprint,
-		File:        filepath.Join(factorDir, shortHex(key)+".bin"),
-		SetupNS:     setupNS,
-	}
 	data := encodeFactor(key, fingerprint, p, setupNS)
-	if err := s.writeEntryLocked(mf.File, data); err != nil {
+	if err := s.writeEntryLocked(factorFile(key), data); err != nil {
 		return err
 	}
-	s.factors[key] = mf
+	s.factors[key] = factorEntry{fingerprint: fingerprint, size: int64(len(data))}
 	s.bytes += int64(len(data))
 	s.publishGauges()
-	return s.appendLogLocked(logRecord{Op: "put-factor", Factor: &mf})
+	return nil
 }
 
 // DeleteFactor removes one factor entry and its file (cache eviction,
@@ -332,187 +279,132 @@ func (s *Store) PutFactor(key, fingerprint string, p *fsai.Preconditioner, setup
 func (s *Store) DeleteFactor(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mf, ok := s.factors[key]
+	fe, ok := s.factors[key]
 	if !ok {
 		return nil
 	}
+	if err := s.removeEntryLocked(factorFile(key), fe.size); err != nil {
+		return err
+	}
 	delete(s.factors, key)
-	s.removeEntryLocked(mf.File)
 	s.publishGauges()
-	return s.appendLogLocked(logRecord{Op: "del-factor", Ref: key})
+	return nil
 }
 
 // ---- recovery ----
 
-// loadManifest reads the snapshot and replays the append log into the
-// in-memory maps. A corrupt snapshot is quarantined and recovery continues
-// from the log alone; a partial trailing log line (torn write at crash) is
-// ignored.
-func (s *Store) loadManifest() {
-	snapPath := filepath.Join(s.dir, manifestName)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var m manifest
-		if jerr := json.Unmarshal(data, &m); jerr != nil {
-			s.log.Warn("store manifest snapshot corrupt, quarantining", "error", jerr.Error())
-			s.quarantine(manifestName)
-		} else {
-			for _, mm := range m.Matrices {
-				s.matrices[mm.Fingerprint] = mm
-			}
-			for _, mf := range m.Factors {
-				s.factors[mf.Key] = mf
-			}
-		}
-	}
-	logPath := filepath.Join(s.dir, logName)
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		return
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var rec logRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			// A torn final line is the normal signature of a crash mid-append;
-			// everything before it is intact (each append was fsynced whole).
-			s.log.Debug("store manifest log ends in a partial record, ignoring tail")
-			break
-		}
-		switch rec.Op {
-		case "put-matrix":
-			if rec.Matrix != nil {
-				s.matrices[rec.Matrix.Fingerprint] = *rec.Matrix
-			}
-		case "del-matrix":
-			delete(s.matrices, rec.Ref)
-		case "put-factor":
-			if rec.Factor != nil {
-				s.factors[rec.Factor.Key] = *rec.Factor
-			}
-		case "del-factor":
-			delete(s.factors, rec.Ref)
-		}
-	}
-}
-
-// verifyEntries reads every manifest-referenced file, verifies checksum and
-// content, collects the survivors for DrainRecovered and quarantines the
-// rest. Disk state after a crash is untrusted input: a short write, a torn
-// rename or a flipped bit must cost exactly one entry.
-func (s *Store) verifyEntries() {
-	for fp, mm := range s.matrices {
-		a, name, err := s.readMatrix(mm)
+// recover rebuilds the index from the entry files, collects the survivors
+// for DrainRecovered and quarantines the rest. Disk state after a crash is
+// untrusted input: a short write, a torn rename, a flipped bit or a stray
+// file must cost exactly that file.
+func (s *Store) recover() {
+	for _, rel := range s.entryFiles(matrixDir) {
+		fp, rm, size, err := s.readMatrix(rel)
 		if err != nil {
-			s.log.Warn("store matrix entry corrupt, quarantining",
-				"fingerprint", trunc(fp), "file", mm.File, "error", err.Error())
-			s.quarantine(mm.File)
-			s.corrupt.Inc()
-			delete(s.matrices, fp)
+			s.reject("matrix", rel, err)
 			continue
 		}
-		s.recMatrices = append(s.recMatrices, RecoveredMatrix{A: a, Name: name})
+		s.matrices[fp] = matrixEntry{names: rm.Names, size: size}
+		s.bytes += size
+		s.recMatrices = append(s.recMatrices, rm)
 	}
-	for key, mf := range s.factors {
-		f, err := s.readFactor(mf)
-		switch {
-		case err != nil:
-			s.log.Warn("store factor entry corrupt, quarantining",
-				"key", trunc(key), "file", mf.File, "error", err.Error())
-			s.quarantine(mf.File)
-			s.corrupt.Inc()
-			delete(s.factors, key)
-		case s.matrices[f.Fingerprint].Fingerprint == "":
+	for _, rel := range s.entryFiles(factorDir) {
+		f, size, err := s.readFactor(rel)
+		if err != nil {
+			s.reject("factor", rel, err)
+			continue
+		}
+		s.bytes += size
+		if _, ok := s.matrices[f.Fingerprint]; !ok {
 			// A factor whose matrix is gone can never serve a warm solve
 			// (solves resolve the matrix first); drop it instead of carrying
-			// dead weight forever.
+			// dead weight forever. Nothing was corrupt: it is not counted.
 			s.log.Info("store factor references unregistered matrix, dropping",
-				"key", trunc(key))
-			s.removeEntryLocked(mf.File)
-			delete(s.factors, key)
-		default:
-			s.recFactors = append(s.recFactors, *f)
+				"key", trunc(f.Key))
+			_ = s.removeEntryLocked(rel, size)
+			continue
+		}
+		s.factors[f.Key] = factorEntry{fingerprint: f.Fingerprint, size: size}
+		s.recFactors = append(s.recFactors, *f)
+	}
+}
+
+// entryFiles lists the regular files of one entry directory, relative to
+// the data directory.
+func (s *Store) entryFiles(sub string) []string {
+	entries, err := os.ReadDir(filepath.Join(s.dir, sub))
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for _, e := range entries {
+		if e.Type().IsRegular() {
+			out = append(out, filepath.Join(sub, e.Name()))
 		}
 	}
+	return out
 }
 
-func (s *Store) readMatrix(mm manifestMatrix) (*sparse.CSR, string, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, mm.File))
+// readEntry reads one entry file and opens its envelope, which must hold
+// an entry of the given kind.
+func (s *Store) readEntry(rel string, kind byte) ([]byte, int64, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, rel))
 	if err != nil {
-		return nil, "", fmt.Errorf("%w: %v", errCorrupt, err)
+		return nil, 0, fmt.Errorf("%w: %v", errCorrupt, err)
 	}
-	kind, payload, err := openFile(data)
+	k, payload, err := openFile(data)
 	if err != nil {
-		return nil, "", err
+		return nil, 0, err
 	}
-	if kind != kindMatrix {
-		return nil, "", fmt.Errorf("%w: wrong entry kind %q", errCorrupt, kind)
+	if k != kind {
+		return nil, 0, fmt.Errorf("%w: wrong entry kind %q", errCorrupt, k)
 	}
-	a, name, err := decodeMatrix(payload)
-	if err != nil {
-		return nil, "", err
-	}
-	// The checksum proves the file is what was written; the fingerprint
-	// proves what was written is the matrix the manifest says it is.
-	if got := a.Fingerprint(); got != mm.Fingerprint {
-		return nil, "", fmt.Errorf("%w: content fingerprint mismatch", errCorrupt)
-	}
-	s.bytes += int64(len(data))
-	return a, name, nil
+	return payload, int64(len(data)), nil
 }
 
-func (s *Store) readFactor(mf manifestFactor) (*RecoveredFactor, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, mf.File))
+func (s *Store) readMatrix(rel string) (string, RecoveredMatrix, int64, error) {
+	payload, size, err := s.readEntry(rel, kindMatrix)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+		return "", RecoveredMatrix{}, 0, err
 	}
-	kind, payload, err := openFile(data)
+	a, names, err := decodeMatrix(payload)
 	if err != nil {
-		return nil, err
+		return "", RecoveredMatrix{}, 0, err
 	}
-	if kind != kindFactor {
-		return nil, fmt.Errorf("%w: wrong entry kind %q", errCorrupt, kind)
+	// The checksum proves the file is what was written; the address proves
+	// it is the entry its name claims to be.
+	fp := a.Fingerprint()
+	if rel != matrixFile(fp) {
+		return "", RecoveredMatrix{}, 0, fmt.Errorf("%w: file is not at the address of its content fingerprint", errCorrupt)
+	}
+	return fp, RecoveredMatrix{A: a, Names: names}, size, nil
+}
+
+func (s *Store) readFactor(rel string) (*RecoveredFactor, int64, error) {
+	payload, size, err := s.readEntry(rel, kindFactor)
+	if err != nil {
+		return nil, 0, err
 	}
 	f, err := decodeFactor(payload)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if f.Key != mf.Key || f.Fingerprint != mf.Fingerprint {
-		return nil, fmt.Errorf("%w: entry key does not match manifest", errCorrupt)
+	if rel != factorFile(f.Key) {
+		return nil, 0, fmt.Errorf("%w: file is not at the address of its cache key", errCorrupt)
 	}
-	s.bytes += int64(len(data))
-	return f, nil
+	return f, size, nil
 }
 
-// sweepOrphans removes entry files no manifest entry references — the
-// leftovers of a crash between entry write and manifest append.
-func (s *Store) sweepOrphans() {
-	referenced := map[string]bool{}
-	for _, mm := range s.matrices {
-		referenced[mm.File] = true
-	}
-	for _, mf := range s.factors {
-		referenced[mf.File] = true
-	}
-	for _, sub := range []string{matrixDir, factorDir} {
-		entries, err := os.ReadDir(filepath.Join(s.dir, sub))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			rel := filepath.Join(sub, e.Name())
-			if !referenced[rel] {
-				s.log.Info("store removing orphan entry file", "file", rel)
-				_ = os.Remove(filepath.Join(s.dir, rel))
-			}
-		}
-	}
+// reject quarantines and counts a file that failed verification.
+func (s *Store) reject(kind, rel string, err error) {
+	s.log.Warn("store "+kind+" entry corrupt, quarantining", "file", rel, "error", err.Error())
+	s.quarantine(rel)
+	s.corrupt.Inc()
 }
 
 // removeTempFiles clears *.tmp leftovers of interrupted atomic writes.
 func (s *Store) removeTempFiles() {
-	for _, sub := range []string{".", matrixDir, factorDir} {
+	for _, sub := range []string{matrixDir, factorDir} {
 		entries, err := os.ReadDir(filepath.Join(s.dir, sub))
 		if err != nil {
 			continue
@@ -569,83 +461,19 @@ func (s *Store) writeErr(err error) error {
 	return fmt.Errorf("store: %w", err)
 }
 
-func (s *Store) removeEntryLocked(rel string) {
+// removeEntryLocked unlinks one entry file of size bytes and fsyncs its
+// directory, so the delete survives a crash. A failed unlink is returned
+// and counted, and the caller keeps the entry in its index: store_entries
+// keeps matching the disk, and the file is recovered at the next Open. A
+// file already gone counts as removed.
+func (s *Store) removeEntryLocked(rel string, size int64) error {
 	path := filepath.Join(s.dir, rel)
-	if fi, err := os.Stat(path); err == nil {
-		s.bytes -= fi.Size()
-		if s.bytes < 0 {
-			s.bytes = 0
-		}
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return s.writeErr(err)
 	}
-	_ = os.Remove(path)
+	syncDir(filepath.Dir(path))
+	s.bytes -= size
 	s.reg.Counter("store.deletes_total").Inc()
-}
-
-// appendLogLocked appends one fsynced record to manifest.log and compacts
-// when the log has grown past compactEvery records.
-func (s *Store) appendLogLocked(rec logRecord) error {
-	if s.logf == nil {
-		f, err := os.OpenFile(filepath.Join(s.dir, logName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			return s.writeErr(err)
-		}
-		s.logf = f
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return s.writeErr(err)
-	}
-	b = append(b, '\n')
-	if _, err := s.logf.Write(b); err != nil {
-		return s.writeErr(err)
-	}
-	if err := s.logf.Sync(); err != nil {
-		return s.writeErr(err)
-	}
-	s.appended++
-	if s.appended >= compactEvery {
-		return s.compactLocked()
-	}
-	return nil
-}
-
-// compactLocked rewrites the snapshot from the in-memory manifest and
-// truncates the log. Runs at Open (so recovery work is never repeated) and
-// every compactEvery appends.
-func (s *Store) compactLocked() error {
-	m := manifest{Schema: 1}
-	for _, mm := range s.matrices {
-		m.Matrices = append(m.Matrices, mm)
-	}
-	for _, mf := range s.factors {
-		m.Factors = append(m.Factors, mf)
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return s.writeErr(err)
-	}
-	path := filepath.Join(s.dir, manifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return s.writeErr(err)
-	}
-	if f, err := os.OpenFile(tmp, os.O_RDONLY, 0); err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return s.writeErr(err)
-	}
-	syncDir(s.dir)
-	if s.logf != nil {
-		s.logf.Close()
-		s.logf = nil
-	}
-	if err := os.Truncate(filepath.Join(s.dir, logName), 0); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return s.writeErr(err)
-	}
-	s.appended = 0
 	return nil
 }
 
@@ -662,8 +490,8 @@ func (s *Store) quarantine(rel string) {
 		dst = filepath.Join(s.dir, quarantineDir, fmt.Sprintf("%s.%d", base, i))
 	}
 	if err := os.Rename(src, dst); err != nil {
-		// The file may be gone entirely (manifest pointed at nothing); the
-		// entry is still dropped and counted either way.
+		// The file may have vanished since it was read; it is still dropped
+		// and counted either way.
 		_ = os.Remove(src)
 	}
 }
@@ -674,7 +502,7 @@ func (s *Store) publishGauges() {
 	s.reg.Gauge("store.bytes").Set(float64(s.bytes))
 }
 
-// syncDir fsyncs a directory so a preceding rename is durable.
+// syncDir fsyncs a directory so a preceding rename or unlink is durable.
 func syncDir(dir string) {
 	if f, err := os.Open(dir); err == nil {
 		_ = f.Sync()
@@ -682,8 +510,19 @@ func syncDir(dir string) {
 	}
 }
 
-// shortHex names an entry file from the SHA-256 of its manifest key, so
-// file names stay fixed-length and filesystem-safe whatever the key holds.
+// matrixFile and factorFile are the addresses of entry files: each is
+// named by the hash of what identifies it, which recovery re-derives from
+// the file's own content.
+func matrixFile(fingerprint string) string {
+	return filepath.Join(matrixDir, shortHex(fingerprint)+".bin")
+}
+
+func factorFile(key string) string {
+	return filepath.Join(factorDir, shortHex(key)+".bin")
+}
+
+// shortHex names an entry file from the SHA-256 of its key, so file names
+// stay fixed-length and filesystem-safe whatever the key holds.
 func shortHex(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:12])

@@ -1,8 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,7 +35,6 @@ func openStore(t *testing.T, dir string) *Store {
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -68,17 +72,14 @@ func TestRoundTripSurvivesReopen(t *testing.T) {
 	if st.Matrices != 1 || st.Factors != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats after put = %+v", st)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 
 	s2 := openStore(t, dir)
 	ms, fs := s2.DrainRecovered()
 	if len(ms) != 1 || len(fs) != 1 {
 		t.Fatalf("recovered %d matrices, %d factors; want 1, 1", len(ms), len(fs))
 	}
-	if ms[0].Name != "lap8" || ms[0].A.Fingerprint() != fp {
-		t.Fatalf("recovered matrix name=%q fp=%s", ms[0].Name, ms[0].A.Fingerprint())
+	if !slices.Equal(ms[0].Names, []string{"lap8"}) || ms[0].A.Fingerprint() != fp {
+		t.Fatalf("recovered matrix names=%q fp=%s", ms[0].Names, ms[0].A.Fingerprint())
 	}
 	f := fs[0]
 	if f.Key != key || f.Fingerprint != fp || f.SetupNS != 12345 {
@@ -147,7 +148,6 @@ func TestDeleteRemovesDiskEntries(t *testing.T) {
 			t.Fatalf("%s still holds %d files after delete", sub, len(entries))
 		}
 	}
-	s.Close()
 
 	s2 := openStore(t, dir)
 	if ms, fs := s2.DrainRecovered(); len(ms) != 0 || len(fs) != 0 {
@@ -215,7 +215,6 @@ func TestBitFlippedFactorIsQuarantined(t *testing.T) {
 	if err := s.PutFactor(fp+"|k", fp, p, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	name := corruptOneFile(t, dir, factorDir, func(b []byte) []byte {
 		b[len(b)/2] ^= 0x10
@@ -246,7 +245,6 @@ func TestTruncatedMatrixIsQuarantined(t *testing.T) {
 	if err := s.PutMatrix(a, "m"); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	corruptOneFile(t, dir, matrixDir, func(b []byte) []byte { return b[:len(b)/3] })
 
@@ -270,14 +268,12 @@ func TestCorruptCountedWithoutRegistry(t *testing.T) {
 	if err := s.PutMatrix(a, "m"); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	corruptOneFile(t, dir, matrixDir, func(b []byte) []byte { return b[:len(b)/3] })
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open without a registry: %v", err)
 	}
-	defer s2.Close()
 	if got := s2.Stats().Corrupt; got != 1 {
 		t.Fatalf("corrupt counter = %d, want 1", got)
 	}
@@ -298,7 +294,6 @@ func TestFactorWithoutMatrixIsDropped(t *testing.T) {
 	if err := s.DeleteMatrix(fp); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	s2 := openStore(t, dir)
 	ms, fs := s2.DrainRecovered()
@@ -311,60 +306,6 @@ func TestFactorWithoutMatrixIsDropped(t *testing.T) {
 	}
 }
 
-func TestPartialTrailingLogLineIsTolerated(t *testing.T) {
-	dir := t.TempDir()
-	a, _ := fixture(t)
-
-	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// Simulate a crash mid-append: a torn, non-JSON final line.
-	logPath := filepath.Join(dir, logName)
-	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"del-matrix","ref":"trunc`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2 := openStore(t, dir)
-	ms, _ := s2.DrainRecovered()
-	if len(ms) != 1 {
-		t.Fatalf("recovered %d matrices, want 1 (torn log tail must not lose prior records)", len(ms))
-	}
-}
-
-func TestCorruptSnapshotIsQuarantinedNotFatal(t *testing.T) {
-	dir := t.TempDir()
-	a, _ := fixture(t)
-
-	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Open must succeed; the put-matrix record still lives in manifest.log
-	// (written after the Open-time compaction), so the entry survives.
-	s2 := openStore(t, dir)
-	ms, _ := s2.DrainRecovered()
-	if len(ms) != 1 {
-		t.Fatalf("recovered %d matrices, want 1 via log replay", len(ms))
-	}
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, manifestName)); err != nil {
-		t.Fatalf("corrupt snapshot not quarantined: %v", err)
-	}
-}
-
 func TestOrphanFilesAndTempFilesAreSwept(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := fixture(t)
@@ -373,7 +314,6 @@ func TestOrphanFilesAndTempFilesAreSwept(t *testing.T) {
 	if err := s.PutMatrix(a, "m"); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	orphan := filepath.Join(dir, factorDir, "deadbeef.bin")
 	tmp := filepath.Join(dir, matrixDir, "half.bin.tmp")
@@ -383,42 +323,20 @@ func TestOrphanFilesAndTempFilesAreSwept(t *testing.T) {
 		}
 	}
 
-	openStore(t, dir)
+	s2 := openStore(t, dir)
 	for _, p := range []string{orphan, tmp} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s not swept (err=%v)", p, err)
 		}
 	}
-}
-
-func TestLogCompaction(t *testing.T) {
-	dir := t.TempDir()
-	a, _ := fixture(t)
-
-	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
-		t.Fatal(err)
+	// A temp file is an interrupted write and goes; a stray file in an
+	// entry directory is kept as evidence, like any file that fails
+	// verification.
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "deadbeef.bin")); err != nil {
+		t.Fatalf("stray file not quarantined: %v", err)
 	}
-	// Rename churn drives the append log past compactEvery.
-	for i := 0; i < compactEvery+4; i++ {
-		name := "alias-" + strings.Repeat("x", i%3+1)
-		if err := s.PutMatrix(a, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fi, err := os.Stat(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() > 4096 {
-		t.Fatalf("manifest log not compacted: %d bytes", fi.Size())
-	}
-	s.Close()
-
-	s2 := openStore(t, dir)
-	ms, _ := s2.DrainRecovered()
-	if len(ms) != 1 {
-		t.Fatalf("recovered %d matrices after compaction, want 1", len(ms))
+	if st := s2.Stats(); st.Corrupt != 1 || st.Matrices != 1 {
+		t.Fatalf("stats = %+v, want 1 matrix and 1 corrupt", st)
 	}
 }
 
@@ -452,7 +370,6 @@ func TestInjectedShortWriteAndBitFlipAreCaughtOnRecovery(t *testing.T) {
 			if len(events) != 1 || events[0].Site != tc.site {
 				t.Fatalf("events = %v, want one %s", events, tc.site)
 			}
-			s.Close()
 
 			s2 := openStore(t, dir)
 			ms, fs := s2.DrainRecovered()
@@ -485,5 +402,152 @@ func TestPutMatrixIsIdempotentByFingerprint(t *testing.T) {
 	}
 	if st := s.Stats(); st.Matrices != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestEntryCopiedUnderAnotherNameIsQuarantined: a valid factor file at an
+// address its key does not hash to passes every checksum, so the address
+// check is what stops it; the original entry still recovers.
+func TestEntryCopiedUnderAnotherNameIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	a, p := fixture(t)
+	fp := a.Fingerprint()
+	key := fp + "|k"
+
+	s := openStore(t, dir)
+	if err := s.PutMatrix(a, "m"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFactor(key, fp, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, factorFile(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := factorFile(fp + "|other")
+	if err := os.WriteFile(filepath.Join(dir, copied), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openStore(t, dir)
+	ms, fs := s2.DrainRecovered()
+	if len(ms) != 1 || len(fs) != 1 || fs[0].Key != key {
+		t.Fatalf("recovered %d matrices, %d factors; want the original factor only", len(ms), len(fs))
+	}
+	if st := s2.Stats(); st.Corrupt != 1 || st.Factors != 1 {
+		t.Fatalf("stats = %+v, want 1 factor and 1 corrupt", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, filepath.Base(copied))); err != nil {
+		t.Fatalf("copied entry not quarantined: %v", err)
+	}
+}
+
+// TestVersion1EnvelopeIsQuarantined: an entry of the previous format (one
+// alias string, no alias list) is reported as an unknown version and
+// quarantined, never misread as the current layout.
+func TestVersion1EnvelopeIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := fixture(t)
+	var e enc
+	e.str("m")
+	e.csr(a)
+	old := sealFile(kindMatrix, e.b)
+	binary.LittleEndian.PutUint16(old[4:], 1)
+	end := len(old) - sumLen
+	sum := sha256.Sum256(old[:end])
+	copy(old[end:], sum[:])
+	if err := os.MkdirAll(filepath.Join(dir, matrixDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rel := matrixFile(a.Fingerprint())
+	if err := os.WriteFile(filepath.Join(dir, rel), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	s, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms, _ := s.DrainRecovered(); len(ms) != 0 {
+		t.Fatal("version-1 matrix entry was recovered")
+	}
+	if got := s.Stats().Corrupt; got != 1 {
+		t.Fatalf("corrupt counter = %d, want 1", got)
+	}
+	if !strings.Contains(logs.String(), "unknown version 1") {
+		t.Fatalf("quarantine log does not name the version:\n%s", logs.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, filepath.Base(rel))); err != nil {
+		t.Fatalf("version-1 entry not quarantined: %v", err)
+	}
+}
+
+// TestFailedUnlinkIsReturnedAndCounted: a delete whose unlink fails returns
+// the error, counts store_errors_total and no deletion, and keeps the entry
+// indexed, as it is still on disk. A non-empty directory at the entry's path
+// makes the unlink fail even for root.
+func TestFailedUnlinkIsReturnedAndCounted(t *testing.T) {
+	dir := t.TempDir()
+	a, p := fixture(t)
+	fp := a.Fingerprint()
+	key := fp + "|k"
+	s := openStore(t, dir)
+	if err := s.PutMatrix(a, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFactor(key, fp, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, factorFile(key))
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteFactor(key); err == nil {
+		t.Fatal("DeleteFactor over a non-empty directory succeeded")
+	}
+	for name, want := range map[string]int64{"store.errors_total": 1, "store.deletes_total": 0} {
+		if got := s.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if st := s.Stats(); st.Factors != 1 {
+		t.Fatalf("stats = %+v, want the factor still indexed", st)
+	}
+	if got := s.reg.Gauge(`store.entries{kind="factor"}`).Value(); got != 1 {
+		t.Fatalf(`store_entries{kind="factor"} = %g, want 1`, got)
+	}
+}
+
+// TestAliasesSurviveReopen: every alias put reaches the entry file once, in
+// registration order, and a reopened store reads back the same aliases and
+// byte count.
+func TestAliasesSurviveReopen(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := fixture(t)
+	s := openStore(t, dir)
+	for _, name := range []string{"", "a", "b", "a"} {
+		if err := s.PutMatrix(a, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The unnamed put writes the entry, each new alias rewrites it, and a
+	// known alias is a no-op.
+	if got := s.reg.Counter("store.writes_total").Value(); got != 3 {
+		t.Fatalf("store_writes_total = %d, want 3", got)
+	}
+	want := s.Stats()
+
+	s2 := openStore(t, dir)
+	ms, _ := s2.DrainRecovered()
+	if len(ms) != 1 || !slices.Equal(ms[0].Names, []string{"a", "b"}) {
+		t.Fatalf("recovered %+v, want one matrix named [a b]", ms)
+	}
+	if got := s2.Stats(); got.Bytes != want.Bytes || got.Matrices != 1 {
+		t.Fatalf("stats after reopen = %+v, want %+v", got, want)
 	}
 }

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Crash-recovery drill for the fsaid solve daemon (docs/robustness.md):
 #
-#   1. start fsaid with a durable -data-dir, register a matrix, run a cold
-#      solve capturing the solution vector;
+#   1. start fsaid with a durable -data-dir, register a matrix under two
+#      aliases, run a cold solve capturing the solution vector;
 #   2. SIGKILL the daemon mid-solve (a held job owns a slot when it dies);
 #   3. restart on the same -data-dir and assert the recovered factor serves
-#      a warm cache hit whose solution is bit-identical to the pre-crash X;
+#      a warm cache hit whose solution is bit-identical to the pre-crash X,
+#      and a warm hit through the second alias;
 #   4. flip one bit in the persisted factor entry, restart again, and assert
 #      the entry is quarantined (store_corrupt_total=1), the daemon stays
 #      healthy, and the solve falls back to a recomputing cache miss.
 #
-# Run via `make crash-drill`. With SMOKE_ARTIFACTS_DIR set, the store
-# manifest (snapshot + append log) is kept for upload.
+# Run via `make crash-drill`. With SMOKE_ARTIFACTS_DIR set, a listing of
+# the data dir is kept for upload.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,6 +98,7 @@ fail=0
 echo "== phase 1: cold solve against a durable data dir =="
 start_daemon 1
 "$workdir/fsaid" register -addr "$addr" -matgen lap64x64 -name lap
+"$workdir/fsaid" register -addr "$addr" -matgen lap64x64 -name lap2
 solve '{"matrix":"lap","precond":"fsaie","return_solution":true}' "$workdir/cold.json"
 grep -q '"cache": *"miss"' "$workdir/cold.json" || { echo "FAIL: cold solve not a miss"; cat "$workdir/cold.json"; fail=1; }
 grep -q '"converged": *true' "$workdir/cold.json" || { echo "FAIL: cold solve did not converge"; fail=1; }
@@ -104,7 +106,7 @@ grep -q '"x": *\[' "$workdir/cold.json" || { echo "FAIL: cold solve returned no 
 
 echo "== phase 2: SIGKILL mid-solve =="
 # Park a job in the solve path (hold_ms) so the crash lands mid-operation,
-# with a slot held and the manifest log open.
+# with a slot held.
 curl -sS -X POST -H 'Content-Type: application/json' \
     -d '{"matrix":"lap","precond":"jacobi","hold_ms":5000,"max_iter":5}' \
     "http://$addr/api/v1/solve" >"$workdir/held.json" 2>&1 &
@@ -133,6 +135,13 @@ if same_x "$workdir/cold.json" "$workdir/warm.json"; then
     echo "solution vectors bit-identical across the crash"
 else
     echo "FAIL: post-crash warm X differs from pre-crash cold X"
+    fail=1
+fi
+
+if solve '{"matrix":"lap2","precond":"fsaie"}' "$workdir/warm-lap2.json"; then
+    grep -q '"cache": *"hit"' "$workdir/warm-lap2.json" || { echo "FAIL: post-crash solve on lap2 not a cache hit"; cat "$workdir/warm-lap2.json"; fail=1; }
+else
+    echo "FAIL: the second alias lap2 did not survive the crash"
     fail=1
 fi
 
@@ -171,11 +180,11 @@ else
     pid=""
 fi
 
-# Keep the store manifest (snapshot + append log) and the drill's solve
-# responses for CI upload.
+# Keep a listing of the data dir (the entry files are the store) and the
+# drill's solve responses for CI upload.
 if [ -n "${SMOKE_ARTIFACTS_DIR:-}" ]; then
     mkdir -p "$SMOKE_ARTIFACTS_DIR/store"
-    cp -f "$workdir/data/manifest.json" "$workdir/data/manifest.log" "$SMOKE_ARTIFACTS_DIR/store/" 2>/dev/null || true
+    ls -lR "$workdir/data" >"$SMOKE_ARTIFACTS_DIR/store/data-dir.txt" 2>&1 || true
     cp -f "$workdir"/cold.json "$workdir"/warm.json "$workdir"/recomputed.json "$SMOKE_ARTIFACTS_DIR/store/" 2>/dev/null || true
     echo "crash-drill artifacts kept in $SMOKE_ARTIFACTS_DIR/store"
 fi

@@ -29,7 +29,6 @@
 //	               cache-miss attribution
 //	-listen ADDR   serve the live observability endpoints (/metrics,
 //	               /debug/solve, /debug/pprof/) while the campaign runs
-//	-pprof ADDR    serve net/http/pprof on ADDR (e.g. localhost:6060)
 //	-timeout D     overall campaign wall-clock budget (e.g. 10m); on expiry
 //	               the running solve stops cooperatively and the tool exits
 //	               with an error instead of publishing partial tables
@@ -44,8 +43,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -75,20 +72,10 @@ func main() {
 		traceFlag   = flag.Bool("trace", false, "stream per-setup phase span trees to stderr")
 		metricsOut  = flag.String("metrics-out", "", "write a machine-readable run report (JSON) to this file")
 		listenAddr  = flag.String("listen", "", "serve observability endpoints on this address while the campaign runs")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		timeout     = flag.Duration("timeout", 0, "overall campaign wall-clock budget (0: none)")
 	)
 	flag.Parse()
 	var need64Host bool
-
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "fsaibench: pprof: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
 
 	tables, err := parseList(*tablesFlag)
 	if err != nil {

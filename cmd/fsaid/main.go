@@ -50,7 +50,6 @@
 //	                    127.0.0.1:7474,127.0.0.1:7475,127.0.0.1:7476
 //	  -replicas N       replica shards per matrix beyond the primary (default 1)
 //	  -vnodes N         virtual nodes per shard on the hash ring (default 160)
-//	  -bounded-load F   bounded-load placement factor c (default 1.25)
 //	  -warm-threshold N routed cache-hit solves on one matrix before its
 //	                    factor is replicated to the replicas (default 3;
 //	                    negative disables warming)
@@ -285,7 +284,6 @@ func cmdRoute(args []string) {
 		peers         = fs.String("peers", "", "comma-separated shard addresses (required)")
 		replicas      = fs.Int("replicas", 0, "replica shards per matrix beyond the primary (default 1)")
 		vnodes        = fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring (default 160)")
-		boundedLoad   = fs.Float64("bounded-load", 0, "bounded-load placement factor (default 1.25)")
 		warmThreshold = fs.Int("warm-threshold", 0, "cache-hit solves before replica warming (default 3; negative: off)")
 		probeInterval = fs.Duration("probe-interval", 0, "per-peer health-probe period (default 1s)")
 		name          = fs.String("name", "", "router name in the loop-guard header (default fsaid-router)")
@@ -325,7 +323,6 @@ func cmdRoute(args []string) {
 	router := cluster.NewRouter(cluster.RouterOptions{
 		Name:          *name,
 		Replicas:      *replicas,
-		BoundedLoad:   *boundedLoad,
 		WarmThreshold: *warmThreshold,
 		Membership:    members,
 		Ring:          ring,
@@ -422,15 +419,14 @@ func cmdRegister(args []string) {
 	if !info.Created {
 		verb = "already registered"
 	}
-	fmt.Printf("%s %s (%d unknowns, %d nonzeros) fingerprint=%s\n",
-		verb, displayName(info), info.Rows, info.NNZ, info.Fingerprint)
-}
-
-func displayName(info service.MatrixInfo) string {
-	if info.Name != "" {
-		return info.Name
+	shown := info.Name
+	if *name != "" {
+		shown = *name // the alias this call registered, not the matrix's first
+	} else if shown == "" {
+		shown = info.Fingerprint[:12]
 	}
-	return info.Fingerprint[:12]
+	fmt.Printf("%s %s (%d unknowns, %d nonzeros) fingerprint=%s\n",
+		verb, shown, info.Rows, info.NNZ, info.Fingerprint)
 }
 
 func cmdSolve(args []string) {

@@ -27,7 +27,6 @@
 //	                /debug/pprof/, /runs) on ADDR (":0" picks a free port)
 //	-hold           with -listen: keep serving after the solve until SIGINT/SIGTERM
 //	-runs-dir DIR   directory served under /runs (default: the -metrics-out directory)
-//	-pprof ADDR     serve net/http/pprof on ADDR (e.g. localhost:6060)
 //	-machine NAME   roofline machine model for the achieved-performance
 //	                placement: Skylake|POWER9|A64FX (default Skylake)
 //	-timeout D      overall solve wall-clock budget (e.g. 30s); on expiry the
@@ -56,8 +55,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -105,7 +102,6 @@ func main() {
 		listenAddr = flag.String("listen", "", "serve observability endpoints on this address (\":0\" picks a free port)")
 		hold       = flag.Bool("hold", false, "with -listen: keep serving after the solve until SIGINT/SIGTERM")
 		runsDir    = flag.String("runs-dir", "", "directory served under /runs (default: the -metrics-out directory)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		timeout    = flag.Duration("timeout", 0, "overall solve wall-clock budget (0: none); exits 3 on expiry")
 		resilient  = flag.Bool("resilient", false, "solve through the adaptive recovery chain (internal/resilience)")
 		machineStr = flag.String("machine", "Skylake", "roofline machine model: Skylake|POWER9|A64FX")
@@ -130,15 +126,6 @@ func main() {
 		<-sigCtx.Done()
 		stopSignals()
 	}()
-
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "fsaisolve: pprof: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
 
 	observing := *traceFlag || *metricsOut != "" || *listenAddr != ""
 	var tracer *telemetry.Tracer

@@ -131,62 +131,6 @@ func (r *Ring) Len() int {
 func (r *Ring) Place(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.placeLocked(key, n, nil)
-}
-
-// PlaceBounded is Place under the bounded-load rule: a node whose current
-// load (per loadOf) is at or above factor times the fair share of the total
-// is skipped while any underloaded candidate remains. This keeps one hot
-// shard from absorbing every new placement when the ring is skewed —
-// overflow spills to the next arc instead (Mirrokni et al.'s
-// consistent-hashing-with-bounded-loads argument). factor <= 1 or a nil
-// loadOf disables the bound. The fallback is always plain placement: a
-// fully loaded fleet still answers.
-func (r *Ring) PlaceBounded(key string, n int, loadOf func(node string) int, factor float64) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if loadOf == nil || factor <= 1 || len(r.nodes) == 0 {
-		return r.placeLocked(key, n, nil)
-	}
-	total := 0
-	for node := range r.nodes {
-		total += loadOf(node)
-	}
-	// Fair share of the load *after* this placement lands, so an idle
-	// fleet (total 0) still admits: ceil(factor * (total+1) / members).
-	limit := int(factor*float64(total+1)/float64(len(r.nodes))) + 1
-	skip := func(node string) bool { return loadOf(node) >= limit }
-	placed := r.placeLocked(key, n, skip)
-	want := n
-	if want > len(r.nodes) {
-		want = len(r.nodes)
-	}
-	if len(placed) < want {
-		// Not enough underloaded candidates: fill the tail with the plain
-		// placement order, so a fully loaded fleet still answers and the
-		// bounded choices keep priority.
-		for _, node := range r.placeLocked(key, n, nil) {
-			if len(placed) >= want {
-				break
-			}
-			dup := false
-			for _, p := range placed {
-				if p == node {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				placed = append(placed, node)
-			}
-		}
-	}
-	return placed
-}
-
-// placeLocked walks the ring from the key's position collecting distinct
-// nodes, skipping those rejected by skip (nil: accept all).
-func (r *Ring) placeLocked(key string, n int, skip func(string) bool) []string {
 	if len(r.ring) == 0 || n <= 0 {
 		return nil
 	}
@@ -200,9 +144,6 @@ func (r *Ring) placeLocked(key string, n int, skip func(string) bool) []string {
 			continue
 		}
 		seen[v.node] = struct{}{}
-		if skip != nil && skip(v.node) {
-			continue
-		}
 		out = append(out, v.node)
 	}
 	return out

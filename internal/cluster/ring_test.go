@@ -156,50 +156,3 @@ func TestRingPlaceDistinct(t *testing.T) {
 		t.Fatalf("empty ring Place = %v, want nil", got)
 	}
 }
-
-// TestRingPlaceBounded pins the bounded-load rule: an overloaded shard is
-// skipped while underloaded candidates remain, and a fully loaded fleet
-// still answers with the plain placement.
-func TestRingPlaceBounded(t *testing.T) {
-	r := cluster.NewRing(0)
-	nodes := shards(4)
-	for _, n := range nodes {
-		r.Add(n)
-	}
-	keys := testKeys(256)
-
-	// Saturate one shard far past any fair share; it must stop receiving
-	// primaries while the others have capacity.
-	hot := nodes[0]
-	loads := map[string]int{hot: 1000}
-	for _, k := range keys {
-		own := r.PlaceBounded(k, 1, func(n string) int { return loads[n] }, 1.25)
-		if len(own) != 1 {
-			t.Fatalf("PlaceBounded(%q) = %v, want one owner", k, own)
-		}
-		if own[0] == hot {
-			t.Fatalf("key %q placed on overloaded shard %s", k, hot)
-		}
-		loads[own[0]]++
-	}
-
-	// Uniformly loaded fleet: the bound must not starve placement.
-	flat := func(string) int { return 7 }
-	for _, k := range keys[:32] {
-		own := r.PlaceBounded(k, 2, flat, 1.25)
-		if len(own) != 2 {
-			t.Fatalf("uniform-load PlaceBounded(%q, 2) = %v, want 2 owners", k, own)
-		}
-	}
-
-	// factor <= 1 or nil loadOf falls back to plain placement.
-	for _, k := range keys[:32] {
-		plain := r.Place(k, 2)
-		got := r.PlaceBounded(k, 2, nil, 1.25)
-		for i := range plain {
-			if got[i] != plain[i] {
-				t.Fatalf("nil loadOf PlaceBounded differs from Place for %q", k)
-			}
-		}
-	}
-}

@@ -10,17 +10,15 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/matgen"
-	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
-	"repro/internal/sparse"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -40,10 +38,6 @@ type RouterOptions struct {
 	// primary (default 1). The effective replica count is capped by the
 	// fleet size.
 	Replicas int
-	// BoundedLoad is the bounded-load factor c of the consistent-hashing-
-	// with-bounded-loads placement: no shard takes more than
-	// ceil(c * keys/shards) primaries (default 1.25).
-	BoundedLoad float64
 	// WarmThreshold is the number of routed cache-hit solves on one
 	// fingerprint after which the router replicates the hot factor to the
 	// replica shards via setup_only solves (default 3; 0 keeps the
@@ -63,15 +57,22 @@ type RouterOptions struct {
 }
 
 // matrixRecord is the router's catalog entry for one registered matrix:
-// enough to place it on the ring and to re-register it on a shard that
-// lost it (restart without durable data, or a rebalance moving the key to
-// a shard that never saw it).
+// enough to re-register it, under every alias, on a shard that lost it
+// (restart without durable data, or a membership change moving the key to
+// a shard that never saw it). A cataloged record is never mutated: a new
+// alias replaces it with a copy, so a replay may read it without the lock.
 type matrixRecord struct {
-	fp          string
+	fp   string
+	regs []registration // one per alias, in registration order
+	info service.MatrixInfo
+}
+
+// registration is one accepted registration payload, replayable verbatim:
+// posting body with ?name=name registers the matrix under name.
+type registration struct {
 	name        string
-	body        []byte // raw registration payload, replayable verbatim
+	body        []byte
 	contentType string
-	info        service.MatrixInfo
 }
 
 // Router fronts a fleet of fsaid shards with the daemon's own HTTP/JSON
@@ -109,9 +110,6 @@ func NewRouter(opt RouterOptions) *Router {
 	}
 	if opt.Replicas <= 0 {
 		opt.Replicas = 1
-	}
-	if opt.BoundedLoad <= 1 {
-		opt.BoundedLoad = 1.25
 	}
 	if opt.WarmThreshold == 0 {
 		opt.WarmThreshold = 3
@@ -212,36 +210,11 @@ func (rt *Router) onMembershipChange() {
 	rt.obs.SetHealth(status, reason)
 }
 
-// owners places a key on the ring: primary first, then the replicas, under
-// the bounded-load constraint computed from the router's catalog. The load
-// measure excludes the key itself — a key must never be displaced by its
-// own weight, or re-placing an already-placed key would shift it.
+// owners places a key on the ring: primary first, then the replicas. It
+// depends on the key and the live ring only, so a matrix's owners change
+// when membership does and never when another matrix registers.
 func (rt *Router) owners(key string) []string {
-	loads := rt.primaryLoads(key)
-	return rt.ring.PlaceBounded(key, 1+rt.opt.Replicas, func(addr string) int {
-		return loads[addr]
-	}, rt.opt.BoundedLoad)
-}
-
-// primaryLoads counts how many cataloged matrices other than except each
-// shard currently owns as primary — the load measure of the bounded-load
-// placement.
-func (rt *Router) primaryLoads(except string) map[string]int {
-	rt.mu.Lock()
-	fps := make([]string, 0, len(rt.byFP))
-	for fp := range rt.byFP {
-		if fp != except {
-			fps = append(fps, fp)
-		}
-	}
-	rt.mu.Unlock()
-	loads := map[string]int{}
-	for _, fp := range fps {
-		if own := rt.ring.Place(fp, 1); len(own) > 0 {
-			loads[own[0]]++
-		}
-	}
-	return loads
+	return rt.ring.Place(key, 1+rt.opt.Replicas)
 }
 
 // resolve maps a matrix reference (fingerprint or alias) to the placement
@@ -570,37 +543,17 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "reading register request: %v", err)
 		return
 	}
-	// Parse the payload locally — the router needs the content fingerprint
-	// to place the matrix before any shard has seen it.
-	var a *sparse.CSR
-	name := r.URL.Query().Get("name")
+	// Decode with the daemon's own decoder: the router needs the content
+	// fingerprint to place the matrix before any shard has seen it, and a
+	// malformed or non-symmetric upload gets the daemon's 400 right here.
 	contentType := r.Header.Get("Content-Type")
-	if strings.Contains(contentType, "json") {
-		var req service.RegisterRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			rt.writeError(w, http.StatusBadRequest, "bad register request: %v", err)
-			return
-		}
-		spec, ok := matgen.ByName(req.Matgen)
-		if !ok {
-			rt.writeError(w, http.StatusBadRequest, "unknown matgen spec %q", req.Matgen)
-			return
-		}
-		a = spec.Generate()
-		if req.Name != "" {
-			name = req.Name
-		} else if name == "" {
-			name = req.Matgen
-		}
-	} else {
-		a, err = mmio.Read(bytes.NewReader(body))
-		if err != nil {
-			rt.writeError(w, http.StatusBadRequest, "bad MatrixMarket upload: %v", err)
-			return
-		}
+	a, name, err := service.DecodeRegistration(contentType, r.URL.Query().Get("name"), bytes.NewReader(body))
+	if err != nil {
+		rt.writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	fp := a.Fingerprint()
-	rec := &matrixRecord{fp: fp, name: name, body: body, contentType: contentType}
+	reg := registration{name: name, body: body, contentType: contentType}
 
 	owners := rt.owners(fp)
 	if len(owners) == 0 {
@@ -616,7 +569,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		res, ferr := rt.forwardRegister(r.Context(), cl, rec, r.Header)
+		res, ferr := rt.forwardRegister(r.Context(), cl, reg, r.Header)
 		if ferr != nil {
 			rt.members.ReportFailure(addr, ferr)
 			rt.log.Warn("register forward failed", "peer", addr, "error", ferr.Error())
@@ -638,46 +591,66 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if registered > 0 {
-		_ = json.Unmarshal(first.Body, &rec.info)
-		rt.mu.Lock()
-		rt.byFP[fp] = rec
-		if name != "" {
-			rt.names[name] = fp
-		} else if rec.info.Name != "" {
-			rt.names[rec.info.Name] = fp
-		}
-		rt.mu.Unlock()
+		var info service.MatrixInfo
+		_ = json.Unmarshal(first.Body, &info)
+		rt.catalog(fp, info, reg)
 		rt.log.Info("matrix registered",
-			"fingerprint", trace.Short(fp), "name", rec.info.Name,
+			"fingerprint", trace.Short(fp), "name", info.Name,
 			"owners", strings.Join(owners, ","), "replicas", registered-1)
 	}
 	rt.passThrough(w, first)
 }
 
-// forwardRegister replays a cataloged registration to one shard.
-func (rt *Router) forwardRegister(ctx context.Context, cl *client.Client, rec *matrixRecord, hdr http.Header) (*client.ForwardResult, error) {
+// catalog records a registration the owners accepted: a new alias joins
+// the matrix's record, which is replaced by a copy.
+func (rt *Router) catalog(fp string, info service.MatrixInfo, reg registration) {
+	if reg.name == "" {
+		reg.name = info.Name // the alias the shard already knew the matrix by
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rec := &matrixRecord{fp: fp, info: info}
+	if old, ok := rt.byFP[fp]; ok {
+		rec.regs = slices.Clip(old.regs)
+	}
+	if !slices.ContainsFunc(rec.regs, func(r registration) bool { return r.name == reg.name }) {
+		if len(rec.regs) > 0 && bytes.Equal(rec.regs[0].body, reg.body) {
+			reg.body = rec.regs[0].body // one copy of a re-uploaded file
+		}
+		rec.regs = append(rec.regs, reg)
+	}
+	rt.byFP[fp] = rec
+	if reg.name != "" {
+		rt.names[reg.name] = fp
+	}
+}
+
+// forwardRegister sends one registration payload to one shard.
+func (rt *Router) forwardRegister(ctx context.Context, cl *client.Client, reg registration, hdr http.Header) (*client.ForwardResult, error) {
 	if hdr == nil {
 		hdr = http.Header{}
-		hdr.Set("Content-Type", rec.contentType)
+		hdr.Set("Content-Type", reg.contentType)
 	}
 	path := "/api/v1/matrices"
-	if rec.name != "" {
-		path += "?name=" + urlQueryEscape(rec.name)
+	if reg.name != "" {
+		path += "?name=" + urlQueryEscape(reg.name)
 	}
 	extra := http.Header{}
 	extra.Set(service.HeaderForwardedBy, rt.opt.Name)
-	return cl.Forward(ctx, http.MethodPost, path, rec.body, hdr, extra)
+	return cl.Forward(ctx, http.MethodPost, path, reg.body, hdr, extra)
 }
 
-// registerOn replays a registration during solve failover (no inbound
-// request headers to relay).
+// registerOn replays every alias of a cataloged matrix during solve
+// failover (no inbound request headers to relay).
 func (rt *Router) registerOn(ctx context.Context, cl *client.Client, rec *matrixRecord) error {
-	res, err := rt.forwardRegister(ctx, cl, rec, nil)
-	if err != nil {
-		return err
-	}
-	if res.StatusCode < 200 || res.StatusCode >= 300 {
-		return fmt.Errorf("cluster: registration replay: HTTP %d", res.StatusCode)
+	for _, reg := range rec.regs {
+		res, err := rt.forwardRegister(ctx, cl, reg, nil)
+		if err != nil {
+			return err
+		}
+		if res.StatusCode < 200 || res.StatusCode >= 300 {
+			return fmt.Errorf("cluster: registration replay: HTTP %d", res.StatusCode)
+		}
 	}
 	return nil
 }
@@ -772,11 +745,8 @@ func (rt *Router) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		rt.mu.Lock()
 		if rec, ok := rt.byFP[fp]; ok {
 			delete(rt.byFP, fp)
-			if rec.name != "" {
-				delete(rt.names, rec.name)
-			}
-			if rec.info.Name != "" {
-				delete(rt.names, rec.info.Name)
+			for _, reg := range rec.regs {
+				delete(rt.names, reg.name)
 			}
 		}
 		delete(rt.warmHits, fp)
@@ -893,25 +863,23 @@ type MatrixPlacement struct {
 
 // Topology is the GET /cluster document.
 type Topology struct {
-	Router      string            `json:"router"`
-	Replicas    int               `json:"replicas"`
-	VNodes      int               `json:"vnodes"`
-	BoundedLoad float64           `json:"bounded_load"`
-	Epoch       uint64            `json:"epoch"`
-	Peers       []PeerStatus      `json:"peers"`
-	Matrices    []MatrixPlacement `json:"matrices"`
+	Router   string            `json:"router"`
+	Replicas int               `json:"replicas"`
+	VNodes   int               `json:"vnodes"`
+	Epoch    uint64            `json:"epoch"`
+	Peers    []PeerStatus      `json:"peers"`
+	Matrices []MatrixPlacement `json:"matrices"`
 }
 
 // Topology implements obs.TopologyReporter.
 func (rt *Router) Topology() any {
 	top := Topology{
-		Router:      rt.opt.Name,
-		Replicas:    rt.opt.Replicas,
-		VNodes:      rt.ring.VNodes(),
-		BoundedLoad: rt.opt.BoundedLoad,
-		Epoch:       rt.members.Epoch(),
-		Peers:       rt.members.Peers(),
-		Matrices:    []MatrixPlacement{},
+		Router:   rt.opt.Name,
+		Replicas: rt.opt.Replicas,
+		VNodes:   rt.ring.VNodes(),
+		Epoch:    rt.members.Epoch(),
+		Peers:    rt.members.Peers(),
+		Matrices: []MatrixPlacement{},
 	}
 	rt.mu.Lock()
 	recs := make([]*matrixRecord, 0, len(rt.byFP))

@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,6 +286,104 @@ func TestRouterReregistersLostMatrix(t *testing.T) {
 	}
 	if got := tc.reg.Counter("cluster.reregistrations").Value(); got != 1 {
 		t.Fatalf("cluster_reregistrations = %d, want 1", got)
+	}
+}
+
+// TestRouterReplaysEveryAlias: a shard that lost a matrix gets it back
+// under every alias the router cataloged, not only the newest, while one
+// more alias joins the catalog, and a routed DELETE forgets every alias,
+// the middle one too.
+func TestRouterReplaysEveryAlias(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	c := tc.client()
+	ctx := context.Background()
+	var fp string
+	for _, name := range []string{"lap", "lap2", "lap3"} {
+		info, err := c.RegisterMatgen(ctx, "lap64x64", name)
+		if err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+		fp = info.Fingerprint
+	}
+	// What a restart without -data-dir leaves: no shard holds the matrix.
+	for _, sh := range tc.shards {
+		_ = client.New(sh.hs.URL).Unregister(ctx, fp)
+	}
+	var wg sync.WaitGroup
+	for _, name := range []string{"lap3", "lap", "lap2"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := c.Solve(ctx, service.SolveRequest{Matrix: name, Precond: "jacobi"})
+			if err != nil || !resp.Converged {
+				t.Errorf("routed solve on %s after the shards lost the matrix: %+v err=%v", name, resp, err)
+			}
+		}()
+	}
+	if _, err := c.RegisterMatgen(ctx, "lap64x64", "lap4"); err != nil {
+		t.Errorf("register lap4: %v", err)
+	}
+	wg.Wait()
+	if err := c.Unregister(ctx, "lap2"); err != nil {
+		t.Fatalf("routed delete: %v", err)
+	}
+	if got := tc.router.Aliases(); len(got) != 0 {
+		t.Fatalf("aliases outlive their deleted matrix: %v", got)
+	}
+}
+
+// TestRouterRejectsBadRegistrationLikeAShard: the router decodes a
+// registration with the daemon's own decoder, so a malformed or
+// non-symmetric upload gets a shard's answer, status and body, from the
+// router itself.
+func TestRouterRejectsBadRegistrationLikeAShard(t *testing.T) {
+	tc := startCluster(t, 2, cluster.RouterOptions{WarmThreshold: -1})
+	post := func(base, contentType, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/api/v1/matrices", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", base, err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for _, c := range []struct{ name, contentType, body string }{
+		{"garbage", "text/plain", "not a matrix\n"},
+		{"non-symmetric", "text/plain", "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 4\n1 2 1\n2 2 4\n"},
+		{"unknown-spec", "application/json", `{"matgen":"no-such-matrix"}`},
+		{"trailing-data", "application/json", `{"matgen":"lap64x64"} {}`},
+	} {
+		code, body := post(tc.shards[0].hs.URL, c.contentType, c.body)
+		rcode, rbody := post(tc.hs.URL, c.contentType, c.body)
+		if code != http.StatusBadRequest || rcode != code || rbody != body {
+			t.Fatalf("%s: routed %d %q, direct %d %q", c.name, rcode, rbody, code, body)
+		}
+	}
+	if top := tc.topology(t); len(top.Matrices) != 0 {
+		t.Fatalf("rejected registrations were cataloged: %+v", top.Matrices)
+	}
+}
+
+// TestRouterPlacementIsStable: a matrix's owners depend on its fingerprint
+// and the live ring only, so cataloging 72 matrices one at a time over a
+// fixed three-shard ring never moves an earlier one.
+func TestRouterPlacementIsStable(t *testing.T) {
+	ring := cluster.NewRing(0)
+	// Never started: the peers are never probed or contacted.
+	members := cluster.NewMembership(shards(3), ring, cluster.MembershipOptions{})
+	rt := cluster.NewRouter(cluster.RouterOptions{Membership: members, Ring: ring})
+	first := map[string][]string{}
+	for i, fp := range testKeys(72) {
+		rt.Catalog(fp, "")
+		for _, m := range rt.Topology().(cluster.Topology).Matrices {
+			want, seen := first[m.Fingerprint]
+			if !seen {
+				first[m.Fingerprint] = m.Owners
+			} else if !slices.Equal(m.Owners, want) {
+				t.Fatalf("cataloging matrix %d moved %.12s from %v to %v", i+1, m.Fingerprint, want, m.Owners)
+			}
+		}
 	}
 }
 

@@ -217,6 +217,7 @@ func TestRegistryConcurrentRegisterRemove(t *testing.T) {
 	reg := NewMatrixRegistry(8)
 	mats := []struct{ name string }{{"a"}, {"b"}, {"c"}}
 	gen := matgen.Laplace2D(6, 6)
+	fp := gen.Fingerprint()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -226,7 +227,7 @@ func TestRegistryConcurrentRegisterRemove(t *testing.T) {
 				m := mats[(g+i)%len(mats)]
 				switch i % 4 {
 				case 0:
-					_, _ = reg.Register(gen, m.name)
+					_, _ = reg.Register(gen, fp, m.name)
 				case 1:
 					_, _ = reg.Get(m.name)
 				case 2:

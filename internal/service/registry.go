@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/sparse"
@@ -30,7 +32,6 @@ type MatrixRegistry struct {
 	cap   int
 	byFP  map[string]*RegisteredMatrix
 	names map[string]string // alias -> fingerprint
-	order []string          // insertion order, for a stable listing
 }
 
 // NewMatrixRegistry returns an empty registry holding at most capacity
@@ -47,11 +48,11 @@ func NewMatrixRegistry(capacity int) *MatrixRegistry {
 }
 
 // Register stores a (validated as square-symmetric by the caller) matrix
-// under its content fingerprint, optionally aliased by name. Registering
+// under its content fingerprint fp (a.Fingerprint(), which the caller has
+// already computed), optionally aliased by name. Registering
 // already-present content is a cheap no-op returning Created=false; a name
 // that already aliases different content is an error.
-func (r *MatrixRegistry) Register(a *sparse.CSR, name string) (MatrixInfo, error) {
-	fp := a.Fingerprint()
+func (r *MatrixRegistry) Register(a *sparse.CSR, fp, name string) (MatrixInfo, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if existing, ok := r.byFP[fp]; ok {
@@ -81,7 +82,6 @@ func (r *MatrixRegistry) Register(a *sparse.CSR, name string) (MatrixInfo, error
 		A:    a,
 	}
 	r.byFP[fp] = rm
-	r.order = append(r.order, fp)
 	if name != "" {
 		r.names[name] = fp
 	}
@@ -126,23 +126,20 @@ func (r *MatrixRegistry) Remove(ref string) (string, bool) {
 			delete(r.names, alias)
 		}
 	}
-	for i, f := range r.order {
-		if f == fp {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
 	return fp, true
 }
 
-// List returns the registered matrices in registration order.
+// List returns the registered matrices in fingerprint order: the same
+// order after a restart, and the order of the cluster router's merged
+// listing.
 func (r *MatrixRegistry) List() []MatrixInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]MatrixInfo, 0, len(r.order))
-	for _, fp := range r.order {
-		out = append(out, r.byFP[fp].Info)
+	out := make([]MatrixInfo, 0, len(r.byFP))
+	for _, rm := range r.byFP {
+		out = append(out, rm.Info)
 	}
+	slices.SortFunc(out, func(a, b MatrixInfo) int { return strings.Compare(a.Fingerprint, b.Fingerprint) })
 	return out
 }
 

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/matgen"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -147,6 +149,48 @@ func TestAliasesSurviveRestart(t *testing.T) {
 		if got.Fingerprint != want.Fingerprint || got.Name != want.Name {
 			t.Fatalf("%q after restart = %+v, before = %+v", ref, got, want)
 		}
+	}
+}
+
+// TestListingIsFingerprintOrder: GET /api/v1/matrices lists in
+// fingerprint order whatever the registration order, and a restart on the
+// same data directory lists the same matrices in the same order.
+func TestListingIsFingerprintOrder(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	specs := []string{"lap64x64", "elas36x36-s2", "band2200-bw12-d2"}
+	fps := map[string]string{}
+	for _, name := range specs {
+		spec, _ := matgen.ByName(name)
+		fps[name] = spec.Generate().Fingerprint()
+	}
+	// Register in descending fingerprint order.
+	slices.SortFunc(specs, func(a, b string) int { return strings.Compare(fps[b], fps[a]) })
+
+	_, url1, stop1 := newDurableServer(t, dir, service.Options{Metrics: telemetry.NewRegistry()})
+	c1 := client.New(url1)
+	for _, name := range specs {
+		if _, err := c1.RegisterMatgen(ctx, name, ""); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+	}
+	before, err := c1.Matrices(ctx)
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	byFP := func(a, b service.MatrixInfo) int { return strings.Compare(a.Fingerprint, b.Fingerprint) }
+	if len(before) != len(specs) || !slices.IsSortedFunc(before, byFP) {
+		t.Fatalf("listing is not in fingerprint order: %+v", before)
+	}
+	stop1()
+
+	_, url2, _ := newDurableServer(t, dir, service.Options{Metrics: telemetry.NewRegistry()})
+	after, err := client.New(url2).Matrices(ctx)
+	if err != nil {
+		t.Fatalf("list after restart: %v", err)
+	}
+	if !slices.Equal(after, before) {
+		t.Fatalf("listing after restart = %+v, before = %+v", after, before)
 	}
 }
 

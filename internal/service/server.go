@@ -330,7 +330,7 @@ func (s *Server) rehydrate() {
 	matrices, factors := s.store.DrainRecovered()
 	nm := 0
 	for _, rm := range matrices {
-		if _, err := s.matrices.Register(rm.A, ""); err != nil {
+		if _, err := s.matrices.Register(rm.A, rm.Fingerprint, ""); err != nil {
 			s.log.Warn("recovered matrix not registered", "names", rm.Names, "error", err.Error())
 			continue
 		}
@@ -338,7 +338,7 @@ func (s *Server) rehydrate() {
 		// The aliases in registration order: the first one becomes
 		// MatrixInfo.Name, as it was before the restart.
 		for _, name := range rm.Names {
-			if _, err := s.matrices.Register(rm.A, name); err != nil {
+			if _, err := s.matrices.Register(rm.A, rm.Fingerprint, name); err != nil {
 				s.log.Warn("recovered matrix alias not registered", "name", name, "error", err.Error())
 			}
 		}
@@ -559,20 +559,22 @@ func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) registerMatrix(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
+// DecodeRegistration decodes and validates one POST /api/v1/matrices body:
+// a JSON generator spec (RegisterRequest) when contentType names JSON,
+// otherwise a MatrixMarket upload. It returns the operator and the alias
+// it registers under: a JSON body's name, else the name query parameter,
+// else (JSON only) the generator spec. Every error is the daemon's 400
+// message; the cluster router answers with the same decoder.
+func DecodeRegistration(contentType, name string, body io.Reader) (*sparse.CSR, string, error) {
 	var a *sparse.CSR
-	name := r.URL.Query().Get("name")
-	if strings.Contains(r.Header.Get("Content-Type"), "json") {
+	if strings.Contains(contentType, "json") {
 		data, err := io.ReadAll(body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad register request: %v", err)
-			return
+			return nil, "", fmt.Errorf("bad register request: %w", err)
 		}
 		req, spec, err := parseRegisterRequest(data)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil, "", err
 		}
 		a = spec.Generate()
 		if req.Name != "" {
@@ -582,17 +584,26 @@ func (s *Server) registerMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		var err error
-		a, err = mmio.Read(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad MatrixMarket upload: %v", err)
-			return
+		if a, err = mmio.Read(body); err != nil {
+			return nil, "", fmt.Errorf("bad MatrixMarket upload: %w", err)
 		}
 	}
 	if err := validateOperator(a); err != nil {
+		return nil, "", err
+	}
+	return a, name, nil
+}
+
+func (s *Server) registerMatrix(w http.ResponseWriter, r *http.Request) {
+	a, name, err := DecodeRegistration(r.Header.Get("Content-Type"), r.URL.Query().Get("name"),
+		http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	info, err := s.matrices.Register(a, name)
+	// One hash per registration: the registry and the store both key by it.
+	fp := a.Fingerprint()
+	info, err := s.matrices.Register(a, fp, name)
 	switch {
 	case errors.Is(err, ErrRegistryFull):
 		writeError(w, http.StatusInsufficientStorage, "%v", err)
@@ -605,9 +616,9 @@ func (s *Server) registerMatrix(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		// Write-through is best-effort: a store error costs durability, not
 		// the registration (the store counts it in store_errors_total).
-		if serr := s.store.PutMatrix(a, name); serr != nil {
+		if serr := s.store.PutMatrix(a, fp, name); serr != nil {
 			s.log.Warn("store matrix write failed",
-				"fingerprint", shortFP(info.Fingerprint), "error", serr.Error())
+				"fingerprint", shortFP(fp), "error", serr.Error())
 		}
 	}
 	code := http.StatusOK

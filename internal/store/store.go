@@ -64,6 +64,9 @@ type Options struct {
 // RecoveredMatrix is a verified matrix entry rehydrated at Open.
 type RecoveredMatrix struct {
 	A *sparse.CSR
+	// Fingerprint is A's content fingerprint, verified against the entry's
+	// address.
+	Fingerprint string
 	// Names are the matrix's aliases in registration order.
 	Names []string
 }
@@ -197,12 +200,12 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// PutMatrix persists a registered matrix under alias name ("" for none).
-// The entry file is content-addressed by fingerprint and holds every alias
-// in registration order: re-putting known content is a no-op unless name
-// is a new alias, which atomically rewrites the entry.
-func (s *Store) PutMatrix(a *sparse.CSR, name string) error {
-	fp := a.Fingerprint()
+// PutMatrix persists a registered matrix, whose fingerprint fp the caller
+// has computed, under alias name ("" for none). The entry file is
+// content-addressed by fingerprint and holds every alias in registration
+// order: re-putting known content is a no-op unless name is a new alias,
+// which atomically rewrites the entry.
+func (s *Store) PutMatrix(a *sparse.CSR, fp, name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	me, ok := s.matrices[fp]
@@ -299,12 +302,12 @@ func (s *Store) DeleteFactor(key string) error {
 // file must cost exactly that file.
 func (s *Store) recover() {
 	for _, rel := range s.entryFiles(matrixDir) {
-		fp, rm, size, err := s.readMatrix(rel)
+		rm, size, err := s.readMatrix(rel)
 		if err != nil {
 			s.reject("matrix", rel, err)
 			continue
 		}
-		s.matrices[fp] = matrixEntry{names: rm.Names, size: size}
+		s.matrices[rm.Fingerprint] = matrixEntry{names: rm.Names, size: size}
 		s.bytes += size
 		s.recMatrices = append(s.recMatrices, rm)
 	}
@@ -362,22 +365,22 @@ func (s *Store) readEntry(rel string, kind byte) ([]byte, int64, error) {
 	return payload, int64(len(data)), nil
 }
 
-func (s *Store) readMatrix(rel string) (string, RecoveredMatrix, int64, error) {
+func (s *Store) readMatrix(rel string) (RecoveredMatrix, int64, error) {
 	payload, size, err := s.readEntry(rel, kindMatrix)
 	if err != nil {
-		return "", RecoveredMatrix{}, 0, err
+		return RecoveredMatrix{}, 0, err
 	}
 	a, names, err := decodeMatrix(payload)
 	if err != nil {
-		return "", RecoveredMatrix{}, 0, err
+		return RecoveredMatrix{}, 0, err
 	}
 	// The checksum proves the file is what was written; the address proves
 	// it is the entry its name claims to be.
 	fp := a.Fingerprint()
 	if rel != matrixFile(fp) {
-		return "", RecoveredMatrix{}, 0, fmt.Errorf("%w: file is not at the address of its content fingerprint", errCorrupt)
+		return RecoveredMatrix{}, 0, fmt.Errorf("%w: file is not at the address of its content fingerprint", errCorrupt)
 	}
-	return fp, RecoveredMatrix{A: a, Names: names}, size, nil
+	return RecoveredMatrix{A: a, Fingerprint: fp, Names: names}, size, nil
 }
 
 func (s *Store) readFactor(rel string) (*RecoveredFactor, int64, error) {

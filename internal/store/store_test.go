@@ -62,7 +62,7 @@ func TestRoundTripSurvivesReopen(t *testing.T) {
 	key := fp + "|fsaie|f=0|line=64|pow=1|tau=0"
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "lap8"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "lap8"); err != nil {
 		t.Fatalf("PutMatrix: %v", err)
 	}
 	if err := s.PutFactor(key, fp, p, 12345); err != nil {
@@ -127,7 +127,7 @@ func TestDeleteRemovesDiskEntries(t *testing.T) {
 	key := fp + "|fsai"
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, ""); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutFactor(key, fp, p, 0); err != nil {
@@ -162,7 +162,7 @@ func TestStoreCountsEntryOperations(t *testing.T) {
 	a, p := fixture(t)
 	fp := a.Fingerprint()
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, ""); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutFactor(fp+"|a", fp, p, 0); err != nil {
@@ -209,7 +209,7 @@ func TestBitFlippedFactorIsQuarantined(t *testing.T) {
 	fp := a.Fingerprint()
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutFactor(fp+"|k", fp, p, 0); err != nil {
@@ -242,7 +242,7 @@ func TestTruncatedMatrixIsQuarantined(t *testing.T) {
 	a, _ := fixture(t)
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -265,7 +265,7 @@ func TestCorruptCountedWithoutRegistry(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := fixture(t)
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	corruptOneFile(t, dir, matrixDir, func(b []byte) []byte { return b[:len(b)/3] })
@@ -285,7 +285,7 @@ func TestFactorWithoutMatrixIsDropped(t *testing.T) {
 	fp := a.Fingerprint()
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutFactor(fp+"|k", fp, p, 0); err != nil {
@@ -311,7 +311,7 @@ func TestOrphanFilesAndTempFilesAreSwept(t *testing.T) {
 	a, _ := fixture(t)
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -355,7 +355,7 @@ func TestInjectedShortWriteAndBitFlipAreCaughtOnRecovery(t *testing.T) {
 			fp := a.Fingerprint()
 
 			s := openStore(t, dir)
-			if err := s.PutMatrix(a, "m"); err != nil {
+			if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 				t.Fatal(err)
 			}
 			in := faultinject.New(7)
@@ -389,7 +389,7 @@ func TestPutMatrixIsIdempotentByFingerprint(t *testing.T) {
 
 	s := openStore(t, dir)
 	for i := 0; i < 3; i++ {
-		if err := s.PutMatrix(a, "m"); err != nil {
+		if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestEntryCopiedUnderAnotherNameIsQuarantined(t *testing.T) {
 	key := fp + "|k"
 
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, "m"); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutFactor(key, fp, p, 0); err != nil {
@@ -494,7 +494,7 @@ func TestFailedUnlinkIsReturnedAndCounted(t *testing.T) {
 	fp := a.Fingerprint()
 	key := fp + "|k"
 	s := openStore(t, dir)
-	if err := s.PutMatrix(a, ""); err != nil {
+	if err := s.PutMatrix(a, a.Fingerprint(), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutFactor(key, fp, p, 0); err != nil {
@@ -531,7 +531,7 @@ func TestAliasesSurviveReopen(t *testing.T) {
 	a, _ := fixture(t)
 	s := openStore(t, dir)
 	for _, name := range []string{"", "a", "b", "a"} {
-		if err := s.PutMatrix(a, name); err != nil {
+		if err := s.PutMatrix(a, a.Fingerprint(), name); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@
 #   1. start three store-backed shards and a router fronting them
 #      (replication factor 1, aggressive warm threshold);
 #   2. register and solve through the router with the unchanged client API:
+#      registering a second matrix leaves the first one's owners unchanged,
 #      cold solve is a miss on the owning shard, repeat solve a warm hit,
 #      and the hot factor is replicated to the replica shard;
 #   3. SIGKILL the primary mid-traffic: every client request keeps
@@ -69,6 +70,13 @@ start_shard() {
     exit 1
 }
 
+# lap_owners TOPOLOGY.json -> the owners of the matrix named lap, primary
+# first, space-separated and without the scheme. /cluster is indented JSON
+# with each matrix's name on the line before its owners array.
+lap_owners() {
+    awk '/"name": "lap",/ {f = 1} f && /"http:\/\// {gsub(/[ ",]|http:\/\//, ""); printf "%s ", $0} f && /\]/ {exit}' "$1"
+}
+
 # same_x A.json B.json -> 0 iff both solve responses carry bit-identical
 # solution vectors (same comparison as the crash drill).
 same_x() {
@@ -116,7 +124,18 @@ echo "router at $router, shards at $addr1 $addr2 $addr3"
 echo "== phase 2: register and solve through the router =="
 "$workdir/fsaid" register -addr "$router" -matgen lap64x64 -name lap
 curl -fsS "http://$router/cluster" >"$workdir/topology-1.json"
-grep -q '"fingerprint"' "$workdir/topology-1.json" || { echo "FAIL: /cluster lists no matrices"; cat "$workdir/topology-1.json"; fail=1; }
+owners=$(lap_owners "$workdir/topology-1.json")
+read -r primary replica _ <<<"$owners"
+[ -n "$primary" ] && [ -n "$replica" ] || { echo "FAIL: could not read lap's owners from /cluster"; cat "$workdir/topology-1.json"; exit 1; }
+echo "primary=$primary replica=$replica"
+
+# Owners depend on the fingerprint and the live ring only: registering
+# another matrix must not move lap.
+"$workdir/fsaid" register -addr "$router" -matgen jump64x64-b8-j1e3
+curl -fsS "http://$router/cluster" >"$workdir/topology-1b.json"
+owners_after=$(lap_owners "$workdir/topology-1b.json")
+[ "$owners_after" = "$owners" ] \
+    || { echo "FAIL: registering another matrix moved lap's owners: $owners-> $owners_after"; fail=1; }
 
 solve_body='{"matrix":"lap","precond":"fsaie","return_solution":true}'
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$solve_body" \
@@ -127,24 +146,6 @@ grep -q '"converged": *true' "$workdir/cold.json" || { echo "FAIL: cold routed s
 curl -fsS -X POST -H 'Content-Type: application/json' -d "$solve_body" \
     "http://$router/api/v1/solve" >"$workdir/warm.json"
 grep -q '"cache": *"hit"' "$workdir/warm.json" || { echo "FAIL: repeat routed solve not a warm hit"; cat "$workdir/warm.json"; fail=1; }
-
-# The owning pair comes from the topology document: primary first.
-primary=$(python3 -c '
-import json, sys
-top = json.load(open(sys.argv[1]))
-print(top["matrices"][0]["owners"][0].removeprefix("http://"))' "$workdir/topology-1.json" 2>/dev/null) || primary=""
-replica=$(python3 -c '
-import json, sys
-top = json.load(open(sys.argv[1]))
-print(top["matrices"][0]["owners"][1].removeprefix("http://"))' "$workdir/topology-1.json" 2>/dev/null) || replica=""
-if [ -z "$primary" ] || [ -z "$replica" ]; then
-    # No python3: fall back to the first two shard addresses mentioned in
-    # the owners array.
-    primary=$(sed -n 's/.*"owners": *\[ *"http:\/\/\([^"]*\)".*/\1/p' "$workdir/topology-1.json" | head -1)
-    replica=$(tr ',' '\n' <"$workdir/topology-1.json" | sed -n 's/.*"http:\/\/\([^"]*\)".*/\1/p' | sed -n 2p)
-fi
-[ -n "$primary" ] && [ -n "$replica" ] || { echo "FAIL: could not read owners from /cluster"; cat "$workdir/topology-1.json"; exit 1; }
-echo "primary=$primary replica=$replica"
 
 # The warm hit happened on the owning shard, not anywhere else.
 curl -fsS "http://$primary/api/v1/stats" >"$workdir/primary-stats.json"

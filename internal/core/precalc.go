@@ -175,11 +175,15 @@ func (s *localSystem) cg(x, b []float64, tol float64, maxIter int) int {
 			break // loss of positive definiteness in finite precision
 		}
 		alpha := rr / pap
+		// ‖r‖² accumulates in the update sweep, in dot's ascending
+		// single-accumulator order, so it is bit-identical to dot(r, r).
+		rrNew := 0.0
 		for i := range x {
 			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
+			ri := r[i] - alpha*ap[i]
+			r[i] = ri
+			rrNew += ri * ri
 		}
-		rrNew := dot(r, r)
 		beta := rrNew / rr
 		for i := range p {
 			p[i] = r[i] + beta*p[i]

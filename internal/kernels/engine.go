@@ -38,9 +38,12 @@ import (
 
 // parallelMinLen is the sweep size (see Pooled) below which every kernel
 // runs serially: a pool dispatch costs on the order of a microsecond, which
-// a sweep over a few thousand elements does not amortize, and SpMM with an
+// a sweep over a few thousand elements does not amortize. SpMM with an
 // FSAIE solve's A, G or Gᵀ gained nothing from a second worker below ~32k
-// rows (BenchmarkEngineSpMMWorkers). Serial execution is also bit-identical
+// rows while pool workers blocked after every dispatch; with polling
+// workers a lone solver gains from 1.6k rows (BenchmarkEngineSpMMWorkers),
+// but fsaid's concurrent small solves would then share one pool
+// (docs/performance.md). Serial execution is also bit-identical
 // to the reference kernels, which keeps short solves (including the
 // committed perf baseline) deterministic across hosts. A variable, not a
 // constant, so tests can force the pooled path.

@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolRunCoversAllChunks(t *testing.T) {
@@ -161,5 +163,137 @@ func TestDefaultPoolSingleton(t *testing.T) {
 	}
 	if Default().Size() != MaxWorkers() {
 		t.Fatalf("default pool size %d, want MaxWorkers=%d", Default().Size(), MaxWorkers())
+	}
+}
+
+// TestPoolSpinParkProtocol drives thousands of dispatches of jittered tiny
+// chunks through pools of 1–4 participants. Dispatches of one to six chunks
+// leave some workers out, random gaps let the workers either catch the next
+// dispatch while they spin or park before it, and a few chunks outlast the
+// caller's polling so it blocks on done. Every chunk must run exactly once
+// and finish before its Run returns.
+func TestPoolSpinParkProtocol(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(26))
+	for size := 1; size <= 4; size++ {
+		p := NewPool(size)
+		var epoch atomic.Int64 // k while dispatch k runs, -k once its Run returned
+		var late atomic.Int64
+		for k := int64(1); k <= 1500; k++ {
+			n := 1 + rng.Intn(6)
+			jitter := make([]time.Duration, n)
+			for c := range jitter {
+				jitter[c] = time.Duration(rng.Intn(20)) * time.Microsecond
+				if rng.Intn(16) == 0 { // outlasts the caller's polling
+					jitter[c] += 3 * spinWindow / 2
+				}
+			}
+			ran := make([]atomic.Int32, n)
+			epoch.Store(k)
+			err := p.Run(Chunks(n, n), func(c, _, _ int) {
+				for end := time.Now().Add(jitter[c]); time.Now().Before(end); {
+				}
+				ran[c].Add(1)
+				if epoch.Load() != k {
+					late.Add(1)
+				}
+			})
+			epoch.Store(-k)
+			if err != nil {
+				t.Fatalf("size %d dispatch %d: %v", size, k, err)
+			}
+			for c := range ran {
+				if got := ran[c].Load(); got != 1 {
+					t.Fatalf("size %d dispatch %d: chunk %d of %d ran %d times before Run returned", size, k, c, n, got)
+				}
+			}
+			if rng.Intn(8) == 0 {
+				time.Sleep(2 * spinWindow)
+			}
+		}
+		p.Close() // workers of the last dispatch are still polling
+		if n := late.Load(); n > 0 {
+			t.Fatalf("size %d: %d chunks ran after their Run returned", size, n)
+		}
+	}
+	if n := goroutinesAfterClose(base); n > base {
+		t.Fatalf("goroutines: %d after Close, %d before the pools", n, base)
+	}
+}
+
+// goroutinesAfterClose returns the goroutine count once it is back at base,
+// or after a second. A worker is still counted for a moment after Close
+// saw its Done, until the goroutine has exited; goroutines of earlier tests
+// may still be exiting too, so callers fail only on a count above base.
+func goroutinesAfterClose(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestPoolIdleWorkersParkAndClose checks that an idle pool's workers stop
+// polling and park, and that Close stops polling and parked workers alike.
+// Worker 0 takes part in the dispatch and polls after it; workers 1 and 2
+// never take part.
+func TestPoolIdleWorkersParkAndClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, park := range []bool{false, true} {
+		p := NewPool(4)
+		if err := p.Run(Chunks(2, 2), func(_, _, _ int) {}); err != nil {
+			t.Fatal(err)
+		}
+		if park {
+			deadline := time.Now().Add(5 * time.Second)
+			for i := range p.parked {
+				for !p.parked[i].Load() {
+					if time.Now().After(deadline) {
+						t.Fatalf("worker %d still polling 5 s after the last dispatch", i)
+					}
+					time.Sleep(spinWindow)
+				}
+			}
+		}
+		p.Close()
+		if n := goroutinesAfterClose(base); n > base {
+			t.Fatalf("park=%v: goroutines %d after Close, %d before NewPool", park, n, base)
+		}
+	}
+}
+
+// BenchmarkPoolShortChunks dispatches two ~50 µs chunks back to back, on a
+// 2-participant pool and inline. caller-both-% is the share of dispatches
+// whose two chunks did not overlap in time: the caller ran both because the
+// worker had not started yet. Inline it is 100 by construction.
+func BenchmarkPoolShortChunks(b *testing.B) {
+	const chunk = 50 * time.Microsecond
+	bounds := Chunks(2, 2)
+	var start, end [2]time.Time
+	body := func(c, _, _ int) {
+		start[c] = time.Now()
+		for time.Since(start[c]) < chunk {
+		}
+		end[c] = time.Now()
+	}
+	for _, mode := range []string{"pooled", "inline"} {
+		b.Run(mode, func(b *testing.B) {
+			p := NewPool(2)
+			defer p.Close()
+			run := p.Run
+			if mode == "inline" {
+				run = runInline
+			}
+			serial := 0
+			for i := 0; i < b.N; i++ {
+				if err := run(bounds, body); err != nil {
+					b.Fatal(err)
+				}
+				if !start[0].Before(end[1]) || !start[1].Before(end[0]) {
+					serial++
+				}
+			}
+			b.ReportMetric(100*float64(serial)/float64(b.N), "caller-both-%")
+		})
 	}
 }

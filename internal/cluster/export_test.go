@@ -1,21 +1,14 @@
 package cluster
 
-import (
-	"maps"
+import "maps"
 
-	"repro/internal/service"
-)
+// Owners returns the shards a key places on, primary first.
+func (rt *Router) Owners(fp string) []string { return rt.owners(fp) }
 
-// Catalog records fp as registered under name, as a routed registration
-// every owner accepted would, without contacting a shard.
-func (rt *Router) Catalog(fp, name string) {
-	rt.catalog(fp, service.MatrixInfo{Fingerprint: fp, Name: name}, registration{name: name})
-}
-
-// Aliases returns the alias → fingerprint map the router resolves
-// references with.
-func (rt *Router) Aliases() map[string]string {
+// Refs returns the reference → fingerprint cache the router resolves
+// matrix references with.
+func (rt *Router) Refs() map[string]string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return maps.Clone(rt.names)
+	return maps.Clone(rt.refs)
 }

@@ -2,15 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,30 +57,12 @@ type RouterOptions struct {
 	Traces *trace.Recorder
 }
 
-// matrixRecord is the router's catalog entry for one registered matrix:
-// enough to re-register it, under every alias, on a shard that lost it
-// (restart without durable data, or a membership change moving the key to
-// a shard that never saw it). A cataloged record is never mutated: a new
-// alias replaces it with a copy, so a replay may read it without the lock.
-type matrixRecord struct {
-	fp   string
-	regs []registration // one per alias, in registration order
-	info service.MatrixInfo
-}
-
-// registration is one accepted registration payload, replayable verbatim:
-// posting body with ?name=name registers the matrix under name.
-type registration struct {
-	name        string
-	body        []byte
-	contentType string
-}
-
 // Router fronts a fleet of fsaid shards with the daemon's own HTTP/JSON
 // API: clients talk to the router exactly as they would to a single
 // daemon, and the router places each matrix on the ring, forwards
-// register/solve/delete to the owning shard, fails over to replicas, and
-// replicates hot preconditioners so a failover lands on a warm cache.
+// register/solve/GET to its owning shards with failover to the replicas,
+// sends DELETE to every live shard, and replicates hot preconditioners so
+// a failover lands on a warm cache.
 type Router struct {
 	opt     RouterOptions
 	ring    *Ring
@@ -91,9 +74,10 @@ type Router struct {
 	obs *obs.Server
 	mux *http.ServeMux
 
+	// The router keeps only what a fresh process rebuilds: the shards'
+	// registries are the catalog, refs caches their answers.
 	mu       sync.Mutex
-	byFP     map[string]*matrixRecord
-	names    map[string]string // alias -> fingerprint
+	refs     map[string]string // matrix reference -> fingerprint
 	warmHits map[string]int    // routed cache-hit solves per fingerprint
 	warmed   map[string]bool   // fingerprints already replicated this epoch
 
@@ -124,8 +108,7 @@ func NewRouter(opt RouterOptions) *Router {
 		log:      opt.Logger,
 		reg:      opt.Registry,
 		traces:   opt.Traces,
-		byFP:     map[string]*matrixRecord{},
-		names:    map[string]string{},
+		refs:     map[string]string{},
 		warmHits: map[string]int{},
 		warmed:   map[string]bool{},
 	}
@@ -217,27 +200,84 @@ func (rt *Router) owners(key string) []string {
 	return rt.ring.Place(key, 1+rt.opt.Replicas)
 }
 
-// resolve maps a matrix reference (fingerprint or alias) to the placement
-// fingerprint. Unknown references place by the reference itself — the
-// shard answers the 404, keeping error semantics identical to a direct
-// request.
-func (rt *Router) resolve(ref string) string {
+// resolve maps a matrix reference (fingerprint or alias) to the
+// fingerprint it places by. The shards' registries are the catalog: a
+// reference missing from the refs cache is looked up on the live shards
+// and the answer cached. A reference no live shard holds resolves to ""
+// and places by itself, so its shard answers the 404 a direct request
+// gets. cached reports an answer from the cache, which another router may
+// have made stale (see routed).
+func (rt *Router) resolve(ctx context.Context, ref string) (fp string, cached bool) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.byFP[ref]; ok {
-		return ref
+	fp, cached = rt.refs[ref]
+	rt.mu.Unlock()
+	if !cached {
+		if info, _, ok := rt.lookup(ctx, ref, ""); ok {
+			fp = info.Fingerprint
+			rt.remember(fp, ref)
+		}
 	}
-	if fp, ok := rt.names[ref]; ok {
-		return fp
-	}
-	return ref
+	return fp, cached
 }
 
-func (rt *Router) record(fp string) (*matrixRecord, bool) {
+// lookup asks the live shards except skip for ref, in address order, and
+// returns the first answer that holds it, with the shard that gave it.
+func (rt *Router) lookup(ctx context.Context, ref, skip string) (service.MatrixInfo, *client.Client, bool) {
+	for _, cl := range rt.live() {
+		if cl.Base() == skip {
+			continue
+		}
+		res, err := cl.Forward(ctx, http.MethodGet, "/api/v1/matrices/"+url.PathEscape(ref), nil, nil, rt.marker())
+		var info service.MatrixInfo
+		if err == nil && res.StatusCode == http.StatusOK && json.Unmarshal(res.Body, &info) == nil {
+			return info, cl, true
+		}
+	}
+	return service.MatrixInfo{}, nil, false
+}
+
+// remember caches each non-empty ref as naming fingerprint fp.
+func (rt *Router) remember(fp string, refs ...string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rec, ok := rt.byFP[fp]
-	return rec, ok
+	for _, ref := range refs {
+		if ref != "" {
+			rt.refs[ref] = fp
+		}
+	}
+}
+
+// forget drops ref from the cache, with every reference cached to the same
+// fingerprint and that fingerprint's warm-hit state.
+func (rt *Router) forget(ref string) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	fp, ok := rt.refs[ref]
+	if !ok {
+		return
+	}
+	for r, f := range rt.refs {
+		if f == fp {
+			delete(rt.refs, r)
+		}
+	}
+	delete(rt.warmHits, fp)
+	delete(rt.warmed, fp)
+}
+
+// routed runs try on the fingerprint ref resolves to. A cached answer may
+// be stale (another router deleted the matrix, or bound the alias to
+// another one), so a 404 after a cached answer drops it, and try runs once
+// more on a fresh lookup.
+func (rt *Router) routed(ctx context.Context, ref string, try func(fp string) *client.ForwardResult) *client.ForwardResult {
+	fp, cached := rt.resolve(ctx, ref)
+	res := try(fp)
+	if cached && res != nil && res.StatusCode == http.StatusNotFound {
+		rt.forget(ref)
+		fp, _ = rt.resolve(ctx, ref)
+		res = try(fp)
+	}
+	return res
 }
 
 // ---- solve ----
@@ -264,7 +304,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, "bad solve request: %v", err)
 		return
 	}
-	fp := rt.resolve(peek.Matrix)
 
 	// Continue the client's trace, or originate one so the routing hop and
 	// the shard's execution stitch under a single trace id either way.
@@ -281,59 +320,60 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		tc = trace.New()
 		originated = true
 	}
-	extra := http.Header{}
-	extra.Set(service.HeaderForwardedBy, rt.opt.Name)
+	extra := rt.marker()
 	if originated {
 		extra.Set("traceparent", tc.Traceparent())
 	}
 
 	tr := telemetry.NewTracer(nil)
 	root := tr.StartSpan("route-solve")
-	root.SetAttr("matrix", fp)
-
-	candidates := rt.owners(fp)
-	if len(candidates) == 0 {
-		root.End()
-		rt.recordRouteTrace(tr, tc, fp, "", "unrouteable")
-		rt.writeError(w, http.StatusServiceUnavailable, "no shards available")
-		return
-	}
-
-	var backpressure time.Duration
-	sawBackpressure := false
-	for i, addr := range candidates {
-		span := tr.StartSpan("forward")
-		span.SetAttr("peer", addr)
-		res, ferr := rt.forwardSolve(r.Context(), addr, body, r.Header, extra, fp)
-		span.End()
-		if ferr != nil {
-			rt.reg.Counter(`cluster.forwards{outcome="transport-error"}`).Inc()
-			rt.members.ReportFailure(addr, ferr)
-			rt.log.Warn("solve forward failed, trying next replica",
-				"peer", addr, "attempt", i+1, "error", ferr.Error())
-			continue
-		}
-		if res.StatusCode == http.StatusTooManyRequests || res.StatusCode == http.StatusServiceUnavailable {
-			// Shard backpressure spills to the next replica; if everyone is
-			// saturated, the lowest Retry-After propagates to the client.
-			rt.reg.Counter(`cluster.forwards{outcome="backpressure"}`).Inc()
-			ra := res.RetryAfter()
-			if !sawBackpressure || (ra > 0 && ra < backpressure) {
-				backpressure = ra
+	var (
+		fp, addr        string
+		backpressure    time.Duration
+		sawBackpressure bool
+	)
+	res := rt.routed(r.Context(), peek.Matrix, func(key string) *client.ForwardResult {
+		fp = cmp.Or(key, peek.Matrix)
+		for i, owner := range rt.owners(fp) {
+			span := tr.StartSpan("forward")
+			span.SetAttr("peer", owner)
+			res, ferr := rt.forward(r.Context(), owner, http.MethodPost, "/api/v1/solve", body, r.Header, extra, key)
+			span.End()
+			if ferr != nil {
+				rt.reg.Counter(`cluster.forwards{outcome="transport-error"}`).Inc()
+				rt.members.ReportFailure(owner, ferr)
+				rt.log.Warn("solve forward failed, trying next replica",
+					"peer", owner, "attempt", i+1, "error", ferr.Error())
+				continue
 			}
-			sawBackpressure = true
-			continue
+			if res.StatusCode == http.StatusTooManyRequests || res.StatusCode == http.StatusServiceUnavailable {
+				// Shard backpressure spills to the next replica; if everyone
+				// is saturated, the lowest Retry-After propagates to the
+				// client.
+				rt.reg.Counter(`cluster.forwards{outcome="backpressure"}`).Inc()
+				ra := res.RetryAfter()
+				if !sawBackpressure || (ra > 0 && ra < backpressure) {
+					backpressure = ra
+				}
+				sawBackpressure = true
+				continue
+			}
+			rt.members.ReportSuccess(owner)
+			if i > 0 {
+				rt.reg.Counter("cluster.failovers").Inc()
+			}
+			rt.reg.Counter(`cluster.forwards{outcome="ok"}`).Inc()
+			addr = owner
+			return res
 		}
-		rt.members.ReportSuccess(addr)
-		if i > 0 {
-			rt.reg.Counter("cluster.failovers").Inc()
-		}
-		rt.reg.Counter(`cluster.forwards{outcome="ok"}`).Inc()
-		root.End()
+		return nil
+	})
+	root.SetAttr("matrix", fp)
+	root.End()
+	if res != nil {
 		rt.finishSolve(w, res, fp, addr, tc, tr, body)
 		return
 	}
-	root.End()
 	rt.recordRouteTrace(tr, tc, fp, "", "unrouteable")
 	if sawBackpressure {
 		secs := int(backpressure.Round(time.Second) / time.Second)
@@ -354,33 +394,63 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// forwardSolve relays one solve to one shard, replaying the matrix
-// registration once if the shard answers 404 for a matrix the router has
-// cataloged (the shard restarted without durable data, or a rebalance
-// moved the key to a shard that never saw it).
-func (rt *Router) forwardSolve(ctx context.Context, addr string, body []byte, hdr, extra http.Header, fp string) (*client.ForwardResult, error) {
+// forward relays one request to the owner at addr: the one step behind
+// routed solves, GETs and warm-ups. A 404 for a matrix that resolved
+// (fp != "") means the shard lost it, restarted without its data dir or
+// handed the key by a ring change: the matrix is replayed from a live peer
+// that still holds it, and the request retried once. With no live copy
+// the shard's 404 is the answer.
+func (rt *Router) forward(ctx context.Context, addr, method, path string, body []byte, hdr, extra http.Header, fp string) (*client.ForwardResult, error) {
 	cl, ok := rt.members.Client(addr)
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown peer %s", addr)
 	}
-	res, err := cl.Forward(ctx, http.MethodPost, "/api/v1/solve", body, hdr, extra)
-	if err != nil {
-		return nil, err
+	res, err := cl.Forward(ctx, method, path, body, hdr, extra)
+	if err != nil || res.StatusCode != http.StatusNotFound || fp == "" {
+		return res, err
 	}
-	if res.StatusCode != http.StatusNotFound {
+	if rerr := rt.replay(ctx, cl, fp); rerr != nil {
+		rt.log.Info("matrix not replayed", "peer", addr, "fingerprint", trace.Short(fp), "error", rerr.Error())
 		return res, nil
 	}
-	rec, known := rt.record(fp)
-	if !known {
-		return res, nil // genuinely unknown matrix: the 404 is the answer
-	}
-	if rerr := rt.registerOn(ctx, cl, rec); rerr != nil {
-		return res, nil // replay failed; surface the original 404
-	}
 	rt.reg.Counter("cluster.reregistrations").Inc()
-	rt.log.Info("replayed matrix registration to shard",
-		"peer", addr, "fingerprint", trace.Short(fp))
-	return cl.Forward(ctx, http.MethodPost, "/api/v1/solve", body, hdr, extra)
+	rt.log.Info("replayed matrix to shard", "peer", addr, "fingerprint", trace.Short(fp))
+	return cl.Forward(ctx, method, path, body, hdr, extra)
+}
+
+// replay copies matrix fp onto the shard behind dst from the first other
+// live shard that holds it: its general-form MatrixMarket text, registered
+// once under each of its aliases, in registration order. Every
+// registration must land on fp.
+func (rt *Router) replay(ctx context.Context, dst *client.Client, fp string) error {
+	info, src, ok := rt.lookup(ctx, fp, dst.Base())
+	if !ok {
+		return errors.New("no live shard holds it")
+	}
+	mm := http.Header{"Accept": {service.MatrixMarketType}, "Content-Type": {service.MatrixMarketType}}
+	text, err := src.Forward(ctx, http.MethodGet, "/api/v1/matrices/"+fp, nil, mm, rt.marker())
+	if err != nil {
+		return err
+	}
+	if text.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s answered HTTP %d", src.Base(), text.StatusCode)
+	}
+	names := info.Aliases
+	if len(names) == 0 {
+		names = []string{""} // registered once, unnamed
+	}
+	for _, name := range names {
+		res, err := dst.Forward(ctx, http.MethodPost, "/api/v1/matrices?"+url.Values{"name": {name}}.Encode(),
+			text.Body, mm, rt.marker())
+		if err != nil {
+			return err
+		}
+		var got service.MatrixInfo
+		if res.StatusCode/100 != 2 || json.Unmarshal(res.Body, &got) != nil || got.Fingerprint != fp {
+			return fmt.Errorf("registering %q answered HTTP %d: %s", name, res.StatusCode, bytes.TrimSpace(res.Body))
+		}
+	}
+	return nil
 }
 
 // finishSolve passes the shard's response through byte-for-byte and feeds
@@ -494,15 +564,13 @@ func (rt *Router) warmReplicas(fp string, body []byte) {
 	if len(owners) <= 1 {
 		return
 	}
-	extra := http.Header{}
-	extra.Set(service.HeaderForwardedBy, rt.opt.Name)
+	extra := rt.marker()
 	extra.Set("traceparent", trace.New().Traceparent())
-	hdr := http.Header{}
-	hdr.Set("Content-Type", "application/json")
+	hdr := http.Header{"Content-Type": {"application/json"}}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for _, addr := range owners[1:] {
-		res, err := rt.forwardSolve(ctx, addr, warmBody, hdr, extra, fp)
+		res, err := rt.forward(ctx, addr, http.MethodPost, "/api/v1/solve", warmBody, hdr, extra, fp)
 		switch {
 		case err != nil:
 			rt.reg.Counter(`cluster.warmups{outcome="transport-error"}`).Inc()
@@ -524,7 +592,7 @@ func (rt *Router) warmReplicas(fp string, body []byte) {
 func (rt *Router) handleMatrices(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		rt.handleListMatrices(w, r)
+		rt.writeJSON(w, http.StatusOK, rt.fleetMatrices(r.Context()))
 	case http.MethodPost:
 		rt.handleRegister(w, r)
 	default:
@@ -546,14 +614,21 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// Decode with the daemon's own decoder: the router needs the content
 	// fingerprint to place the matrix before any shard has seen it, and a
 	// malformed or non-symmetric upload gets the daemon's 400 right here.
-	contentType := r.Header.Get("Content-Type")
-	a, name, err := service.DecodeRegistration(contentType, r.URL.Query().Get("name"), bytes.NewReader(body))
+	a, name, err := service.DecodeRegistration(r.Header.Get("Content-Type"), r.URL.Query().Get("name"), bytes.NewReader(body))
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	fp := a.Fingerprint()
-	reg := registration{name: name, body: body, contentType: contentType}
+	// The owners of this matrix need not be the shards that hold name, so
+	// a name another matrix holds gets the daemon's 409 here, or the shards
+	// would disagree on what it names.
+	if name != "" {
+		if held, _, ok := rt.lookup(r.Context(), name, ""); ok && held.Fingerprint != fp {
+			rt.writeError(w, http.StatusConflict, "%v", service.NameTaken(name))
+			return
+		}
+	}
 
 	owners := rt.owners(fp)
 	if len(owners) == 0 {
@@ -561,7 +636,8 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Register on every owner (primary and replicas): replicas must be
-	// able to serve the matrix the moment a failover reaches them.
+	// able to serve the matrix the moment a failover reaches them. The
+	// request goes on as the client sent it, query included.
 	var first *client.ForwardResult
 	registered := 0
 	for _, addr := range owners {
@@ -569,21 +645,18 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		res, ferr := rt.forwardRegister(r.Context(), cl, reg, r.Header)
+		res, ferr := cl.Forward(r.Context(), http.MethodPost, r.URL.RequestURI(), body, r.Header, rt.marker())
 		if ferr != nil {
 			rt.members.ReportFailure(addr, ferr)
 			rt.log.Warn("register forward failed", "peer", addr, "error", ferr.Error())
 			continue
 		}
 		rt.members.ReportSuccess(addr)
-		if first == nil {
+		if first == nil || (res.StatusCode/100 == 2 && first.StatusCode/100 != 2) {
 			first = res
 		}
-		if res.StatusCode >= 200 && res.StatusCode < 300 {
+		if res.StatusCode/100 == 2 {
 			registered++
-			if first.StatusCode < 200 || first.StatusCode >= 300 {
-				first = res
-			}
 		}
 	}
 	if first == nil {
@@ -591,83 +664,22 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if registered > 0 {
-		var info service.MatrixInfo
-		_ = json.Unmarshal(first.Body, &info)
-		rt.catalog(fp, info, reg)
+		rt.remember(fp, fp, name)
 		rt.log.Info("matrix registered",
-			"fingerprint", trace.Short(fp), "name", info.Name,
+			"fingerprint", trace.Short(fp), "name", name,
 			"owners", strings.Join(owners, ","), "replicas", registered-1)
 	}
 	rt.passThrough(w, first)
 }
 
-// catalog records a registration the owners accepted: a new alias joins
-// the matrix's record, which is replaced by a copy.
-func (rt *Router) catalog(fp string, info service.MatrixInfo, reg registration) {
-	if reg.name == "" {
-		reg.name = info.Name // the alias the shard already knew the matrix by
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rec := &matrixRecord{fp: fp, info: info}
-	if old, ok := rt.byFP[fp]; ok {
-		rec.regs = slices.Clip(old.regs)
-	}
-	if !slices.ContainsFunc(rec.regs, func(r registration) bool { return r.name == reg.name }) {
-		if len(rec.regs) > 0 && bytes.Equal(rec.regs[0].body, reg.body) {
-			reg.body = rec.regs[0].body // one copy of a re-uploaded file
-		}
-		rec.regs = append(rec.regs, reg)
-	}
-	rt.byFP[fp] = rec
-	if reg.name != "" {
-		rt.names[reg.name] = fp
-	}
-}
-
-// forwardRegister sends one registration payload to one shard.
-func (rt *Router) forwardRegister(ctx context.Context, cl *client.Client, reg registration, hdr http.Header) (*client.ForwardResult, error) {
-	if hdr == nil {
-		hdr = http.Header{}
-		hdr.Set("Content-Type", reg.contentType)
-	}
-	path := "/api/v1/matrices"
-	if reg.name != "" {
-		path += "?name=" + urlQueryEscape(reg.name)
-	}
-	extra := http.Header{}
-	extra.Set(service.HeaderForwardedBy, rt.opt.Name)
-	return cl.Forward(ctx, http.MethodPost, path, reg.body, hdr, extra)
-}
-
-// registerOn replays every alias of a cataloged matrix during solve
-// failover (no inbound request headers to relay).
-func (rt *Router) registerOn(ctx context.Context, cl *client.Client, rec *matrixRecord) error {
-	for _, reg := range rec.regs {
-		res, err := rt.forwardRegister(ctx, cl, reg, nil)
-		if err != nil {
-			return err
-		}
-		if res.StatusCode < 200 || res.StatusCode >= 300 {
-			return fmt.Errorf("cluster: registration replay: HTTP %d", res.StatusCode)
-		}
-	}
-	return nil
-}
-
-// handleListMatrices merges the matrix listings of every live shard,
-// deduplicated by fingerprint, so the routed view equals the fleet's.
-func (rt *Router) handleListMatrices(w http.ResponseWriter, r *http.Request) {
+// fleetMatrices merges the matrix listings of every live shard,
+// deduplicated by fingerprint, in fingerprint order: the one listing
+// behind the routed GET /api/v1/matrices, the stats' matrix count and
+// /cluster's matrices.
+func (rt *Router) fleetMatrices(ctx context.Context) []service.MatrixInfo {
 	byFP := map[string]service.MatrixInfo{}
-	for _, p := range rt.members.Peers() {
-		if p.State == PeerEjected {
-			continue
-		}
-		cl, ok := rt.members.Client(p.Addr)
-		if !ok {
-			continue
-		}
-		infos, err := cl.Matrices(r.Context())
+	for _, cl := range rt.live() {
+		infos, err := cl.Matrices(ctx)
 		if err != nil {
 			continue
 		}
@@ -683,11 +695,11 @@ func (rt *Router) handleListMatrices(w http.ResponseWriter, r *http.Request) {
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
-	rt.writeJSON(w, http.StatusOK, out)
+	return out
 }
 
-// handleMatrix forwards GET (with failover) and DELETE (fanned out to all
-// owners) for one matrix reference.
+// handleMatrix forwards GET (with failover and replay) to the matrix's
+// owners, and DELETE to every live shard, so that no copy survives.
 func (rt *Router) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if !rt.loopGuard(w, r) {
 		return
@@ -697,61 +709,41 @@ func (rt *Router) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusNotFound, "missing matrix reference")
 		return
 	}
-	fp := rt.resolve(ref)
-	owners := rt.owners(fp)
-	if len(owners) == 0 {
-		rt.writeError(w, http.StatusServiceUnavailable, "no shards available")
-		return
-	}
-	extra := http.Header{}
-	extra.Set(service.HeaderForwardedBy, rt.opt.Name)
-	path := "/api/v1/matrices/" + urlQueryEscape(ref)
+	path := "/api/v1/matrices/" + url.PathEscape(ref)
 	switch r.Method {
 	case http.MethodGet:
-		for _, addr := range owners {
-			cl, ok := rt.members.Client(addr)
-			if !ok {
-				continue
+		res := rt.routed(r.Context(), ref, func(fp string) *client.ForwardResult {
+			for _, addr := range rt.owners(cmp.Or(fp, ref)) {
+				res, err := rt.forward(r.Context(), addr, http.MethodGet, path, nil, r.Header, rt.marker(), fp)
+				if err != nil {
+					rt.members.ReportFailure(addr, err)
+					continue
+				}
+				rt.members.ReportSuccess(addr)
+				return res
 			}
-			res, err := cl.Forward(r.Context(), http.MethodGet, path, nil, r.Header, extra)
-			if err != nil {
-				rt.members.ReportFailure(addr, err)
-				continue
-			}
-			rt.members.ReportSuccess(addr)
-			rt.passThrough(w, res)
+			return nil
+		})
+		if res == nil {
+			rt.writeError(w, http.StatusServiceUnavailable, "no shard could serve the matrix")
 			return
 		}
-		rt.writeError(w, http.StatusServiceUnavailable, "no shard could serve the matrix")
+		rt.passThrough(w, res)
 	case http.MethodDelete:
 		rt.reg.Counter(`cluster.requests{api="delete"}`).Inc()
 		var first *client.ForwardResult
-		for _, addr := range owners {
-			cl, ok := rt.members.Client(addr)
-			if !ok {
-				continue
-			}
-			res, err := cl.Forward(r.Context(), http.MethodDelete, path, nil, r.Header, extra)
+		for _, cl := range rt.live() {
+			res, err := cl.Forward(r.Context(), http.MethodDelete, path, nil, r.Header, rt.marker())
 			if err != nil {
-				rt.members.ReportFailure(addr, err)
+				rt.members.ReportFailure(cl.Base(), err)
 				continue
 			}
-			rt.members.ReportSuccess(addr)
-			if first == nil || (res.StatusCode >= 200 && res.StatusCode < 300 &&
-				(first.StatusCode < 200 || first.StatusCode >= 300)) {
+			rt.members.ReportSuccess(cl.Base())
+			if first == nil || (res.StatusCode/100 == 2 && first.StatusCode/100 != 2) {
 				first = res
 			}
 		}
-		rt.mu.Lock()
-		if rec, ok := rt.byFP[fp]; ok {
-			delete(rt.byFP, fp)
-			for _, reg := range rec.regs {
-				delete(rt.names, reg.name)
-			}
-		}
-		delete(rt.warmHits, fp)
-		delete(rt.warmed, fp)
-		rt.mu.Unlock()
+		rt.forget(ref)
 		if first == nil {
 			rt.writeError(w, http.StatusServiceUnavailable, "no shard could delete the matrix")
 			return
@@ -773,19 +765,10 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	all := []service.JobInfo{}
-	for _, p := range rt.members.Peers() {
-		if p.State == PeerEjected {
-			continue
+	for _, cl := range rt.live() {
+		if jobs, err := cl.Jobs(r.Context()); err == nil {
+			all = append(all, jobs...)
 		}
-		cl, ok := rt.members.Client(p.Addr)
-		if !ok {
-			continue
-		}
-		jobs, err := cl.Jobs(r.Context())
-		if err != nil {
-			continue
-		}
-		all = append(all, jobs...)
 	}
 	// EnqueuedAt is RFC 3339 with nanoseconds: lexical order is time order.
 	sort.SliceStable(all, func(i, j int) bool { return all[i].EnqueuedAt > all[j].EnqueuedAt })
@@ -800,17 +783,8 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/api/v1/jobs/")
-	extra := http.Header{}
-	extra.Set(service.HeaderForwardedBy, rt.opt.Name)
-	for _, p := range rt.members.Peers() {
-		if p.State == PeerEjected {
-			continue
-		}
-		cl, ok := rt.members.Client(p.Addr)
-		if !ok {
-			continue
-		}
-		res, err := cl.Forward(r.Context(), http.MethodGet, "/api/v1/jobs/"+urlQueryEscape(id), nil, r.Header, extra)
+	for _, cl := range rt.live() {
+		res, err := cl.Forward(r.Context(), http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, r.Header, rt.marker())
 		if err != nil || res.StatusCode == http.StatusNotFound {
 			continue
 		}
@@ -821,7 +795,8 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // ClusterStats is the router's GET /api/v1/stats document: the per-shard
-// stats keyed by address, plus the router's own catalog size.
+// stats keyed by address, plus the number of matrices in the fleet's
+// merged listing.
 type ClusterStats struct {
 	Router   string                   `json:"router"`
 	Matrices int                      `json:"matrices"`
@@ -831,10 +806,7 @@ type ClusterStats struct {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	n := len(rt.byFP)
-	rt.mu.Unlock()
-	out := ClusterStats{Router: rt.opt.Name, Matrices: n, Peers: map[string]service.Stats{}}
+	out := ClusterStats{Router: rt.opt.Name, Matrices: len(rt.fleetMatrices(r.Context())), Peers: map[string]service.Stats{}}
 	for _, p := range rt.members.Peers() {
 		cl, ok := rt.members.Client(p.Addr)
 		if !ok {
@@ -852,7 +824,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ---- topology ----
 
-// MatrixPlacement is one cataloged matrix's row in the topology document.
+// MatrixPlacement is one matrix's row in the topology document.
 type MatrixPlacement struct {
 	Fingerprint string   `json:"fingerprint"`
 	Name        string   `json:"name,omitempty"`
@@ -871,8 +843,9 @@ type Topology struct {
 	Matrices []MatrixPlacement `json:"matrices"`
 }
 
-// Topology implements obs.TopologyReporter.
-func (rt *Router) Topology() any {
+// Topology implements obs.TopologyReporter: the matrices are the fleet's
+// merged listing, each with its owners on the live ring.
+func (rt *Router) Topology(ctx context.Context) any {
 	top := Topology{
 		Router:   rt.opt.Name,
 		Replicas: rt.opt.Replicas,
@@ -881,36 +854,37 @@ func (rt *Router) Topology() any {
 		Peers:    rt.members.Peers(),
 		Matrices: []MatrixPlacement{},
 	}
-	rt.mu.Lock()
-	recs := make([]*matrixRecord, 0, len(rt.byFP))
-	for _, rec := range rt.byFP {
-		recs = append(recs, rec)
-	}
-	warmHits := make(map[string]int, len(rt.warmHits))
-	for fp, n := range rt.warmHits {
-		warmHits[fp] = n
-	}
-	warmed := make(map[string]bool, len(rt.warmed))
-	for fp, v := range rt.warmed {
-		warmed[fp] = v
-	}
-	rt.mu.Unlock()
-	for _, rec := range recs {
+	for _, info := range rt.fleetMatrices(ctx) {
 		top.Matrices = append(top.Matrices, MatrixPlacement{
-			Fingerprint: rec.fp,
-			Name:        rec.info.Name,
-			Owners:      rt.owners(rec.fp),
-			WarmHits:    warmHits[rec.fp],
-			Replicated:  warmed[rec.fp],
+			Fingerprint: info.Fingerprint, Name: info.Name, Owners: rt.owners(info.Fingerprint),
 		})
 	}
-	sort.Slice(top.Matrices, func(i, j int) bool {
-		return top.Matrices[i].Fingerprint < top.Matrices[j].Fingerprint
-	})
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for i, m := range top.Matrices {
+		top.Matrices[i].WarmHits, top.Matrices[i].Replicated = rt.warmHits[m.Fingerprint], rt.warmed[m.Fingerprint]
+	}
 	return top
 }
 
 // ---- plumbing ----
+
+// live returns the clients of the peers not ejected, in address order.
+func (rt *Router) live() []*client.Client {
+	var out []*client.Client
+	for _, p := range rt.members.Peers() {
+		if cl, ok := rt.members.Client(p.Addr); ok && p.State != PeerEjected {
+			out = append(out, cl)
+		}
+	}
+	return out
+}
+
+// marker is the header every request to a shard carries: a router that
+// receives it answers 508 instead of forwarding again.
+func (rt *Router) marker() http.Header {
+	return http.Header{service.HeaderForwardedBy: {rt.opt.Name}}
+}
 
 // loopGuard rejects requests that already crossed a router: forwarding
 // again could loop forever in a misconfigured topology (a router listed as
@@ -939,5 +913,3 @@ func (rt *Router) writeError(w http.ResponseWriter, code int, format string, arg
 func (rt *Router) writeErrorBody(w http.ResponseWriter, code int, body service.ErrorBody) {
 	rt.writeJSON(w, code, body)
 }
-
-func urlQueryEscape(s string) string { return url.PathEscape(s) }

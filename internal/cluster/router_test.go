@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/matgen"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/telemetry"
@@ -47,48 +49,61 @@ func startShard(t *testing.T) *testShard {
 // a shard leaves the ring.
 const ejectThreshold = 3
 
-// testCluster is a router fronting n in-process shards.
-type testCluster struct {
-	shards  []*testShard
+// testRouter is one router over a test cluster's shards.
+type testRouter struct {
 	members *cluster.Membership
 	router  *cluster.Router
 	reg     *telemetry.Registry
 	hs      *httptest.Server
 }
 
+// testCluster is a router fronting n in-process shards.
+type testCluster struct {
+	shards []*testShard
+	*testRouter
+}
+
 func startCluster(t *testing.T, n int, opt cluster.RouterOptions) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
-	peers := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		sh := startShard(t)
-		tc.shards = append(tc.shards, sh)
+		tc.shards = append(tc.shards, startShard(t))
+	}
+	tc.testRouter = tc.startRouter(t, opt)
+	return tc
+}
+
+// startRouter starts a router over tc's shards with its own membership,
+// ring and registry: what a second fsaid route, or a restarted one, is.
+func (tc *testCluster) startRouter(t *testing.T, opt cluster.RouterOptions) *testRouter {
+	t.Helper()
+	peers := make([]string, 0, len(tc.shards))
+	for _, sh := range tc.shards {
 		peers = append(peers, sh.hs.URL)
 	}
 	reg := telemetry.NewRegistry()
-	tc.reg = reg
 	ring := cluster.NewRing(0)
-	tc.members = cluster.NewMembership(peers, ring, cluster.MembershipOptions{
+	members := cluster.NewMembership(peers, ring, cluster.MembershipOptions{
 		ProbeInterval:    50 * time.Millisecond,
 		FailThreshold:    1,
 		EjectThreshold:   ejectThreshold,
 		RecoverThreshold: 1,
 		Registry:         reg,
 	})
-	opt.Membership = tc.members
+	opt.Membership = members
 	opt.Ring = ring
 	opt.Registry = reg
 	opt.Traces = trace.NewRecorder(64, "", reg)
-	tc.router = cluster.NewRouter(opt)
-	tc.hs = httptest.NewServer(tc.router.Handler())
+	tr := &testRouter{members: members, router: cluster.NewRouter(opt), reg: reg}
+	tr.hs = httptest.NewServer(tr.router.Handler())
 	t.Cleanup(func() {
-		tc.hs.Close()
-		tc.members.Close()
+		tr.hs.Close()
+		tr.members.Close()
 	})
-	return tc
+	return tr
 }
 
-func (tc *testCluster) client() *client.Client { return client.New(tc.hs.URL) }
+func (tr *testRouter) client() *client.Client { return client.New(tr.hs.URL) }
 
 // shardFor returns the test shard listening at addr.
 func (tc *testCluster) shardFor(t *testing.T, addr string) *testShard {
@@ -103,9 +118,9 @@ func (tc *testCluster) shardFor(t *testing.T, addr string) *testShard {
 }
 
 // topology fetches the router's /cluster document.
-func (tc *testCluster) topology(t *testing.T) cluster.Topology {
+func (tr *testRouter) topology(t *testing.T) cluster.Topology {
 	t.Helper()
-	resp, err := http.Get(tc.hs.URL + "/cluster")
+	resp, err := http.Get(tr.hs.URL + "/cluster")
 	if err != nil {
 		t.Fatalf("GET /cluster: %v", err)
 	}
@@ -262,37 +277,48 @@ func TestRouterLoopGuard(t *testing.T) {
 	}
 }
 
-// TestRouterReregistersLostMatrix: a shard that lost a matrix the router
-// cataloged (restarted without a store) answers the forwarded solve 404;
-// the router replays the registration once and the solve succeeds.
+// TestRouterReregistersLostMatrix: the primary loses a matrix (restarted
+// without a store) while the replica keeps it. A routed solve, and then a
+// routed GET, each get the primary's 404, replay the matrix from the
+// replica and answer 200, and the primary holds the matrix again.
 func TestRouterReregistersLostMatrix(t *testing.T) {
-	tc := startCluster(t, 1, cluster.RouterOptions{WarmThreshold: -1})
+	tc := startCluster(t, 2, cluster.RouterOptions{WarmThreshold: -1})
 	c := tc.client()
 	ctx := context.Background()
 	info, err := c.RegisterMatgen(ctx, "lap64x64", "lap")
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	shard := client.New(tc.shards[0].hs.URL)
-	if err := shard.Unregister(ctx, info.Fingerprint); err != nil {
-		t.Fatalf("unregister on the shard: %v", err)
+	primary := client.New(tc.topology(t).Matrices[0].Owners[0])
+	for i, routed := range map[string]func() error{
+		"solve": func() error {
+			resp, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "jacobi"})
+			if err == nil && !resp.Converged {
+				err = fmt.Errorf("not converged: %+v", resp)
+			}
+			return err
+		},
+		"GET": func() error { _, err := c.Matrix(ctx, "lap"); return err },
+	} {
+		if err := primary.Unregister(ctx, info.Fingerprint); err != nil {
+			t.Fatalf("unregister on the primary: %v", err)
+		}
+		if err := routed(); err != nil {
+			t.Fatalf("routed %s after the primary lost the matrix: %v", i, err)
+		}
+		if got, err := primary.Matrix(ctx, info.Fingerprint); err != nil || !slices.Equal(got.Aliases, []string{"lap"}) {
+			t.Fatalf("after the routed %s the primary holds %+v, err %v", i, got, err)
+		}
 	}
-	resp, err := c.Solve(ctx, service.SolveRequest{Matrix: "lap", Precond: "jacobi"})
-	if err != nil || !resp.Converged {
-		t.Fatalf("solve after the shard lost the matrix: %+v err=%v", resp, err)
-	}
-	if _, err := shard.Matrix(ctx, info.Fingerprint); err != nil {
-		t.Fatalf("the shard does not hold the replayed matrix: %v", err)
-	}
-	if got := tc.reg.Counter("cluster.reregistrations").Value(); got != 1 {
-		t.Fatalf("cluster_reregistrations = %d, want 1", got)
+	if got := tc.reg.Counter("cluster.reregistrations").Value(); got != 2 {
+		t.Fatalf("cluster_reregistrations = %d, want 2", got)
 	}
 }
 
-// TestRouterReplaysEveryAlias: a shard that lost a matrix gets it back
-// under every alias the router cataloged, not only the newest, while one
-// more alias joins the catalog, and a routed DELETE forgets every alias,
-// the middle one too.
+// TestRouterReplaysEveryAlias: a primary that lost a matrix gets it back
+// from the replica under every alias, not only the newest, while one more
+// alias registers, and a routed DELETE forgets every alias, the middle one
+// too.
 func TestRouterReplaysEveryAlias(t *testing.T) {
 	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
 	c := tc.client()
@@ -305,9 +331,9 @@ func TestRouterReplaysEveryAlias(t *testing.T) {
 		}
 		fp = info.Fingerprint
 	}
-	// What a restart without -data-dir leaves: no shard holds the matrix.
-	for _, sh := range tc.shards {
-		_ = client.New(sh.hs.URL).Unregister(ctx, fp)
+	primary := client.New(tc.topology(t).Matrices[0].Owners[0])
+	if err := primary.Unregister(ctx, fp); err != nil {
+		t.Fatalf("unregister on the primary: %v", err)
 	}
 	var wg sync.WaitGroup
 	for _, name := range []string{"lap3", "lap", "lap2"} {
@@ -316,7 +342,7 @@ func TestRouterReplaysEveryAlias(t *testing.T) {
 			defer wg.Done()
 			resp, err := c.Solve(ctx, service.SolveRequest{Matrix: name, Precond: "jacobi"})
 			if err != nil || !resp.Converged {
-				t.Errorf("routed solve on %s after the shards lost the matrix: %+v err=%v", name, resp, err)
+				t.Errorf("routed solve on %s after the primary lost the matrix: %+v err=%v", name, resp, err)
 			}
 		}()
 	}
@@ -324,11 +350,321 @@ func TestRouterReplaysEveryAlias(t *testing.T) {
 		t.Errorf("register lap4: %v", err)
 	}
 	wg.Wait()
+	got, err := primary.Matrix(ctx, fp)
+	if err != nil {
+		t.Fatalf("the primary does not hold the replayed matrix: %v", err)
+	}
+	// lap4 may land before the replay or after it; the replayed three keep
+	// their registration order.
+	replayed := slices.DeleteFunc(slices.Clone(got.Aliases), func(a string) bool { return a == "lap4" })
+	if len(got.Aliases) != 4 || !slices.Equal(replayed, []string{"lap", "lap2", "lap3"}) {
+		t.Fatalf("the primary holds the matrix as %v, want lap, lap2, lap3 in that order and lap4", got.Aliases)
+	}
 	if err := c.Unregister(ctx, "lap2"); err != nil {
 		t.Fatalf("routed delete: %v", err)
 	}
-	if got := tc.router.Aliases(); len(got) != 0 {
-		t.Fatalf("aliases outlive their deleted matrix: %v", got)
+	if got := tc.router.Refs(); len(got) != 0 {
+		t.Fatalf("references outlive their deleted matrix: %v", got)
+	}
+	tc.requireNowhere(t, fp)
+}
+
+// TestRouterNoLiveCopyAnswersLikeADaemon: when no live shard holds a
+// matrix (every owner restarted without a data dir), there is nothing to
+// replay, and a routed solve or GET answers what a single daemon answers
+// after the same restart: its 404, status and body.
+func TestRouterNoLiveCopyAnswersLikeADaemon(t *testing.T) {
+	tc := startCluster(t, 2, cluster.RouterOptions{WarmThreshold: -1})
+	ctx := context.Background()
+	info, err := tc.client().RegisterMatgen(ctx, "lap64x64", "lap")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	for _, sh := range tc.shards {
+		if err := client.New(sh.hs.URL).Unregister(ctx, info.Fingerprint); err != nil {
+			t.Fatalf("unregister on %s: %v", sh.hs.URL, err)
+		}
+	}
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodPost, "/api/v1/solve", `{"matrix":"lap","precond":"jacobi"}`},
+		{http.MethodGet, "/api/v1/matrices/lap", ""},
+	} {
+		code, body := send(t, req.method, tc.hs.URL+req.path, req.body)
+		dcode, dbody := send(t, req.method, tc.shards[0].hs.URL+req.path, req.body)
+		if code != http.StatusNotFound || code != dcode || body != dbody {
+			t.Fatalf("%s %s: routed %d %q, direct %d %q", req.method, req.path, code, body, dcode, dbody)
+		}
+	}
+	if got := tc.reg.Counter("cluster.reregistrations").Value(); got != 0 {
+		t.Fatalf("cluster_reregistrations = %d with no live copy, want 0", got)
+	}
+}
+
+// send makes one request with a JSON body (none when empty) and returns
+// the status and the body.
+func send(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	if body != "" {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b)
+}
+
+// requireNowhere fails the test if any shard holds matrix fp.
+func (tc *testCluster) requireNowhere(t *testing.T, fp string) {
+	t.Helper()
+	for _, sh := range tc.shards {
+		code, body := send(t, http.MethodGet, sh.hs.URL+"/api/v1/matrices/"+fp, "")
+		if code != http.StatusNotFound {
+			t.Fatalf("shard %s still holds %.12s: HTTP %d %s", sh.hs.URL, fp, code, body)
+		}
+	}
+}
+
+// registerAll registers each spec through r under its aliases and returns
+// the fingerprint of each spec.
+func registerAll(t *testing.T, r *testRouter, aliases map[string][]string) map[string]string {
+	t.Helper()
+	fps := map[string]string{}
+	for spec, names := range aliases {
+		for _, name := range names {
+			info, err := r.client().RegisterMatgen(context.Background(), spec, name)
+			if err != nil {
+				t.Fatalf("register %s as %s: %v", spec, name, err)
+			}
+			fps[spec] = info.Fingerprint
+		}
+	}
+	return fps
+}
+
+// fleetAliases are three matrices under six aliases.
+var fleetAliases = map[string][]string{
+	"lap64x64":         {"lap", "lap2"},
+	"elas36x36-s2":     {"elas"},
+	"band2200-bw12-d2": {"band", "band2", "band3"},
+}
+
+// TestFreshRouterServesEveryAlias: the shards are the catalog, so a router
+// started over shards that another router filled answers every alias
+// solve with that router's status, and every GET and the listing with its
+// status and body.
+func TestFreshRouterServesEveryAlias(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	registerAll(t, tc.testRouter, fleetAliases)
+	fresh := tc.startRouter(t, cluster.RouterOptions{WarmThreshold: -1})
+	for _, names := range fleetAliases {
+		for _, name := range names {
+			solve := `{"matrix":"` + name + `","precond":"jacobi"}`
+			code, _ := send(t, http.MethodPost, tc.hs.URL+"/api/v1/solve", solve)
+			fcode, fbody := send(t, http.MethodPost, fresh.hs.URL+"/api/v1/solve", solve)
+			if code != http.StatusOK || fcode != code {
+				t.Errorf("solve %s: first router %d, fresh router %d %s", name, code, fcode, fbody)
+			}
+			code, body := send(t, http.MethodGet, tc.hs.URL+"/api/v1/matrices/"+name, "")
+			fcode, fbody = send(t, http.MethodGet, fresh.hs.URL+"/api/v1/matrices/"+name, "")
+			if code != http.StatusOK || fcode != code || fbody != body {
+				t.Errorf("GET %s: first router %d %s, fresh router %d %s", name, code, body, fcode, fbody)
+			}
+		}
+	}
+	code, body := send(t, http.MethodGet, tc.hs.URL+"/api/v1/matrices", "")
+	fcode, fbody := send(t, http.MethodGet, fresh.hs.URL+"/api/v1/matrices", "")
+	if code != http.StatusOK || fcode != code || fbody != body {
+		t.Errorf("listing: first router %d %s, fresh router %d %s", code, body, fcode, fbody)
+	}
+}
+
+// TestRouterCountsOneListing: the routed listing, /api/v1/stats' matrices
+// and /cluster's matrices read one merged shard listing, so a fresh router
+// reports the same three counts as the router that registered the
+// matrices.
+func TestRouterCountsOneListing(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	registerAll(t, tc.testRouter, fleetAliases)
+	fresh := tc.startRouter(t, cluster.RouterOptions{WarmThreshold: -1})
+	for i, r := range []*testRouter{tc.testRouter, fresh} {
+		list, err := r.client().Matrices(context.Background())
+		if err != nil {
+			t.Fatalf("router %d listing: %v", i, err)
+		}
+		_, body := send(t, http.MethodGet, r.hs.URL+"/api/v1/stats", "")
+		var st cluster.ClusterStats
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("router %d stats: %v", i, err)
+		}
+		if top := r.topology(t); len(list) != 3 || st.Matrices != 3 || len(top.Matrices) != 3 {
+			t.Fatalf("router %d counts: listing %d, stats %d, /cluster %d; want 3 each",
+				i, len(list), st.Matrices, len(top.Matrices))
+		}
+	}
+}
+
+// TestFreshRouterDeleteReachesEveryCopy: a routed DELETE goes to every
+// live shard, so one through a router that never saw the matrix leaves no
+// shard holding it.
+func TestFreshRouterDeleteReachesEveryCopy(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	fps := registerAll(t, tc.testRouter, fleetAliases)
+	fresh := tc.startRouter(t, cluster.RouterOptions{WarmThreshold: -1})
+	for spec, names := range fleetAliases {
+		if err := fresh.client().Unregister(context.Background(), names[len(names)-1]); err != nil {
+			t.Fatalf("delete %s through the fresh router: %v", names[len(names)-1], err)
+		}
+		tc.requireNowhere(t, fps[spec])
+	}
+}
+
+// TestDeletedMatrixStaysDeleted: a matrix deleted through one router stays
+// deleted for a second router that had registered and served it too. The
+// second router's cached fingerprint finds no live copy to replay, so its
+// solve answers the shards' 404 and no shard holds the matrix again.
+func TestDeletedMatrixStaysDeleted(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	other := tc.startRouter(t, cluster.RouterOptions{WarmThreshold: -1})
+	ctx := context.Background()
+	req := service.SolveRequest{Matrix: "lap", Precond: "jacobi"}
+	var fp string
+	for _, r := range []*testRouter{tc.testRouter, other} {
+		info, err := r.client().RegisterMatgen(ctx, "lap64x64", "lap")
+		if err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		fp = info.Fingerprint
+		if _, err := r.client().Solve(ctx, req); err != nil {
+			t.Fatalf("solve before the delete: %v", err)
+		}
+	}
+	if err := tc.client().Unregister(ctx, "lap"); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	var apiErr *client.APIError
+	if _, err := other.client().Solve(ctx, req); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
+		t.Fatalf("solve through the other router after the delete: %v, want HTTP 404", err)
+	}
+	tc.requireNowhere(t, fp)
+}
+
+// TestRouterFollowsAReboundAlias: after router B deletes alias a and binds
+// it to another matrix, router A, which cached a's old fingerprint, solves
+// the new matrix on its next solve on a. The new matrix is picked so that
+// the old one's primary does not hold it: the stale answer's 404 has no
+// live copy to replay, and only a fresh lookup finds the new binding.
+func TestRouterFollowsAReboundAlias(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	b := tc.startRouter(t, cluster.RouterOptions{WarmThreshold: -1})
+	ctx := context.Background()
+	first, err := tc.client().RegisterMatgen(ctx, "lap64x64", "a")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	req := service.SolveRequest{Matrix: "a", Precond: "jacobi"}
+	if _, err := tc.client().Solve(ctx, req); err != nil {
+		t.Fatalf("solve on the first matrix: %v", err)
+	}
+	if err := b.client().Unregister(ctx, "a"); err != nil {
+		t.Fatalf("delete through router B: %v", err)
+	}
+	next := tc.specOff(t, tc.router.Owners(first.Fingerprint)[0])
+	second, err := b.client().RegisterMatgen(ctx, next.Name, "a")
+	if err != nil {
+		t.Fatalf("rebind a to %s through router B: %v", next.Name, err)
+	}
+	resp, err := tc.client().Solve(ctx, req)
+	if err != nil || resp.Matrix != second.Fingerprint {
+		t.Fatalf("router A's solve on a after the rebind: %+v err=%v, want matrix %.12s", resp, err, second.Fingerprint)
+	}
+}
+
+// specOff returns the first suite matrix whose owners leave out shard.
+func (tc *testCluster) specOff(t *testing.T, shard string) matgen.Spec {
+	t.Helper()
+	for _, spec := range matgen.Suite() {
+		if !slices.Contains(tc.router.Owners(spec.Generate().Fingerprint()), shard) {
+			return spec
+		}
+	}
+	t.Fatalf("every suite matrix places on %s", shard)
+	return matgen.Spec{}
+}
+
+// TestRoutedRegistrationKeepsAliasesUnique: registering a second matrix
+// under an alias the fleet already binds gets the daemon's 409, status and
+// body, from the router itself; the second matrix reaches no shard and
+// every shard that binds the alias still binds it to the first matrix.
+// The second matrix is picked so that one of its owners does not hold the
+// alias and would accept it.
+func TestRoutedRegistrationKeepsAliasesUnique(t *testing.T) {
+	tc := startCluster(t, 3, cluster.RouterOptions{WarmThreshold: -1})
+	ctx := context.Background()
+	first, err := tc.client().RegisterMatgen(ctx, "lap64x64", "a")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	owner := tc.router.Owners(first.Fingerprint)[0]
+	spec := tc.specOff(t, owner)
+	again := `{"matgen":"` + spec.Name + `","name":"a"}`
+	code, body := send(t, http.MethodPost, owner+"/api/v1/matrices", again)
+	rcode, rbody := send(t, http.MethodPost, tc.hs.URL+"/api/v1/matrices", again)
+	if code != http.StatusConflict || rcode != code || rbody != body {
+		t.Fatalf("second matrix under a: routed %d %q, direct %d %q", rcode, rbody, code, body)
+	}
+	tc.requireNowhere(t, spec.Generate().Fingerprint())
+	held := 0
+	for _, sh := range tc.shards {
+		code, body := send(t, http.MethodGet, sh.hs.URL+"/api/v1/matrices/a", "")
+		var info service.MatrixInfo
+		if code == http.StatusOK && json.Unmarshal([]byte(body), &info) == nil && info.Fingerprint == first.Fingerprint {
+			held++
+		} else if code != http.StatusNotFound {
+			t.Fatalf("shard %s binds a as HTTP %d %s", sh.hs.URL, code, body)
+		}
+	}
+	if held != 2 {
+		t.Fatalf("%d shards bind a to the first matrix, want its 2 owners", held)
+	}
+}
+
+// tinyMTX is a 3x3 SPD matrix in MatrixMarket symmetric form.
+const tinyMTX = `%%MatrixMarket matrix coordinate real symmetric
+3 3 5
+1 1 4
+2 1 -1
+2 2 4
+3 2 -1
+3 3 4
+`
+
+// TestAliasWithQueryCharacters: an alias with '+' and '&' survives the
+// registration's query string, on a shard and through the router: the
+// MatrixMarket upload lists that exact alias and solves by it.
+func TestAliasWithQueryCharacters(t *testing.T) {
+	const alias = "a+b&c"
+	ctx := context.Background()
+	for _, base := range []string{startShard(t).hs.URL, startCluster(t, 2, cluster.RouterOptions{WarmThreshold: -1}).hs.URL} {
+		c := client.New(base)
+		info, err := c.RegisterMatrixMarket(ctx, strings.NewReader(tinyMTX), alias)
+		if err != nil {
+			t.Fatalf("%s: upload: %v", base, err)
+		}
+		list, err := c.Matrices(ctx)
+		if err != nil || len(list) != 1 || list[0].Name != alias {
+			t.Fatalf("%s: listing %+v err=%v, want one matrix aliased %q", base, list, err, alias)
+		}
+		resp, err := c.Solve(ctx, service.SolveRequest{Matrix: alias, Precond: "jacobi"})
+		if err != nil || resp.Matrix != info.Fingerprint {
+			t.Fatalf("%s: solve on %q: %+v err=%v", base, alias, resp, err)
+		}
 	}
 }
 
@@ -366,22 +702,20 @@ func TestRouterRejectsBadRegistrationLikeAShard(t *testing.T) {
 }
 
 // TestRouterPlacementIsStable: a matrix's owners depend on its fingerprint
-// and the live ring only, so cataloging 72 matrices one at a time over a
+// and the live ring only, so placing 72 matrices one at a time over a
 // fixed three-shard ring never moves an earlier one.
 func TestRouterPlacementIsStable(t *testing.T) {
 	ring := cluster.NewRing(0)
 	// Never started: the peers are never probed or contacted.
 	members := cluster.NewMembership(shards(3), ring, cluster.MembershipOptions{})
 	rt := cluster.NewRouter(cluster.RouterOptions{Membership: members, Ring: ring})
+	keys := testKeys(72)
 	first := map[string][]string{}
-	for i, fp := range testKeys(72) {
-		rt.Catalog(fp, "")
-		for _, m := range rt.Topology().(cluster.Topology).Matrices {
-			want, seen := first[m.Fingerprint]
-			if !seen {
-				first[m.Fingerprint] = m.Owners
-			} else if !slices.Equal(m.Owners, want) {
-				t.Fatalf("cataloging matrix %d moved %.12s from %v to %v", i+1, m.Fingerprint, want, m.Owners)
+	for i, fp := range keys {
+		first[fp] = rt.Owners(fp)
+		for _, earlier := range keys[:i+1] {
+			if got := rt.Owners(earlier); len(got) != 2 || !slices.Equal(got, first[earlier]) {
+				t.Fatalf("placing matrix %d moved %.12s from %v to %v", i+1, earlier, first[earlier], got)
 			}
 		}
 	}

@@ -54,11 +54,11 @@ type Options struct {
 }
 
 // TopologyReporter is what a cluster router exposes to /cluster: a
-// JSON-encodable topology document (peers, states, ring placement). An
-// interface keeps obs free of a dependency on internal/cluster, which
-// imports this package.
+// JSON-encodable topology document (peers, states, ring placement), built
+// under the request's context. An interface keeps obs free of a dependency
+// on internal/cluster, which imports this package.
 type TopologyReporter interface {
-	Topology() any
+	Topology(ctx context.Context) any
 }
 
 // Server serves the observability endpoints. Construct with NewServer, then

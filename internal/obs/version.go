@@ -70,5 +70,5 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.opt.Cluster.Topology())
+	_ = enc.Encode(s.opt.Cluster.Topology(r.Context()))
 }

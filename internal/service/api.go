@@ -21,10 +21,13 @@ type MatrixInfo struct {
 	// Fingerprint is the hex SHA-256 content fingerprint (sparse.CSR
 	// Fingerprint) — the canonical handle for solve requests.
 	Fingerprint string `json:"fingerprint"`
-	// Name is an optional client-chosen alias, unique across the registry.
+	// Name is an optional client-chosen alias, unique across the registry:
+	// the first of Aliases.
 	Name string `json:"name,omitempty"`
-	Rows int    `json:"rows"`
-	NNZ  int    `json:"nnz"`
+	// Aliases lists every alias of the matrix, in registration order.
+	Aliases []string `json:"aliases,omitempty"`
+	Rows    int      `json:"rows"`
+	NNZ     int      `json:"nnz"`
 	// Created reports whether this registration stored a new matrix (false:
 	// the content was already registered and the call deduplicated).
 	Created bool `json:"created"`
@@ -119,6 +122,9 @@ const (
 	// the guard against routing loops in misconfigured topologies (a
 	// router listed as another router's peer).
 	HeaderForwardedBy = "X-Fsaid-Forwarded-By"
+	// MatrixMarketType, as the Accept header of GET /api/v1/matrices/<ref>,
+	// asks for the matrix itself as general-form MatrixMarket text.
+	MatrixMarketType = "text/x-matrix-market"
 )
 
 // StatusSetupOnly is the SolveResponse.Status of a setup_only request: the

@@ -146,7 +146,7 @@ func (c *Client) RegisterMatgen(ctx context.Context, spec, name string) (service
 func (c *Client) RegisterMatrixMarket(ctx context.Context, r io.Reader, name string) (service.MatrixInfo, error) {
 	path := "/api/v1/matrices"
 	if name != "" {
-		path += "?name=" + urlQueryEscape(name)
+		path += "?" + url.Values{"name": {name}}.Encode()
 	}
 	var info service.MatrixInfo
 	err := c.do(ctx, http.MethodPost, path, r, "text/plain", &info)
@@ -163,13 +163,13 @@ func (c *Client) Matrices(ctx context.Context) ([]service.MatrixInfo, error) {
 // Matrix fetches one registered matrix's descriptor by fingerprint or name.
 func (c *Client) Matrix(ctx context.Context, ref string) (service.MatrixInfo, error) {
 	var out service.MatrixInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/matrices/"+urlQueryEscape(ref), nil, "", &out)
+	err := c.do(ctx, http.MethodGet, "/api/v1/matrices/"+url.PathEscape(ref), nil, "", &out)
 	return out, err
 }
 
 // Unregister removes a matrix (and its cached preconditioners).
 func (c *Client) Unregister(ctx context.Context, ref string) error {
-	return c.do(ctx, http.MethodDelete, "/api/v1/matrices/"+urlQueryEscape(ref), nil, "", nil)
+	return c.do(ctx, http.MethodDelete, "/api/v1/matrices/"+url.PathEscape(ref), nil, "", nil)
 }
 
 // Solve submits a solve job and waits for its result. Saturation surfaces
@@ -249,7 +249,7 @@ func (c *Client) Jobs(ctx context.Context) ([]service.JobInfo, error) {
 // Job fetches one job record.
 func (c *Client) Job(ctx context.Context, id string) (service.JobInfo, error) {
 	var out service.JobInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+urlQueryEscape(id), nil, "", &out)
+	err := c.do(ctx, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(id), nil, "", &out)
 	return out, err
 }
 
@@ -259,5 +259,3 @@ func (c *Client) Stats(ctx context.Context) (service.Stats, error) {
 	err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, "", &out)
 	return out, err
 }
-
-func urlQueryEscape(s string) string { return url.PathEscape(s) }

@@ -25,9 +25,11 @@ const maxForwardBytes = 64 << 20
 
 // ForwardHeaders is the request-header allowlist a router relays to a
 // shard: the tracing, idempotency, deadline and content-type protocol
-// headers. Everything else (hop-by-hop headers, client connection noise)
-// stays at the router.
+// headers, and Accept (a matrix GET answers MatrixMarket text when asked).
+// Everything else (hop-by-hop headers, client connection noise) stays at
+// the router.
 var ForwardHeaders = []string{
+	"Accept",
 	"Content-Type",
 	"Traceparent",
 	"Idempotency-Key",

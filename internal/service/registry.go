@@ -18,7 +18,8 @@ var ErrRegistryFull = errors.New("service: matrix registry full")
 
 // RegisteredMatrix is one registry entry: the immutable operator plus its
 // descriptor. The CSR is shared by every job solving on it and must never
-// be mutated.
+// be mutated; a new alias replaces the entry with a copy, so a reader
+// holding one may use it without the lock.
 type RegisteredMatrix struct {
 	Info MatrixInfo
 	A    *sparse.CSR
@@ -55,39 +56,35 @@ func NewMatrixRegistry(capacity int) *MatrixRegistry {
 func (r *MatrixRegistry) Register(a *sparse.CSR, fp, name string) (MatrixInfo, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if existing, ok := r.byFP[fp]; ok {
-		if name != "" {
-			if owner, taken := r.names[name]; taken && owner != fp {
-				return MatrixInfo{}, fmt.Errorf("service: name %q already registered to another matrix", name)
-			}
-			r.names[name] = fp
-			if existing.Info.Name == "" {
-				existing.Info.Name = name
-			}
+	owner, taken := r.names[name]
+	if taken && owner != fp {
+		return MatrixInfo{}, NameTaken(name)
+	}
+	rm, ok := r.byFP[fp]
+	if !ok {
+		if len(r.byFP) >= r.cap {
+			return MatrixInfo{}, ErrRegistryFull
 		}
-		info := existing.Info
-		info.Created = false
-		return info, nil
+		rm = &RegisteredMatrix{Info: MatrixInfo{Fingerprint: fp, Rows: a.Rows, NNZ: a.NNZ()}, A: a}
 	}
-	if name != "" {
-		if _, taken := r.names[name]; taken {
-			return MatrixInfo{}, fmt.Errorf("service: name %q already registered to another matrix", name)
-		}
-	}
-	if len(r.byFP) >= r.cap {
-		return MatrixInfo{}, ErrRegistryFull
-	}
-	rm := &RegisteredMatrix{
-		Info: MatrixInfo{Fingerprint: fp, Name: name, Rows: a.Rows, NNZ: a.NNZ()},
-		A:    a,
-	}
-	r.byFP[fp] = rm
-	if name != "" {
+	if name != "" && !taken {
+		cp := *rm
+		cp.Info.Aliases = append(slices.Clip(rm.Info.Aliases), name)
+		cp.Info.Name = cp.Info.Aliases[0]
+		rm = &cp
 		r.names[name] = fp
 	}
+	r.byFP[fp] = rm
 	info := rm.Info
-	info.Created = true
+	info.Created = !ok
 	return info, nil
+}
+
+// NameTaken is the error registering name gets when name already aliases
+// another matrix: the daemon's 409, which the cluster router answers with
+// the same text.
+func NameTaken(name string) error {
+	return fmt.Errorf("service: name %q already registered to another matrix", name)
 }
 
 // resolve finds the matrix a reference names: a fingerprint first, then a
@@ -121,10 +118,8 @@ func (r *MatrixRegistry) Remove(ref string) (string, bool) {
 	}
 	fp := rm.Info.Fingerprint
 	delete(r.byFP, fp)
-	for alias, owner := range r.names {
-		if owner == fp {
-			delete(r.names, alias)
-		}
+	for _, alias := range rm.Info.Aliases {
+		delete(r.names, alias)
 	}
 	return fp, true
 }

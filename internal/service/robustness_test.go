@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -189,7 +190,7 @@ func TestListingIsFingerprintOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("list after restart: %v", err)
 	}
-	if !slices.Equal(after, before) {
+	if !reflect.DeepEqual(after, before) {
 		t.Fatalf("listing after restart = %+v, before = %+v", after, before)
 	}
 }

@@ -641,6 +641,14 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "matrix %q not registered", ref)
 			return
 		}
+		if strings.Contains(r.Header.Get("Accept"), MatrixMarketType) {
+			// Every stored entry: registration accepts a matrix symmetric
+			// only to within 1e-10·max|a_ij|, so one triangle could come
+			// back as another matrix.
+			w.Header().Set("Content-Type", MatrixMarketType)
+			_ = mmio.Write(w, rm.A, false)
+			return
+		}
 		writeJSON(w, http.StatusOK, rm.Info)
 	case http.MethodDelete:
 		fp, ok := s.matrices.Remove(ref)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -82,6 +83,53 @@ func TestRegisterMatrixMarketUpload(t *testing.T) {
 	got, err := c.Matrix(ctx, "tiny")
 	if err != nil || got.Fingerprint != info.Fingerprint {
 		t.Fatalf("lookup by name: %+v err=%v", got, err)
+	}
+}
+
+// TestMatrixMarketGetRegistersTheSameMatrix: GET /api/v1/matrices/<ref>
+// with Accept: text/x-matrix-market writes every stored entry, so a matrix
+// symmetric only to within the registration tolerance registers from that
+// text, on another daemon, as the same fingerprint. MatrixInfo.Aliases
+// lists every alias in registration order.
+func TestMatrixMarketGetRegistersTheSameMatrix(t *testing.T) {
+	_, c := newTestServer(t, service.Options{})
+	_, other := newTestServer(t, service.Options{})
+	ctx := context.Background()
+	// a21 differs from a12 by 1e-12, inside 1e-10·max|a_ij|.
+	const nearlySymmetric = `%%MatrixMarket matrix coordinate real general
+3 3 7
+1 1 4
+1 2 -1
+2 1 -1.000000000001
+2 2 4
+2 3 -1
+3 2 -1
+3 3 4
+`
+	var info service.MatrixInfo
+	for _, name := range []string{"x", "y"} {
+		var err error
+		if info, err = c.RegisterMatrixMarket(ctx, strings.NewReader(nearlySymmetric), name); err != nil {
+			t.Fatalf("upload as %s: %v", name, err)
+		}
+	}
+	if info.Name != "x" || !reflect.DeepEqual(info.Aliases, []string{"x", "y"}) {
+		t.Fatalf("after two aliases: %+v", info)
+	}
+	req, _ := http.NewRequest(http.MethodGet, c.Base()+"/api/v1/matrices/y", nil)
+	req.Header.Set("Accept", service.MatrixMarketType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("MatrixMarket GET: %v", err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != service.MatrixMarketType {
+		t.Fatalf("MatrixMarket GET: HTTP %d %s: %s", resp.StatusCode, resp.Header.Get("Content-Type"), text)
+	}
+	got, err := other.RegisterMatrixMarket(ctx, bytes.NewReader(text), "")
+	if err != nil || got.Fingerprint != info.Fingerprint {
+		t.Fatalf("the GET's text registers as %+v err=%v, want fingerprint %.12s", got, err, info.Fingerprint)
 	}
 }
 

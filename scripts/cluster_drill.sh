@@ -6,7 +6,10 @@
 #   2. register and solve through the router with the unchanged client API:
 #      registering a second matrix leaves the first one's owners unchanged,
 #      cold solve is a miss on the owning shard, repeat solve a warm hit,
-#      and the hot factor is replicated to the replica shard;
+#      and the hot factor is replicated to the replica shard; then SIGKILL
+#      the router and start a fresh one over the same shards: it lists lap
+#      with the same owners, serves a routed GET of lap, and its first solve
+#      on lap is a warm hit, with zero failed requests;
 #   3. SIGKILL the primary mid-traffic: every client request keeps
 #      succeeding (failover to the warm replica), the traced solve keeps
 #      its trace id across the failover hop, and the failover solution is
@@ -70,6 +73,29 @@ start_shard() {
     exit 1
 }
 
+# start_router LABEL -> launches fsaid route over the three shards and sets
+# ROUTER_PID/ROUTER_ADDR, in the parent shell like start_shard.
+ROUTER_PID=""
+ROUTER_ADDR=""
+start_router() {
+    local log="$workdir/router-$1.log"
+    : >"$log"
+    "$workdir/fsaid" route -listen 127.0.0.1:0 -peers "$addr1,$addr2,$addr3" \
+        -replicas 1 -warm-threshold 1 -probe-interval 200ms 2>"$log" &
+    ROUTER_PID=$!
+    pids+=("$ROUTER_PID")
+    ROUTER_ADDR=""
+    for _ in $(seq 1 100); do
+        ROUTER_ADDR=$(sed -n 's#.*msg="fsaid router listening" addr=http://\([^ ]*\).*#\1#p' "$log" | head -1)
+        [ -n "$ROUTER_ADDR" ] && return 0
+        kill -0 "$ROUTER_PID" 2>/dev/null || { echo "router exited early:" >&2; cat "$log" >&2; exit 1; }
+        sleep 0.1
+    done
+    echo "router announced no address" >&2
+    cat "$log" >&2
+    exit 1
+}
+
 # lap_owners TOPOLOGY.json -> the owners of the matrix named lap, primary
 # first, space-separated and without the scheme. /cluster is indented JSON
 # with each matrix's name on the line before its owners array.
@@ -105,20 +131,8 @@ start_shard 2
 pid2=$SHARD_PID addr2=$SHARD_ADDR
 start_shard 3
 pid3=$SHARD_PID addr3=$SHARD_ADDR
-rlog="$workdir/router.log"
-: >"$rlog"
-"$workdir/fsaid" route -listen 127.0.0.1:0 -peers "$addr1,$addr2,$addr3" \
-    -replicas 1 -warm-threshold 1 -probe-interval 200ms 2>"$rlog" &
-rpid=$!
-pids+=("$rpid")
-router=""
-for _ in $(seq 1 100); do
-    router=$(sed -n 's#.*msg="fsaid router listening" addr=http://\([^ ]*\).*#\1#p' "$rlog" | head -1)
-    [ -n "$router" ] && break
-    kill -0 "$rpid" 2>/dev/null || { echo "router exited early:"; cat "$rlog"; exit 1; }
-    sleep 0.1
-done
-[ -n "$router" ] || { echo "router announced no address"; cat "$rlog"; exit 1; }
+start_router 1
+rpid=$ROUTER_PID router=$ROUTER_ADDR
 echo "router at $router, shards at $addr1 $addr2 $addr3"
 
 echo "== phase 2: register and solve through the router =="
@@ -151,6 +165,32 @@ grep -q '"cache": *"hit"' "$workdir/warm.json" || { echo "FAIL: repeat routed so
 curl -fsS "http://$primary/api/v1/stats" >"$workdir/primary-stats.json"
 hits=$(json_num "$workdir/primary-stats.json" hits)
 [ "${hits:-0}" -ge 1 ] || { echo "FAIL: owning shard reports no cache hit (hits=$hits)"; fail=1; }
+
+echo "== phase 2b: SIGKILL the router, start a fresh one over the same shards =="
+# The shards are the catalog: a router that never saw a registration
+# resolves lap by asking them, places it on the same owners and lands on
+# the primary's warm factor.
+{ kill -9 "$rpid" && wait "$rpid"; } 2>/dev/null || true
+start_router 2
+rpid=$ROUTER_PID router=$ROUTER_ADDR
+echo "fresh router at $router"
+restart_fail=0
+curl -fsS "http://$router/cluster" >"$workdir/topology-1c.json" || restart_fail=1
+owners_fresh=$(lap_owners "$workdir/topology-1c.json")
+[ "$owners_fresh" = "$owners" ] \
+    || { echo "FAIL: the fresh router lists lap's owners as '$owners_fresh', want '$owners'"; restart_fail=1; }
+curl -fsS "http://$router/api/v1/matrices/lap" >"$workdir/fresh-get.json" \
+    || { echo "FAIL: routed GET of lap through the fresh router"; restart_fail=1; }
+if curl -fsS -X POST -H 'Content-Type: application/json' -d "$solve_body" \
+    "http://$router/api/v1/solve" >"$workdir/fresh-warm.json"; then
+    grep -q '"cache": *"hit"' "$workdir/fresh-warm.json" \
+        || { echo "FAIL: first solve through the fresh router not a warm hit"; cat "$workdir/fresh-warm.json"; restart_fail=1; }
+else
+    echo "FAIL: solve through the fresh router failed"
+    restart_fail=1
+fi
+[ "$restart_fail" -eq 0 ] || fail=1
+[ "$restart_fail" -eq 0 ] && echo "fresh router: same owners for lap, GET 200, warm hit, zero failed requests"
 
 echo "== phase 3: hot factor replicates to the replica shard =="
 replicated=0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	fsaie "repro"
-	fsai "repro/internal/core"
 	"repro/internal/matgen"
 )
 
@@ -63,16 +62,14 @@ func ExampleAllocAligned() {
 	// offset: 3
 }
 
-// ExampleComputeAdaptive grows the pattern dynamically (FSPAI-style) and
+// ExampleNew_adaptive grows the base pattern dynamically (FSPAI-style) and
 // then cache-extends it — the Section 8 composition.
-func ExampleComputeAdaptive() {
+func ExampleNew_adaptive() {
 	a := matgen.Laplace2D(16, 16)
-	p, err := fsai.ComputeAdaptive(a, fsai.AdaptiveOptions{
-		MaxPerRow:   6,
-		Tol:         0.02,
-		CacheExtend: 64,
-		Filter:      0.01,
-	})
+	opts := fsaie.DefaultOptions()
+	opts.Variant = fsaie.FSAIESp
+	opts.AdaptiveMaxPerRow = 6
+	p, err := fsaie.New(a, opts)
 	if err != nil {
 		panic(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	fsaie "repro"
-	fsai "repro/internal/core"
 	"repro/internal/krylov"
 	"repro/internal/matgen"
 	"repro/internal/precond"
@@ -69,13 +68,17 @@ func main() {
 	run("FSAIE(full) f=0.01", "SpMV", func() (krylov.Preconditioner, error) {
 		return fsaie.New(a, fsaie.DefaultOptions())
 	})
+	adaptive := fsaie.DefaultOptions()
+	adaptive.AdaptiveMaxPerRow = 8
 	run("adaptive (FSPAI-like)", "SpMV", func() (krylov.Preconditioner, error) {
-		return fsai.ComputeAdaptive(a, fsai.AdaptiveOptions{MaxPerRow: 8, Tol: 0.02})
+		o := adaptive
+		o.Variant = fsaie.FSAI
+		return fsaie.New(a, o)
 	})
 	run("adaptive + cache ext", "SpMV", func() (krylov.Preconditioner, error) {
-		return fsai.ComputeAdaptive(a, fsai.AdaptiveOptions{
-			MaxPerRow: 8, Tol: 0.02, CacheExtend: 64, Filter: 0.01,
-		})
+		o := adaptive
+		o.Variant = fsaie.FSAIESp
+		return fsaie.New(a, o)
 	})
 	run("Chebyshev deg=8", "8x SpMV", func() (krylov.Preconditioner, error) {
 		ext, err := spectral.CondOfMatrix(a, 60)

@@ -1,11 +1,9 @@
 package fsai
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dense"
-	"repro/internal/parallel"
 	"repro/internal/pattern"
 	"repro/internal/sparse"
 )
@@ -17,112 +15,50 @@ import (
 // position with the largest Frobenius-residual contribution until a
 // tolerance or size budget is met.
 //
-// The paper's point — that cache-aware extension is *complementary to any
-// numerical pattern strategy* — is testable here: AdaptiveOptions.CacheExtend
-// applies Algorithm 3 + precalculation filtering on top of the adaptively
-// found pattern (see the adaptive ablation in internal/experiments).
+// The search is Compute's base-pattern phase when Options.AdaptiveMaxPerRow
+// is set, so the paper's point — that cache-aware extension is
+// *complementary to any numerical pattern strategy* — is testable here: the
+// FSAIE variants extend, precalculate and filter the adaptively found
+// pattern like any other base (see the adaptive ablation in
+// internal/experiments).
 
-// AdaptiveOptions configures the dynamic pattern search.
-type AdaptiveOptions struct {
-	// MaxPerRow caps each row's pattern size including the diagonal
-	// (default 12).
-	MaxPerRow int
-	// Tol stops a row's growth when the best candidate's residual falls
-	// below Tol times the current diagonal value (default 0.05).
-	Tol float64
-	// CacheExtend, when non-zero, cache-extends the adaptive pattern with
-	// lines of that many bytes before the final solve, filtering the
-	// extension with Filter.
-	CacheExtend int
-	// AlignElems is the x[0] line offset used by the extension.
-	AlignElems int
-	// Filter is the extension filtering threshold (as in Options.Filter).
-	Filter float64
-	// Workers bounds parallelism across rows.
-	Workers int
-}
+// adaptiveTol stops a row's growth in Compute's adaptive search once the
+// best candidate's residual falls below adaptiveTol times the row's current
+// diagonal value.
+const adaptiveTol = 0.02
 
-func (o *AdaptiveOptions) normalize() {
-	if o.MaxPerRow <= 0 {
-		o.MaxPerRow = 12
-	}
-	if o.Tol <= 0 {
-		o.Tol = 0.05
-	}
-}
-
-// ComputeAdaptive builds an FSAI preconditioner with a dynamically grown
-// pattern. For each row i it starts from {i} and repeatedly solves the
-// local system A(P,P) y = e_i, evaluates the residual (A y − e_i) at the
-// admissible candidates (graph neighbours j < i of the current pattern) and
-// admits the largest one, until Tol or MaxPerRow is reached. The final G is
-// the Frobenius-optimal factor on the resulting pattern (optionally
-// cache-extended first).
-func ComputeAdaptive(a *sparse.CSR, opts AdaptiveOptions) (*Preconditioner, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("fsai: matrix is %dx%d, want square", a.Rows, a.Cols)
-	}
-	opts.normalize()
-	n := a.Rows
-	rows := make([][]int, n)
-	nw := opts.Workers
-	if nw <= 0 {
-		nw = parallel.MaxWorkers()
-	}
-	errs := make([]error, n)
-	parallel.For(n, nw, func(lo, hi int) {
+// adaptivePattern grows every row's pattern with growRow on workers row
+// chunks, each row once: a row whose local system is not positive definite
+// fails the setup with its ReasonNotSPD SetupError.
+func adaptivePattern(a *sparse.CSR, maxPerRow int, tol float64, workers int) (*pattern.Pattern, error) {
+	rows := make([][]int, a.Rows)
+	err := forRowChunks(a.Rows, workers, nil, func(lo, hi int, _ *SetupStats) error {
 		var aloc, y, work []float64
 		for i := lo; i < hi; i++ {
-			p, err := growRow(a, i, opts, &aloc, &y, &work)
+			p, err := growRow(a, i, maxPerRow, tol, &aloc, &y, &work)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			rows[i] = p
 		}
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	base := pattern.FromRows(n, n, rows)
-
-	pre := &Preconditioner{Workers: opts.Workers, BasePattern: base}
-	final := base
-	if opts.CacheExtend > 0 {
-		elems := opts.CacheExtend / 8
-		if elems < 1 {
-			return nil, fmt.Errorf("fsai: CacheExtend %dB smaller than one element", opts.CacheExtend)
-		}
-		sx := ExtendPattern(base, elems, opts.AlignElems, ClipLower, 512, opts.Workers)
-		if opts.Filter > 0 {
-			gpre, err := precalcRows(symmetricLower(a), sx, opts.Filter/2, 25, opts.Workers, &pre.Stats)
-			if err != nil {
-				return nil, err
-			}
-			final = filterExtension(base, sx, gpre, opts.Filter, opts.Workers)
-		} else {
-			final = sx
-		}
-	}
-	g, err := computeRows(a, final, opts.Workers, &pre.Stats)
 	if err != nil {
 		return nil, err
 	}
-	pre.G = g
-	pre.GT = g.TransposeParallel(opts.Workers)
-	pre.FinalPattern = final
-	pre.initApply()
-	return pre, nil
+	return pattern.FromRows(a.Rows, a.Cols, rows), nil
 }
 
-// growRow runs the greedy pattern search for row i and returns the sorted
+// growRow runs the greedy pattern search for row i: starting from {i}, it
+// repeatedly solves the local system A(P,P) y = e_i, evaluates the residual
+// (A y − e_i) at the admissible candidates (graph neighbours j < i of the
+// current pattern) and admits the largest one, until the best residual is
+// below tol·|y_i| or the row holds maxPerRow entries. It returns the sorted
 // pattern (diagonal included). The buffers are the worker's solve scratch.
-func growRow(a *sparse.CSR, i int, opts AdaptiveOptions, alocBuf, yBuf, workBuf *[]float64) ([]int, error) {
+func growRow(a *sparse.CSR, i, maxPerRow int, tol float64, alocBuf, yBuf, workBuf *[]float64) ([]int, error) {
 	p := []int{i}
 	inP := map[int]bool{i: true}
-	for len(p) < opts.MaxPerRow {
+	for len(p) < maxPerRow {
 		m := len(p)
 		if cap(*alocBuf) < m*m {
 			*alocBuf = make([]float64, 4*m*m)
@@ -134,11 +70,11 @@ func growRow(a *sparse.CSR, i int, opts AdaptiveOptions, alocBuf, yBuf, workBuf 
 		// p is sorted with i last (all admitted candidates are < i).
 		sparse.GatherRHS(y, m-1)
 		if err := dense.SolveSPD(aloc, m, y, *workBuf); err != nil {
-			return nil, fmt.Errorf("fsai: adaptive row %d: %w", i, ErrNotSPD)
+			return nil, setupErrf(ReasonNotSPD, i, "adaptive row %d: %w", i, ErrNotSPD)
 		}
 		diag := y[m-1]
 		if diag <= 0 {
-			return nil, fmt.Errorf("fsai: adaptive row %d diagonal %g: %w", i, diag, ErrNotSPD)
+			return nil, setupErrf(ReasonNotSPD, i, "adaptive row %d diagonal %g: %w", i, diag, ErrNotSPD)
 		}
 		// Candidates: lower-index graph neighbours of current members.
 		bestJ, bestR := -1, 0.0
@@ -157,7 +93,7 @@ func growRow(a *sparse.CSR, i int, opts AdaptiveOptions, alocBuf, yBuf, workBuf 
 				}
 			}
 		}
-		if bestJ < 0 || bestR < opts.Tol*math.Abs(diag) {
+		if bestJ < 0 || bestR < tol*math.Abs(diag) {
 			break
 		}
 		p = insertSorted(p, bestJ)

@@ -6,13 +6,16 @@
 //
 //   - FSAI: the state-of-the-art baseline (Algorithm 1) — pattern is the
 //     lower triangle of A (or of Ã^N), values from the row-wise Frobenius
-//     minimization, classic post-filtering.
+//     minimization.
 //   - FSAIE(sp): Algorithm 4 without steps 5–6 — the pattern of G is
 //     extended with cache-friendly entries (spatial locality of the Gp
 //     product), precalculated, and filtered before the final solve.
 //   - FSAIE(full): full Algorithm 4 — the extension/precalculation/filter
 //     sequence is applied to the pattern and then again to its transpose,
 //     optimizing both Gp and G^T p.
+//
+// Compute builds every variant, on the a-priori base lower(Ã^N) or on an
+// adaptively grown one (Options.AdaptiveMaxPerRow, Section 8).
 package fsai
 
 import "repro/internal/pattern"

@@ -41,39 +41,47 @@ func (v Variant) String() string {
 	}
 }
 
-// familyVariants maps the FSAI-family preconditioner names — the spelling
-// of fsaisolve -precond, the daemon's "precond" field and the recovery
-// chain's rungs — to their Compute variant. "adaptive" is the fourth
-// family name; it builds with ComputeAdaptive instead.
-var familyVariants = map[string]Variant{"fsai": VariantFSAI, "fsaie-sp": VariantSp, "fsaie": VariantFull}
+// families is the one table of FSAI-family preconditioner names — the
+// spelling of fsaisolve -precond, the daemon's "precond" field and the
+// recovery chain's rungs — with the variant and base pattern each builds:
+// "adaptive" is FSAIE(sp) on an adaptively grown base of at most 12
+// entries per row (Section 8).
+var families = map[string]struct {
+	variant   Variant
+	maxPerRow int
+}{
+	"fsai":     {VariantFSAI, 0},
+	"fsaie-sp": {VariantSp, 0},
+	"fsaie":    {VariantFull, 0},
+	"adaptive": {VariantSp, 12},
+}
 
 // IsFamily reports whether ComputeNamed builds name: "fsai", "fsaie-sp",
 // "fsaie" or "adaptive".
 func IsFamily(name string) bool {
-	_, ok := familyVariants[name]
-	return ok || name == "adaptive"
+	_, ok := families[name]
+	return ok
+}
+
+// NamedKnobs reports which Options knobs the factor ComputeNamed builds
+// for name depends on: extension (Filter, LineBytes, AlignElems) for every
+// name that extends its base, all but "fsai", and apriori (PatternPower,
+// ThresholdTau) for every name whose base is lower(Ã^N), all but
+// "adaptive".
+func NamedKnobs(name string) (extension, apriori bool) {
+	f := families[name]
+	return f.variant != VariantFSAI, f.maxPerRow == 0
 }
 
 // ComputeNamed builds the FSAI-family preconditioner called name from the
-// setup knobs in fo (fo.Variant is overridden). "adaptive" runs
-// ComputeAdaptive with at most 12 entries per row and a 0.02 residual
-// tolerance, cache-extended by fo.LineBytes and filtered by fo.Filter.
+// setup knobs in fo: the name's table entry overrides fo.Variant and
+// fo.AdaptiveMaxPerRow, and the setup runs through Compute like any other.
 func ComputeNamed(name string, a *sparse.CSR, fo Options) (*Preconditioner, error) {
-	if name == "adaptive" {
-		return ComputeAdaptive(a, AdaptiveOptions{
-			MaxPerRow:   12,
-			Tol:         0.02,
-			CacheExtend: fo.LineBytes,
-			AlignElems:  fo.AlignElems,
-			Filter:      fo.Filter,
-			Workers:     fo.Workers,
-		})
-	}
-	v, ok := familyVariants[name]
+	f, ok := families[name]
 	if !ok {
 		return nil, fmt.Errorf("fsai: %q is not an FSAI-family preconditioner", name)
 	}
-	fo.Variant = v
+	fo.Variant, fo.AdaptiveMaxPerRow = f.variant, f.maxPerRow
 	return Compute(a, fo)
 }
 
@@ -105,16 +113,15 @@ type Options struct {
 	// paper's evaluation uses no thresholding (0).
 	ThresholdTau float64
 
-	// PrecalcTol and PrecalcMaxIter control the loose-tolerance CG used to
-	// precalculate G for filtering (Section 5). A zero PrecalcTol picks
-	// Filter/2 clamped to [5e-3, 0.1]: the estimate only needs to be
-	// accurate near the filtering boundary, and CG from a zero guess
-	// systematically underestimates small entries, so the tolerance must
-	// sit safely below the boundary ratio or borderline entries get
-	// dropped that exact magnitudes would keep. PrecalcMaxIter defaults
-	// to 25.
-	PrecalcTol     float64
-	PrecalcMaxIter int
+	// AdaptiveMaxPerRow, when > 0, replaces the a-priori base pattern
+	// lower(Ã^N) with a dynamically grown one (FSPAI-style, Section 8):
+	// each row starts from its diagonal and greedily admits the lower
+	// graph neighbour with the largest Frobenius residual, until the row
+	// holds AdaptiveMaxPerRow entries or the best residual falls below
+	// 0.02 times the row's current diagonal. PatternPower and ThresholdTau
+	// are then unused; the variant's extension, filtering and solve run on
+	// that base unchanged. 0 keeps lower(Ã^N).
+	AdaptiveMaxPerRow int
 
 	// MaxRowNNZ bounds the per-row size of extended patterns (see
 	// ExtendPattern); <= 0 disables the bound. DefaultOptions sets 512.
@@ -131,11 +138,6 @@ type Options struct {
 	// post-filtering of Algorithm 1 instead of the precalculation strategy,
 	// for the Table 3 comparison.
 	StandardFiltering bool
-
-	// PostFilter is Algorithm 1's own small-entry drop threshold for the
-	// baseline FSAI (0 keeps everything but exact zeros, as in the paper's
-	// evaluation).
-	PostFilter float64
 
 	// Workers bounds setup parallelism (<=0: all CPUs).
 	Workers int
@@ -174,29 +176,17 @@ func (o *Options) normalize() {
 	if o.PatternPower <= 0 {
 		o.PatternPower = 1
 	}
-	if o.PrecalcTol <= 0 {
-		o.PrecalcTol = o.Filter / 2
-		if o.PrecalcTol > 0.1 {
-			o.PrecalcTol = 0.1
-		}
-		if o.PrecalcTol < 5e-3 {
-			o.PrecalcTol = 5e-3
-		}
-	}
-	if o.PrecalcMaxIter <= 0 {
-		o.PrecalcMaxIter = 25
-	}
 }
 
 // Setup phase names recorded in SetupStats.Phases and emitted as tracer
 // spans; one per phase of Algorithms 3-4.
 const (
-	PhaseBasePattern = "base-pattern"    // steps 1-2: lower(Ã^N)
-	PhaseExtend      = "extend"          // Algorithm 3: cache-friendly fill-in
-	PhasePrecalc     = "precalc"         // Section 5: loose-tolerance CG estimate
-	PhaseFilter      = "filter"          // drop weak extension entries
-	PhaseSolve       = "frobenius-solve" // exact local solves on the final pattern
-	PhasePostFilter  = "post-filter"     // classical post-filtering (Algorithm 1 / Table 3)
+	PhaseBasePattern    = "base-pattern"    // steps 1-2: lower(Ã^N), or the adaptive search
+	PhaseExtend         = "extend"          // Algorithm 3: cache-friendly fill-in
+	PhasePrecalc        = "precalc"         // Section 5: loose-tolerance CG estimate
+	PhaseFilter         = "filter"          // drop weak extension entries
+	PhaseSolve          = "frobenius-solve" // exact local solves on the final pattern
+	PhaseStandardFilter = "post-filter"     // Table 3 path only: StandardFiltering's drop-rescale
 )
 
 // PhaseTiming is the measured wall time of one setup phase. Phases appear in
@@ -272,9 +262,7 @@ type Preconditioner struct {
 	// Stats records setup work for the performance model.
 	Stats SetupStats
 	// Workers is the SpMV parallelism used by Apply. The convention matches
-	// krylov.Options.Workers: <=0 means all CPUs, 1 means serial. (Before
-	// the kernel-layer rewrite, Apply treated 0 as serial while the rest of
-	// the stack treated it as "all CPUs"; the mismatch is fixed.)
+	// krylov.Options.Workers: <=0 means all CPUs, 1 means serial.
 	Workers int
 
 	tmp  []float64 // apply scratch (rows × k), from the size-keyed pool

@@ -377,35 +377,6 @@ func TestSetupStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestPostFilterBaselineFSAI(t *testing.T) {
-	// Algorithm 1's own post-filter drops small entries of the baseline G
-	// and rescales; the result must still precondition correctly.
-	a := matgen.Laplace2D(12, 12)
-	o := DefaultOptions()
-	o.Variant = VariantFSAI
-	o.PatternPower = 2 // wider pattern: the far entries are genuinely small
-	o.PostFilter = 0.1
-	p, err := Compute(a, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2 := o
-	o2.PostFilter = 0
-	p0, _ := Compute(a, o2)
-	if p.NNZ() >= p0.NNZ() {
-		t.Errorf("post-filter did not drop entries: %d vs %d", p.NNZ(), p0.NNZ())
-	}
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = 1
-	}
-	x := make([]float64, a.Rows)
-	res := krylov.Solve(a, x, b, p, krylov.DefaultOptions())
-	if !res.Converged {
-		t.Error("post-filtered FSAI failed to converge")
-	}
-}
-
 func TestDefaultOptionsNormalization(t *testing.T) {
 	// Zero-valued options get sane defaults via normalize (exercised
 	// through Compute).

@@ -142,7 +142,7 @@ func TestSetupGoldenFactors(t *testing.T) {
 			o.normalize()
 			sx := ExtendPattern(InitialPattern(a, 0, 1, 1), o.LineBytes/8, 0, ClipLower, o.MaxRowNNZ, 1)
 			var st SetupStats
-			g, err := precalcRows(symmetricLower(a), sx, o.PrecalcTol, o.PrecalcMaxIter, 1, &st)
+			g, err := precalcRows(symmetricLower(a), sx, precalcTol(o.Filter), 1, &st)
 			if err != nil {
 				t.Fatal(err)
 			}

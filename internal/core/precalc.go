@@ -7,14 +7,26 @@ import (
 	"repro/internal/sparse"
 )
 
+// precalcMaxIter bounds each row's loose CG in the precalculation.
+const precalcMaxIter = 25
+
+// precalcTol is the loose CG tolerance of the precalculation at a given
+// filter: filter/2 clamped to [5e-3, 0.1]. The estimate only needs to be
+// accurate near the filtering boundary, and CG from a zero guess
+// systematically underestimates small entries, so the tolerance must sit
+// safely below the boundary ratio or borderline entries get dropped that
+// exact magnitudes would keep.
+func precalcTol(filter float64) float64 { return min(max(filter/2, 5e-3), 0.1) }
+
 // precalcRows evaluates an *approximate* G of A on the given pattern using
-// a few loose-tolerance CG sweeps per local system (Section 5). Only the
-// order of magnitude of the entries matters — the result is used
-// exclusively to decide which extension entries to keep. Each row's system
-// is gathered in sparse form from ahat = symmetricLower(A), which the
-// caller builds once per setup, never as a dense m×m block. A panicking row
-// task comes back as a ReasonWorkerPanic SetupError.
-func precalcRows(ahat *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, workers int, stats *SetupStats) (*sparse.CSR, error) {
+// at most precalcMaxIter CG sweeps to tolerance tol per local system
+// (Section 5). Only the order of magnitude of the entries matters — the
+// result is used exclusively to decide which extension entries to keep.
+// Each row's system is gathered in sparse form from ahat =
+// symmetricLower(A), which the caller builds once per setup, never as a
+// dense m×m block. A panicking row task comes back as a ReasonWorkerPanic
+// SetupError.
+func precalcRows(ahat *sparse.CSR, p *pattern.Pattern, tol float64, workers int, stats *SetupStats) (*sparse.CSR, error) {
 	g := factorOn(ahat.Rows, p)
 	err := forRowChunks(ahat.Rows, workers, stats, func(lo, hi int, st *SetupStats) error {
 		ls := newLocalSystem(ahat.Rows)
@@ -26,7 +38,7 @@ func precalcRows(ahat *sparse.CSR, p *pattern.Pattern, tol float64, maxIter, wor
 			rhs = grow(rhs, m)
 			sparse.GatherRHS(rhs, m-1)
 			off := g.RowPtr[i]
-			iters := ls.cg(g.Val[off:off+m], rhs, tol, maxIter)
+			iters := ls.cg(g.Val[off:off+m], rhs, tol, precalcMaxIter)
 			st.PrecalcFlops += float64(iters) * 2 * float64(m) * float64(m)
 		}
 		return nil

@@ -31,7 +31,8 @@ func (pr phaseRecorder) phase(name string) func() {
 }
 
 // Compute builds an FSAI-family preconditioner for the SPD matrix a
-// according to opts. It is the entry point covering Algorithms 1, 2 and 4.
+// according to opts. It is the one setup pipeline: Algorithms 1, 2 and 4
+// on the a-priori base lower(Ã^N) or on the adaptive base of Section 8.
 // With Options.Ctx set, the whole setup runs under the pprof label
 // phase=setup merged into the context's labels (see internal/prof).
 func Compute(a *sparse.CSR, opts Options) (*Preconditioner, error) {
@@ -75,8 +76,16 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 	}()
 
 	endBase := rec.phase(PhaseBasePattern)
-	base := InitialPattern(a, opts.ThresholdTau, opts.PatternPower, opts.Workers)
+	var base *pattern.Pattern
+	if opts.AdaptiveMaxPerRow > 0 {
+		base, err = adaptivePattern(a, opts.AdaptiveMaxPerRow, adaptiveTol, opts.Workers)
+	} else {
+		base = InitialPattern(a, opts.ThresholdTau, opts.PatternPower, opts.Workers)
+	}
 	endBase()
+	if err != nil {
+		return nil, err
+	}
 	p.BasePattern = base
 	p.Stats.PatternOps += float64(base.NNZ())
 
@@ -89,12 +98,6 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 			return nil, err
 		}
 		p.G, p.FinalPattern = g, base
-		if opts.PostFilter > 0 {
-			endFilter := rec.phase(PhasePostFilter)
-			p.G = postFilterRescale(a, diagonalOnly(base), g, opts.PostFilter)
-			endFilter()
-			p.FinalPattern = pattern.FromCSR(p.G)
-		}
 
 	case VariantSp, VariantFull:
 		// resolve turns a candidate extended pattern sx (⊇ base) into the
@@ -113,7 +116,7 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 			if ahat == nil {
 				ahat = symmetricLower(a)
 			}
-			gpre, err := precalcRows(ahat, sx, opts.PrecalcTol, opts.PrecalcMaxIter, opts.Workers, &p.Stats)
+			gpre, err := precalcRows(ahat, sx, precalcTol(opts.Filter), opts.Workers, &p.Stats)
 			endPrecalc()
 			if err != nil {
 				return nil, err
@@ -168,7 +171,7 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 			// Only extension entries (positions outside the original
 			// numerical pattern) are eligible for dropping, the same
 			// eligible set the precalculation strategy filters.
-			endFilter := rec.phase(PhasePostFilter)
+			endFilter := rec.phase(PhaseStandardFilter)
 			p.G = postFilterRescale(a, base, g, opts.Filter)
 			endFilter()
 			p.FinalPattern = pattern.FromCSR(p.G)
@@ -207,19 +210,6 @@ func containWorkerPanic(err *error) {
 // applies to any given sparse pattern).
 func ComputeOnPattern(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupStats) (*sparse.CSR, error) {
 	return computeRows(a, p, workers, stats)
-}
-
-// diagonalOnly returns the pattern containing just the diagonal positions of
-// p's rows; used as the protected set when post-filtering a baseline FSAI.
-func diagonalOnly(p *pattern.Pattern) *pattern.Pattern {
-	out := pattern.New(p.Rows, p.NCols)
-	for i := 0; i < p.Rows; i++ {
-		if i < p.NCols {
-			out.AppendCol(i)
-		}
-		out.CloseRow(i)
-	}
-	return out
 }
 
 // RandomExtendPattern extends base with extra randomly placed admissible

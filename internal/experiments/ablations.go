@@ -237,7 +237,7 @@ func AblationOrdering(spec matgen.Spec) (string, error) {
 }
 
 // AblationAdaptive contrasts the static a-priori patterns with the dynamic
-// (FSPAI-style) pattern search of internal/core's ComputeAdaptive, with and
+// (FSPAI-style) base pattern of fsai.Options.AdaptiveMaxPerRow, with and
 // without the cache-friendly extension on top — exercising the paper's
 // Section 8 claim that the extension composes with any pattern strategy,
 // dynamic ones included.
@@ -273,15 +273,15 @@ func AblationAdaptive(spec matgen.Spec) (string, error) {
 	}
 	report("static + cache ext (FSAIE)", p)
 
-	ad := fsai.AdaptiveOptions{MaxPerRow: 8, Tol: 0.02}
-	if p, err = fsai.ComputeAdaptive(a, ad); err != nil {
+	ad := static
+	ad.AdaptiveMaxPerRow = 8
+	if p, err = fsai.Compute(a, ad); err != nil {
 		return "", err
 	}
 	report("dynamic greedy (FSPAI-like)", p)
 
-	ad.CacheExtend = 64
-	ad.Filter = ReferenceFilter
-	if p, err = fsai.ComputeAdaptive(a, ad); err != nil {
+	ad.Variant, ad.Filter = fsai.VariantSp, ReferenceFilter
+	if p, err = fsai.Compute(a, ad); err != nil {
 		return "", err
 	}
 	report("dynamic + cache ext", p)

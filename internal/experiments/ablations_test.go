@@ -87,6 +87,31 @@ func TestAblationPreconditioners(t *testing.T) {
 	}
 }
 
+// TestAblationAdaptive pins the adaptive ablation's rows as committed in
+// docs/ablation_output.txt: iterations and nnz(G) of the static and the
+// dynamic base patterns, each without and with the cache extension, on the
+// reference thermal matrix.
+func TestAblationAdaptive(t *testing.T) {
+	spec, ok := matgen.ByName("jump64x64-b8-j1e3")
+	if !ok {
+		t.Fatal("missing reference spec")
+	}
+	out, err := AblationAdaptive(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{
+		"static lower(A) (FSAI)                   20      12160\n",
+		"static + cache ext (FSAIE)               16      33775\n",
+		"dynamic greedy (FSPAI-like)              13      32573\n",
+		"dynamic + cache ext                      11      55093\n",
+	} {
+		if !strings.Contains(out, row) {
+			t.Errorf("row %q missing:\n%s", row, out)
+		}
+	}
+}
+
 func TestAblationOrdering(t *testing.T) {
 	out, err := AblationOrdering(ablationSpec(t))
 	if err != nil {

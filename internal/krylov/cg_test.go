@@ -33,14 +33,6 @@ func TestVectorKernels(t *testing.T) {
 		t.Errorf("Norm2 wrong")
 	}
 	y := []float64{1, 1, 1}
-	Axpy(2, a, y)
-	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
-		t.Errorf("Axpy=%v", y)
-	}
-	Xpay(a, 10, y)
-	if y[0] != 31 || y[1] != 52 || y[2] != 73 {
-		t.Errorf("Xpay=%v", y)
-	}
 	Fill(y, 0)
 	if y[0] != 0 || y[2] != 0 {
 		t.Errorf("Fill=%v", y)

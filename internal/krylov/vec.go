@@ -1,9 +1,9 @@
 // Package krylov implements the iterative solvers of the reproduction: the
 // Conjugate Gradient method and its preconditioned variant (PCG). The solve
 // loop schedules its SpMV and BLAS-1 sweeps on internal/kernels (pooled,
-// nnz-balanced, fused — see docs/performance.md); the straight-line vector
-// kernels below remain as the serial reference semantics and for callers
-// outside the hot path.
+// nnz-balanced, fused — see docs/performance.md), whose SerialAxpy and
+// SerialXpay are the reference update kernels; the vector helpers below
+// serve callers outside the hot path.
 package krylov
 
 import "math"
@@ -19,23 +19,6 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of a.
 func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
-// Axpy computes y += alpha * x.
-func Axpy(alpha float64, x, y []float64) {
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Xpay computes y = x + beta * y (the search-direction update of CG).
-func Xpay(x []float64, beta float64, y []float64) {
-	for i := range x {
-		y[i] = x[i] + beta*y[i]
-	}
-}
-
-// Copy copies src into dst.
-func Copy(dst, src []float64) { copy(dst, src) }
 
 // Fill sets every element of a to v.
 func Fill(a []float64, v float64) {

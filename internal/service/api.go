@@ -53,7 +53,8 @@ type SolveRequest struct {
 	// enough to rebuild per job.
 	Precond string `json:"precond,omitempty"`
 	// Filter / LineBytes / PatternPower / Tau mirror the fsai.Options setup
-	// knobs (defaults 0.01 / 64 / 1 / 0); they are part of the cache key.
+	// knobs (defaults 0.01 / 64 / 1 / 0); the ones the named factor reads
+	// are part of its cache key (see PrecondKey).
 	// A negative Filter selects 0 — no extension filtering (JSON cannot
 	// distinguish an absent field from an explicit 0, so 0 means default).
 	Filter       float64 `json:"filter,omitempty"`

@@ -119,13 +119,22 @@ func NewPrecondCache(capacity int, reg *telemetry.Registry) *PrecondCache {
 }
 
 // PrecondKey builds the canonical cache key for a matrix fingerprint and
-// the setup-relevant solve options. Worker count is deliberately excluded:
-// the factor's values do not depend on setup parallelism (each row's local
-// system is solved independently), so one cached factor serves any worker
-// configuration.
+// the request knobs the named factor reads (fsai.NamedKnobs): the filter
+// and line size unless it is the unextended "fsai", the pattern power and
+// tau unless its base pattern is adaptive. Worker count is deliberately
+// excluded: the factor's values do not depend on setup parallelism (each
+// row's local system is solved independently), so one cached factor serves
+// any worker configuration.
 func PrecondKey(fingerprint string, req *SolveRequest) string {
-	return fmt.Sprintf("%s|%s|f=%g|line=%d|pow=%d|tau=%g",
-		fingerprint, req.Precond, req.setupFilter(), req.LineBytes, req.PatternPower, req.Tau)
+	switch extension, apriori := fsai.NamedKnobs(req.Precond); {
+	case !extension:
+		return fmt.Sprintf("%s|%s|pow=%d|tau=%g", fingerprint, req.Precond, req.PatternPower, req.Tau)
+	case !apriori:
+		return fmt.Sprintf("%s|%s|f=%g|line=%d", fingerprint, req.Precond, req.setupFilter(), req.LineBytes)
+	default:
+		return fmt.Sprintf("%s|%s|f=%g|line=%d|pow=%d|tau=%g",
+			fingerprint, req.Precond, req.setupFilter(), req.LineBytes, req.PatternPower, req.Tau)
+	}
 }
 
 // GetOrBuild returns the cached factor for key, computing it with build on

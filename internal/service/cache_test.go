@@ -240,3 +240,22 @@ func TestRegistryConcurrentRegisterRemove(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPrecondKeyFormat pins the cache key of every FSAI-family name: the
+// fsaie and fsaie-sp keys hold every request knob, byte for byte as the
+// keys stores already hold; fsai drops the extension knobs it does not
+// read and adaptive the a-priori pattern knobs.
+func TestPrecondKeyFormat(t *testing.T) {
+	req := SolveRequest{Filter: 0.01, LineBytes: 64, PatternPower: 1}
+	for name, want := range map[string]string{
+		"fsaie":    "fp|fsaie|f=0.01|line=64|pow=1|tau=0",
+		"fsaie-sp": "fp|fsaie-sp|f=0.01|line=64|pow=1|tau=0",
+		"fsai":     "fp|fsai|pow=1|tau=0",
+		"adaptive": "fp|adaptive|f=0.01|line=64",
+	} {
+		req.Precond = name
+		if got := PrecondKey("fp", &req); got != want {
+			t.Errorf("PrecondKey(%s) = %q, want %q", name, got, want)
+		}
+	}
+}

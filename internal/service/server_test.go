@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -209,6 +210,94 @@ func TestColdThenWarmSolve(t *testing.T) {
 	}
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
 		t.Fatalf("cache stats after cold+warm: %+v", st.Cache)
+	}
+}
+
+// TestAdaptiveJobIsAccounted: an adaptive setup runs through fsai.Compute
+// like every other, so a cold adaptive job's run report lists its setup
+// phases and its trace's setup span holds them.
+func TestAdaptiveJobIsAccounted(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newTestServer(t, service.Options{RunsDir: dir})
+	ctx := context.Background()
+	info, err := c.RegisterMatgen(ctx, "lap64x64", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Solve(ctx, service.SolveRequest{Matrix: info.Fingerprint, Precond: "adaptive"})
+	if err != nil || resp.Cache != service.CacheMiss || !resp.Converged {
+		t.Fatalf("cold adaptive solve: %+v, err %v", resp, err)
+	}
+	want := "[base-pattern extend precalc filter frobenius-solve]"
+	rep, err := experiments.ReadRunReportFile(filepath.Join(dir, resp.Report))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	for _, ph := range rep.Entries[0].SetupPhases {
+		phases = append(phases, ph.Name)
+	}
+	if fmt.Sprint(phases) != want {
+		t.Errorf("run report setup_phases %v, want %s", phases, want)
+	}
+	tr, ok := s.Traces().Get(resp.TraceID)
+	if !ok {
+		t.Fatalf("no trace %s", resp.TraceID)
+	}
+	setup, ok := findSpan(tr.Root, "setup")
+	if !ok || len(setup.Children) != 1 || setup.Children[0].Name != "fsai-setup:FSAIE(sp)" {
+		t.Fatalf("setup span %+v, want one fsai-setup:FSAIE(sp) child", setup)
+	}
+	var spans []string
+	for _, ch := range setup.Children[0].Children {
+		spans = append(spans, ch.Name)
+	}
+	if fmt.Sprint(spans) != want {
+		t.Errorf("setup phase spans %v, want %s", spans, want)
+	}
+}
+
+// findSpan returns the first span named name in a depth-first walk of s.
+func findSpan(s telemetry.SpanSnapshot, name string) (telemetry.SpanSnapshot, bool) {
+	if s.Name == name {
+		return s, true
+	}
+	for _, ch := range s.Children {
+		if f, ok := findSpan(ch, name); ok {
+			return f, true
+		}
+	}
+	return telemetry.SpanSnapshot{}, false
+}
+
+// TestCacheKeyHoldsOnlyReadKnobs: a request that differs from a cached one
+// only in knobs its factor does not read is served that factor. FSAI reads
+// neither the filter nor the line size, an adaptive base neither the
+// pattern power nor tau; a knob the factor reads still misses.
+func TestCacheKeyHoldsOnlyReadKnobs(t *testing.T) {
+	_, c := newTestServer(t, service.Options{})
+	ctx := context.Background()
+	info, err := c.RegisterMatgen(ctx, "lap64x64", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []struct {
+		req   service.SolveRequest
+		cache string
+	}{
+		{service.SolveRequest{Precond: "fsai", Filter: 0.01}, service.CacheMiss},
+		{service.SolveRequest{Precond: "fsai", Filter: 0.1}, service.CacheHit},
+		{service.SolveRequest{Precond: "fsai", Filter: 0.1, LineBytes: 256}, service.CacheHit},
+		{service.SolveRequest{Precond: "fsai", PatternPower: 2}, service.CacheMiss},
+		{service.SolveRequest{Precond: "adaptive", PatternPower: 1}, service.CacheMiss},
+		{service.SolveRequest{Precond: "adaptive", PatternPower: 2, Tau: 0.1}, service.CacheHit},
+		{service.SolveRequest{Precond: "adaptive", LineBytes: 128}, service.CacheMiss},
+	} {
+		step.req.Matrix = info.Fingerprint
+		resp, err := c.Solve(ctx, step.req)
+		if err != nil || resp.Cache != step.cache {
+			t.Fatalf("step %d %+v: cache %q, err %v; want %q", i, step.req, resp.Cache, err, step.cache)
+		}
 	}
 }
 

@@ -112,6 +112,19 @@ done
 kill "$pid" && wait "$pid" 2>/dev/null || true
 pid=""
 
+echo "== fsaisolve -precond adaptive reports its setup phases =="
+# The adaptive search is fsai.Compute's base-pattern phase, so its run
+# report carries setup_phases like any other FSAI-family setup.
+"$workdir/fsaisolve" -precond adaptive -align 0 -metrics-out "$workdir/adaptive.json" \
+    "$workdir/m.mtx" >/dev/null 2>"$workdir/adaptive.log" || {
+    echo "FAIL: adaptive solve:"
+    cat "$workdir/adaptive.log"
+    fail=1
+}
+for want in '"setup_phases"' '"name": "base-pattern"' '"name": "frobenius-solve"'; do
+    grep -q "$want" "$workdir/adaptive.json" || { echo "FAIL: adaptive run report lacks $want"; fail=1; }
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "obs smoke test FAILED"
     exit 1

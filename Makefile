@@ -38,12 +38,14 @@ bench:
 # few iterations each, -benchmem so an alloc regression in the steady-state
 # solve loop shows up as non-zero allocs/op. The FSAI setup benchmarks
 # follow, so setup allocs/op print beside the kernels (setup allocates, but
-# not per row: TestSetupAllocsIndependentOfRows).
+# not per row: TestSetupAllocsIndependentOfRows), then the store's factor
+# encode, where a growth copy of the entry shows up as extra allocs/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SpMV|FusedBlas1|BlockPCGIteration|EngineDot' \
 		-benchtime 10x -benchmem \
 		./internal/sparse/ ./internal/kernels/ ./internal/krylov/
 	$(GO) test -run '^$$' -bench '^BenchmarkSetup' -benchtime 10x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench '^BenchmarkEncodeFactor$$' -benchtime 10x -benchmem ./internal/store/
 
 # Multi-RHS bitwise check (docs/performance.md, "Batched solving"): the
 # SpMM and block-PCG benchmarks across block widths, plus the fsaibench
@@ -106,7 +108,7 @@ clean:
 # the traceparent, Retry-After and X-Fsaid-Deadline-Ms headers, and the
 # body and headers the cluster router forwards) to the decoders and assert
 # they never panic, only return structurally valid matrices with finite
-# values, accept only envelopes sealFile writes, accept only registrations
+# values, accept only envelopes seal writes, accept only registrations
 # naming a known matgen spec with nothing after the object, accept only
 # solve requests with in-range knobs and a timeout that fits a
 # time.Duration that survive a marshal/decode round trip, accept only

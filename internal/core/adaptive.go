@@ -28,14 +28,15 @@ import (
 const adaptiveTol = 0.02
 
 // adaptivePattern grows every row's pattern with growRow on workers row
-// chunks, each row once: a row whose local system is not positive definite
-// fails the setup with its ReasonNotSPD SetupError.
-func adaptivePattern(a *sparse.CSR, maxPerRow int, tol float64, workers int) (*pattern.Pattern, error) {
+// chunks, each row once, and adds the search's dense solves to stats' direct
+// flops (nil: not counted): a row whose local system is not positive
+// definite fails the setup with its ReasonNotSPD SetupError.
+func adaptivePattern(a *sparse.CSR, maxPerRow int, tol float64, workers int, stats *SetupStats) (*pattern.Pattern, error) {
 	rows := make([][]int, a.Rows)
-	err := forRowChunks(a.Rows, workers, nil, func(lo, hi int, _ *SetupStats) error {
-		var aloc, y, work []float64
+	err := forRowChunks(a.Rows, workers, stats, func(lo, hi int, st *SetupStats) error {
+		s := newRowSearch(a.Rows)
 		for i := lo; i < hi; i++ {
-			p, err := growRow(a, i, maxPerRow, tol, &aloc, &y, &work)
+			p, err := s.growRow(a, i, maxPerRow, tol, st)
 			if err != nil {
 				return err
 			}
@@ -49,75 +50,78 @@ func adaptivePattern(a *sparse.CSR, maxPerRow int, tol float64, workers int) (*p
 	return pattern.FromRows(a.Rows, a.Cols, rows), nil
 }
 
+// rowSearch is one worker's search scratch: the scatter map holding the
+// current pattern P, generation stamps marking the candidates the current
+// growth step has scored, and the dense solve buffers. It lives for one
+// row chunk, so a failed row cannot leave a dirty map behind.
+type rowSearch struct {
+	pos           scatter
+	seen          []uint32
+	stamp         uint32
+	aloc, y, work []float64
+}
+
+func newRowSearch(n int) *rowSearch {
+	return &rowSearch{pos: newScatter(n), seen: make([]uint32, n)}
+}
+
 // growRow runs the greedy pattern search for row i: starting from {i}, it
 // repeatedly solves the local system A(P,P) y = e_i, evaluates the residual
 // (A y − e_i) at the admissible candidates (graph neighbours j < i of the
 // current pattern) and admits the largest one, until the best residual is
 // below tol·|y_i| or the row holds maxPerRow entries. It returns the sorted
-// pattern (diagonal included). The buffers are the worker's solve scratch.
-func growRow(a *sparse.CSR, i, maxPerRow int, tol float64, alocBuf, yBuf, workBuf *[]float64) ([]int, error) {
+// pattern (diagonal included) and counts each solve in st.DirectFlops.
+func (s *rowSearch) growRow(a *sparse.CSR, i, maxPerRow int, tol float64, st *SetupStats) ([]int, error) {
 	p := []int{i}
-	inP := map[int]bool{i: true}
 	for len(p) < maxPerRow {
 		m := len(p)
-		if cap(*alocBuf) < m*m {
-			*alocBuf = make([]float64, 4*m*m)
-			*workBuf = make([]float64, 4*m*m)
-			*yBuf = make([]float64, 4*m)
-		}
-		aloc := a.Extract(p, (*alocBuf)[:m*m])
-		y := (*yBuf)[:m]
+		s.aloc, s.y, s.work = grow(s.aloc, m*m), grow(s.y, m), grow(s.work, m*m)
+		s.pos.load(p)
+		aloc := s.pos.block(a, p, s.aloc)
+		y := s.y
 		// p is sorted with i last (all admitted candidates are < i).
 		sparse.GatherRHS(y, m-1)
-		if err := dense.SolveSPD(aloc, m, y, *workBuf); err != nil {
+		if err := dense.SolveSPD(aloc, m, y, s.work); err != nil {
 			return nil, setupErrf(ReasonNotSPD, i, "adaptive row %d: %w", i, ErrNotSPD)
 		}
+		fm := float64(m)
+		st.DirectFlops += fm*fm*fm/3 + 2*fm*fm
 		diag := y[m-1]
 		if diag <= 0 {
 			return nil, setupErrf(ReasonNotSPD, i, "adaptive row %d diagonal %g: %w", i, diag, ErrNotSPD)
 		}
 		// Candidates: lower-index graph neighbours of current members.
 		bestJ, bestR := -1, 0.0
-		seen := map[int]bool{}
+		if s.stamp++; s.stamp == 0 {
+			clear(s.seen)
+			s.stamp = 1
+		}
 		for _, k := range p {
 			cols, _ := a.Row(k)
 			for _, j := range cols {
-				if j >= i || inP[j] || seen[j] {
+				if j >= i || s.pos[j] >= 0 || s.seen[j] == s.stamp {
 					continue
 				}
-				seen[j] = true
-				// Residual of A[:,P] y − e_i at row j: dot(A(j,P), y).
-				r := dotRowSubset(a, j, p, y)
+				s.seen[j] = s.stamp
+				// Residual of A[:,P] y − e_i at row j: dot(A(j,P), y), summed
+				// over row j's columns in P in ascending order.
+				r := 0.0
+				jcols, jvals := a.Row(j)
+				for kk, c := range jcols {
+					if l := s.pos[c]; l >= 0 {
+						r += jvals[kk] * y[l]
+					}
+				}
 				if ar := math.Abs(r); ar > bestR {
 					bestR, bestJ = ar, j
 				}
 			}
 		}
+		s.pos.unload(p)
 		if bestJ < 0 || bestR < tol*math.Abs(diag) {
 			break
 		}
 		p = insertSorted(p, bestJ)
-		inP[bestJ] = true
 	}
 	return p, nil
-}
-
-// dotRowSubset computes dot(A(j, idx), y) for sorted idx.
-func dotRowSubset(a *sparse.CSR, j int, idx []int, y []float64) float64 {
-	cols, vals := a.Row(j)
-	s := 0.0
-	ka, ki := 0, 0
-	for ka < len(cols) && ki < len(idx) {
-		switch {
-		case cols[ka] == idx[ki]:
-			s += vals[ka] * y[ki]
-			ka++
-			ki++
-		case cols[ka] < idx[ki]:
-			ka++
-		default:
-			ki++
-		}
-	}
-	return s
 }

@@ -17,7 +17,7 @@ import (
 // uses adaptiveTol).
 func adaptiveFSAI(t *testing.T, a *sparse.CSR, maxPerRow int, tol float64) *Preconditioner {
 	t.Helper()
-	base, err := adaptivePattern(a, maxPerRow, tol, 0)
+	base, err := adaptivePattern(a, maxPerRow, tol, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +25,12 @@ func adaptiveFSAI(t *testing.T, a *sparse.CSR, maxPerRow int, tol float64) *Prec
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FromFactors(g, g.Transpose(), base, base, SetupStats{}, 0)
+	return FromFactors(g, base, SetupStats{}, 0)
 }
 
 func TestAdaptivePatternsAreLowerTriangularWithDiagonal(t *testing.T) {
 	a := matgen.Laplace2D(12, 12)
-	p, err := adaptivePattern(a, 8, 0.05, 0)
+	p, err := adaptivePattern(a, 8, 0.05, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestAdaptiveTolStopsGrowth(t *testing.T) {
 	// A very loose tolerance keeps patterns near-diagonal; a tight one
 	// grows them toward the budget.
 	a := matgen.Laplace2D(10, 10)
-	loose, err := adaptivePattern(a, 10, 10, 0)
+	loose, err := adaptivePattern(a, 10, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := adaptivePattern(a, 10, 1e-4, 0)
+	tight, err := adaptivePattern(a, 10, 1e-4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,5 +246,31 @@ func TestAdaptiveGoldenFactors(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdaptiveDirectFlopsIncludeSearch: an adaptive setup's DirectFlops is
+// the search's dense solves plus the final solve's, not the final solve's
+// alone.
+func TestAdaptiveDirectFlopsIncludeSearch(t *testing.T) {
+	a := suiteMatrix(t, "lap64x64")
+	o := DefaultOptions()
+	p, err := ComputeNamed("adaptive", a, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var search, final SetupStats
+	if _, err := adaptivePattern(a, families["adaptive"].maxPerRow, adaptiveTol, 1, &search); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ComputeOnPattern(a, p.FinalPattern, 1, &final); err != nil {
+		t.Fatal(err)
+	}
+	if search.DirectFlops <= 0 {
+		t.Fatalf("the search counted %v direct flops", search.DirectFlops)
+	}
+	if want := search.DirectFlops + final.DirectFlops; p.Stats.DirectFlops != want {
+		t.Fatalf("adaptive DirectFlops = %v, want search %v + final solve %v = %v",
+			p.Stats.DirectFlops, search.DirectFlops, final.DirectFlops, want)
 	}
 }

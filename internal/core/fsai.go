@@ -201,7 +201,8 @@ type PhaseTiming struct {
 // prices these into simulated setup seconds.
 type SetupStats struct {
 	// DirectFlops counts floating-point work of the exact local solves
-	// (Cholesky ~ s³/3 + solves ~ 2s² per row of local size s).
+	// (Cholesky ~ s³/3 + solves ~ 2s² per row of local size s), the
+	// adaptive search's included.
 	DirectFlops float64
 	// PrecalcFlops counts the loose CG precalculation work (~2s² per
 	// iteration per row). Both counts model the paper's dense local solves,
@@ -257,7 +258,8 @@ type Preconditioner struct {
 	// so both products traverse rows with stride-1 matrix accesses.
 	GT *sparse.CSR
 	// BasePattern is the initial (numerical-criteria) pattern of G;
-	// FinalPattern the pattern after extensions and filtering.
+	// FinalPattern the pattern after extensions and filtering, which is
+	// G's structure and shares its arrays.
 	BasePattern, FinalPattern *pattern.Pattern
 	// Stats records setup work for the performance model.
 	Stats SetupStats
@@ -358,20 +360,22 @@ func (p *Preconditioner) CloneForApply(workers int) *Preconditioner {
 	return c
 }
 
-// FromFactors reconstructs a Preconditioner from previously computed
-// state — the factors G/Gᵀ, the patterns and the setup stats — and
-// pre-allocates the Apply scratch exactly like Compute does. It exists for
-// the durable store: a factor rehydrated from disk is bit-identical to the
-// one that was computed, so warm solves after a restart reproduce the
-// original arithmetic. The patterns may be nil (report pattern sections
-// then read as zero). workers follows the krylov convention (<=0: all
-// CPUs).
-func FromFactors(g, gt *sparse.CSR, base, final *pattern.Pattern, stats SetupStats, workers int) *Preconditioner {
+// FromFactors reconstructs a Preconditioner from a factor G computed
+// earlier, its base pattern and its setup stats, and pre-allocates the
+// Apply scratch exactly like Compute does. It exists for the durable store,
+// which keeps G alone: Gᵀ is rebuilt with the transpose Compute runs, whose
+// result does not depend on workers, so it holds the bits Compute built,
+// and the final pattern is a view of G's structure, as it is in Compute. A
+// factor rehydrated from disk is therefore bit-identical to the one that
+// was computed, and warm solves after a restart reproduce the original
+// arithmetic. base may be nil (ExtensionPct then reads zero). workers
+// follows the krylov convention (<=0: all CPUs).
+func FromFactors(g *sparse.CSR, base *pattern.Pattern, stats SetupStats, workers int) *Preconditioner {
 	p := &Preconditioner{
 		G:            g,
-		GT:           gt,
+		GT:           g.TransposeParallel(workers),
 		BasePattern:  base,
-		FinalPattern: final,
+		FinalPattern: structureOf(g),
 		Stats:        stats,
 		Workers:      workers,
 	}
@@ -451,6 +455,7 @@ func InitialPattern(a *sparse.CSR, tau float64, power, workers int) *pattern.Pat
 func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupStats) (*sparse.CSR, error) {
 	g := factorOn(a.Rows, p)
 	err := forRowChunks(a.Rows, workers, stats, func(lo, hi int, st *SetupStats) error {
+		pos := newScatter(a.Rows)
 		var aloc, rhs, work []float64
 		for i := lo; i < hi; i++ {
 			idx := p.Row(i)
@@ -463,7 +468,9 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 			}
 			st.Rows++
 			aloc, rhs, work = grow(aloc, m*m), grow(rhs, m), grow(work, m*m)
-			a.Extract(idx, aloc)
+			pos.load(idx)
+			pos.block(a, idx, aloc)
+			pos.unload(idx)
 			sparse.GatherRHS(rhs, m-1)
 			if err := dense.SolveSPD(aloc, m, rhs, work); err != nil {
 				return setupErrf(ReasonNotSPD, i, "row %d: %w", i, ErrNotSPD)
@@ -492,6 +499,55 @@ func computeRows(a *sparse.CSR, p *pattern.Pattern, workers int, stats *SetupSta
 // RowPtr and ColIdx are p's arrays, which neither changes afterwards.
 func factorOn(n int, p *pattern.Pattern) *sparse.CSR {
 	return &sparse.CSR{Rows: n, Cols: n, RowPtr: p.RowPtr, ColIdx: p.Cols, Val: make([]float64, p.NNZ())}
+}
+
+// scatter maps global columns to positions in a worker's current index set
+// and holds −1 elsewhere: load maps a set, unload clears it again.
+type scatter []int32
+
+func newScatter(n int) scatter {
+	s := make(scatter, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+func (s scatter) load(idx []int) {
+	for l, g := range idx {
+		s[g] = int32(l)
+	}
+}
+
+func (s scatter) unload(idx []int) {
+	for _, g := range idx {
+		s[g] = -1
+	}
+}
+
+// block writes A(idx, idx) column-major into out[:m*m], m = len(idx), with
+// idx loaded: the block sparse.Extract writes, each row's entries found
+// through the map instead of a merge walk with idx.
+func (s scatter) block(a *sparse.CSR, idx []int, out []float64) []float64 {
+	m := len(idx)
+	out = out[:m*m]
+	clear(out)
+	for r, g := range idx {
+		lo, hi := a.RowPtr[g], a.RowPtr[g+1]
+		vals := a.Val[lo:hi]
+		for k, c := range a.ColIdx[lo:hi] {
+			if l := s[c]; l >= 0 {
+				out[int(l)*m+r] = vals[k]
+			}
+		}
+	}
+	return out
+}
+
+// structureOf returns g's pattern as a view: its RowPtr and Cols are g's
+// arrays. A factor's final pattern is always this view of G.
+func structureOf(g *sparse.CSR) *pattern.Pattern {
+	return &pattern.Pattern{Rows: g.Rows, NCols: g.Cols, RowPtr: g.RowPtr, Cols: g.ColIdx}
 }
 
 // forRowChunks runs body over the contiguous row chunks [lo, hi) of an

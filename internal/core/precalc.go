@@ -98,18 +98,14 @@ func symmetricLower(a *sparse.CSR) *sparse.CSR {
 // vectors. It lives for one precalcRows call, so rows allocate nothing once
 // it has grown, and a contained panic cannot leave a dirty map behind.
 type localSystem struct {
-	pos      []int32
+	pos      scatter
 	ptr, col []int32
 	val      []float64
 	r, p, ap []float64
 }
 
 func newLocalSystem(n int) *localSystem {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	return &localSystem{pos: pos}
+	return &localSystem{pos: newScatter(n)}
 }
 
 // gather loads Â(idx, idx) for the ascending index set idx: it maps idx in

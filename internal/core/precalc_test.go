@@ -247,3 +247,49 @@ func TestLocalCGBitIdenticalToDenseCG(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterBlockMatchesExtract: the scatter gather of A(S,S) writes the
+// block sparse.Extract writes, bit for bit and zeros included, on random
+// index sets of the QuickSuite matrices, and leaves the map cleared.
+func TestScatterBlockMatchesExtract(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, spec := range matgen.QuickSuite() {
+		a := spec.Generate()
+		pos := newScatter(a.Rows)
+		for trial := 0; trial < 40; trial++ {
+			i := rng.Intn(a.Rows)
+			set := map[int]bool{i: true}
+			cols, _ := a.Row(i)
+			for _, j := range cols {
+				set[j] = true
+			}
+			for k := rng.Intn(64); k > 0; k-- {
+				set[rng.Intn(a.Rows)] = true
+			}
+			idx := make([]int, 0, len(set))
+			for j := range set {
+				idx = append(idx, j)
+			}
+			sort.Ints(idx)
+			m := len(idx)
+			want := a.Extract(idx, nil)
+			got := make([]float64, m*m)
+			for k := range got {
+				got[k] = math.NaN() // block must overwrite every entry
+			}
+			pos.load(idx)
+			pos.block(a, idx, got)
+			pos.unload(idx)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s trial %d: entry %d = %v, want %v", spec.Name, trial, k, got[k], want[k])
+				}
+			}
+		}
+		for g, l := range pos {
+			if l != -1 {
+				t.Fatalf("%s: map entry %d left at %d", spec.Name, g, l)
+			}
+		}
+	}
+}

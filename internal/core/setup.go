@@ -78,7 +78,7 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 	endBase := rec.phase(PhaseBasePattern)
 	var base *pattern.Pattern
 	if opts.AdaptiveMaxPerRow > 0 {
-		base, err = adaptivePattern(a, opts.AdaptiveMaxPerRow, adaptiveTol, opts.Workers)
+		base, err = adaptivePattern(a, opts.AdaptiveMaxPerRow, adaptiveTol, opts.Workers, &p.Stats)
 	} else {
 		base = InitialPattern(a, opts.ThresholdTau, opts.PatternPower, opts.Workers)
 	}
@@ -174,7 +174,7 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 			endFilter := rec.phase(PhaseStandardFilter)
 			p.G = postFilterRescale(a, base, g, opts.Filter)
 			endFilter()
-			p.FinalPattern = pattern.FromCSR(p.G)
+			p.FinalPattern = structureOf(p.G)
 		}
 
 	default:

@@ -24,6 +24,10 @@ var ErrNotSPD = errors.New("dense: matrix is not positive definite")
 // Cholesky overwrites the lower triangle of the column-major n x n matrix a
 // with its Cholesky factor L (a = L Lᵀ). The strict upper triangle is left
 // untouched. It returns ErrNotSPD on a non-positive pivot.
+//
+// Column j's rows below the diagonal are updated four at a time: one pass
+// over k reads four adjacent entries of column k, and each row keeps its
+// own sum in ascending k, so every bit is that of the row-at-a-time loop.
 func Cholesky(a []float64, n int) error {
 	if len(a) < n*n {
 		panic(fmt.Sprintf("dense: Cholesky buffer %d for n=%d", len(a), n))
@@ -40,7 +44,20 @@ func Cholesky(a []float64, n int) error {
 		d = math.Sqrt(d)
 		a[j*n+j] = d
 		inv := 1 / d
-		for i := j + 1; i < n; i++ {
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			s0, s1, s2, s3 := a[j*n+i], a[j*n+i+1], a[j*n+i+2], a[j*n+i+3]
+			for k := 0; k < j; k++ {
+				l := a[k*n+j]
+				c := a[k*n+i : k*n+i+4 : k*n+i+4]
+				s0 -= c[0] * l
+				s1 -= c[1] * l
+				s2 -= c[2] * l
+				s3 -= c[3] * l
+			}
+			a[j*n+i], a[j*n+i+1], a[j*n+i+2], a[j*n+i+3] = s0*inv, s1*inv, s2*inv, s3*inv
+		}
+		for ; i < n; i++ {
 			s := a[j*n+i]
 			for k := 0; k < j; k++ {
 				s -= a[k*n+i] * a[k*n+j]

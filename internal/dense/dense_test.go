@@ -148,3 +148,53 @@ func TestQuickCholeskyReconstruction(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// choleskyRowAtATime is Cholesky with one row of column j per pass over k:
+// the oracle its four-row update must match bit for bit.
+func choleskyRowAtATime(a []float64, n int) error {
+	for j := 0; j < n; j++ {
+		d := a[j*n+j]
+		for k := 0; k < j; k++ {
+			l := a[k*n+j]
+			d -= l * l
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return ErrNotSPD
+		}
+		d = math.Sqrt(d)
+		a[j*n+j] = d
+		inv := 1 / d
+		for i := j + 1; i < n; i++ {
+			s := a[j*n+i]
+			for k := 0; k < j; k++ {
+				s -= a[k*n+i] * a[k*n+j]
+			}
+			a[j*n+i] = s * inv
+		}
+	}
+	return nil
+}
+
+// TestCholeskyBitIdenticalToRowAtATime: the four-row update leaves every
+// bit of the row-at-a-time factor for random SPD matrices of every size
+// 1…64, so the rows left over after the groups of four are covered too.
+func TestCholeskyBitIdenticalToRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 3; trial++ {
+			a := randSPD(rng, n)
+			want := append([]float64(nil), a...)
+			if err := Cholesky(a, n); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if err := choleskyRowAtATime(want, n); err != nil {
+				t.Fatalf("n=%d oracle: %v", n, err)
+			}
+			for k := range a {
+				if math.Float64bits(a[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("n=%d trial %d: entry %d = %v, want %v", n, trial, k, a[k], want[k])
+				}
+			}
+		}
+	}
+}

@@ -8,9 +8,11 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -234,6 +236,86 @@ func TestCorruptFactorFallsBackToRecompute(t *testing.T) {
 		t.Fatalf("corrupt factor must force a converging recompute: cache=%s converged=%v",
 			resp.Cache, resp.Converged)
 	}
+}
+
+// TestRetiredFactorKindIsRebuilt: a data dir whose factor entry is of the
+// retired kind that also held Gᵀ keeps its matrix and every alias across a
+// restart, drops the factor without counting it corrupt, and the next
+// solve is a miss that rebuilds the same G.
+func TestRetiredFactorKindIsRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := service.SolveRequest{Precond: "fsaie", ReturnSolution: true}
+
+	s1, url1, stop1 := newDurableServer(t, dir, service.Options{Metrics: telemetry.NewRegistry()})
+	c1 := client.New(url1)
+	var info service.MatrixInfo
+	for _, name := range []string{"lap", "lap2"} {
+		var err error
+		if info, err = c1.RegisterMatgen(ctx, "lap64x64", name); err != nil {
+			t.Fatalf("register %q: %v", name, err)
+		}
+	}
+	req.Matrix = info.Fingerprint
+	cold, err := c1.Solve(ctx, req)
+	if err != nil {
+		t.Fatalf("cold solve: %v", err)
+	}
+	g1 := s1.CachedFactor(info.Fingerprint, req).G
+	stop1()
+
+	// Give the entry the retired kind byte under a matching checksum: an
+	// intact entry as far as the envelope can tell.
+	ents, err := os.ReadDir(filepath.Join(dir, "factors"))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("want one factor entry, got %d (err=%v)", len(ents), err)
+	}
+	path := filepath.Join(dir, "factors", ents[0].Name())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[6] = 'F'
+	end := len(data) - sha256.Size
+	sum := sha256.Sum256(data[:end])
+	copy(data[end:], sum[:])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	s2, url2, _ := newDurableServer(t, dir, service.Options{Metrics: reg})
+	if st := s2.Store().Stats(); st.Matrices != 1 || st.Factors != 0 || st.Corrupt != 0 {
+		t.Fatalf("store after reopen: %+v, want 1 matrix, no factor, nothing corrupt", st)
+	}
+	if got := reg.Counter("store.corrupt_total").Value(); got != 0 {
+		t.Fatalf("store_corrupt_total = %d, want 0", got)
+	}
+	c2 := client.New(url2)
+	for _, ref := range []string{"lap", "lap2"} {
+		if got, err := c2.Matrix(ctx, ref); err != nil || got.Fingerprint != info.Fingerprint {
+			t.Fatalf("alias %q after restart: %+v err=%v", ref, got, err)
+		}
+	}
+	resp, err := c2.Solve(ctx, req)
+	if err != nil {
+		t.Fatalf("solve after restart: %v", err)
+	}
+	if resp.Cache != service.CacheMiss || resp.SetupNS <= 0 {
+		t.Fatalf("the dropped factor must be rebuilt: cache=%s setup=%d", resp.Cache, resp.SetupNS)
+	}
+	g2 := s2.CachedFactor(info.Fingerprint, req).G
+	if !slices.Equal(g1.RowPtr, g2.RowPtr) || !slices.Equal(g1.ColIdx, g2.ColIdx) || !sameBits(g1.Val, g2.Val) {
+		t.Fatal("the rebuilt G differs from the one computed before the restart")
+	}
+	if !sameBits(resp.X, cold.X) {
+		t.Fatal("the solve after the rebuild is not bit-identical to the first cold solve")
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // flipBitInDir flips one bit in the middle of the first regular file found

@@ -349,7 +349,7 @@ func (s *Server) rehydrate() {
 		if _, ok := s.matrices.Get(f.Fingerprint); !ok {
 			continue
 		}
-		p := fsai.FromFactors(f.G, f.GT, f.Base, f.Final, f.Stats, s.opt.Workers)
+		p := fsai.FromFactors(f.G, f.Base, f.Stats, s.opt.Workers)
 		s.cache.Put(f.Key, &CachedPrecond{P: p, SetupNS: f.SetupNS})
 		nf++
 	}

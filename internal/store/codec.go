@@ -8,7 +8,8 @@ package store
 // bit anywhere in the file — including the kind byte — fails verification.
 // Floats are stored as their IEEE-754 bits, so a factor read back from disk
 // is bit-identical to the one computed: a warm solve after a restart runs
-// exactly the same arithmetic as before the crash.
+// exactly the same arithmetic as before the crash. An entry is encoded into
+// one buffer of its exact size and decoded one array section at a time.
 
 import (
 	"crypto/sha256"
@@ -30,7 +31,11 @@ const (
 	sumLen      = sha256.Size
 
 	kindMatrix = 'M'
-	kindFactor = 'F'
+	kindFactor = 'G' // a factor entry holding G and the base pattern
+	// kindFactorGT is the factor entry that also held Gᵀ and the final
+	// pattern. Recovery deletes it unread, as it does a factor whose matrix
+	// is gone: the next cold solve rebuilds the factor.
+	kindFactorGT = 'F'
 )
 
 // errCorrupt is the sentinel for any integrity failure: bad magic, length
@@ -38,21 +43,33 @@ const (
 // payload that does not decode. The store quarantines on it.
 var errCorrupt = errors.New("store: corrupt entry")
 
-// sealFile wraps a payload into the checksummed on-disk format.
-func sealFile(kind byte, payload []byte) []byte {
-	out := make([]byte, headerLen+len(payload)+sumLen)
+// seal encodes one entry of the given kind into a single buffer of exactly
+// its size. payload runs twice on the same code path: first on a sizing
+// enc, which only counts bytes, then on the presized buffer, where it
+// writes every field in place behind the header. The checksum is then
+// computed over header+payload and written at the end, so no byte is
+// copied twice.
+func seal(kind byte, payload func(e *enc)) []byte {
+	var e enc
+	payload(&e)
+	n := e.off
+	out := make([]byte, headerLen+n+sumLen)
 	copy(out, fileMagic)
 	binary.LittleEndian.PutUint16(out[4:], fileVersion)
 	out[6] = kind
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
-	copy(out[headerLen:], payload)
-	sum := sha256.Sum256(out[:headerLen+len(payload)])
-	copy(out[headerLen+len(payload):], sum[:])
+	binary.LittleEndian.PutUint64(out[8:], uint64(n))
+	e = enc{b: out[headerLen : headerLen+n]}
+	payload(&e)
+	if e.off != n {
+		panic(fmt.Sprintf("store: entry payload wrote %d bytes after sizing %d", e.off, n))
+	}
+	sum := sha256.Sum256(out[:headerLen+n])
+	copy(out[headerLen+n:], sum[:])
 	return out
 }
 
 // openFile verifies the envelope and returns the kind and payload. It
-// accepts exactly the files sealFile writes.
+// accepts exactly the files seal writes.
 func openFile(data []byte) (kind byte, payload []byte, err error) {
 	if len(data) < headerLen+sumLen || string(data[:4]) != fileMagic {
 		return 0, nil, fmt.Errorf("%w: bad magic or truncated header", errCorrupt)
@@ -77,15 +94,33 @@ func openFile(data []byte) (kind byte, payload []byte, err error) {
 	return data[6], data[headerLen : headerLen+paylen], nil
 }
 
-// enc is a little-endian append-only payload builder.
-type enc struct{ b []byte }
+// enc writes a little-endian payload. With b nil it only counts: off is
+// then the payload size, which seal allocates before the writing pass.
+type enc struct {
+	b   []byte // the payload being written; nil while sizing
+	off int    // bytes counted or written so far
+}
 
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
+func (e *enc) u64(v uint64) {
+	if e.b != nil {
+		binary.LittleEndian.PutUint64(e.b[e.off:], v)
+	}
+	e.off += 8
+}
+
+func (e *enc) i64(v int64) { e.u64(uint64(v)) }
+
+// raw writes s with no length prefix.
+func (e *enc) raw(s string) {
+	if e.b != nil {
+		copy(e.b[e.off:], s)
+	}
+	e.off += len(s)
+}
 
 func (e *enc) str(s string) {
 	e.u64(uint64(len(s)))
-	e.b = append(e.b, s...)
+	e.raw(s)
 }
 
 // strs encodes a count-prefixed list of strings.
@@ -96,18 +131,28 @@ func (e *enc) strs(v []string) {
 	}
 }
 
+// ints and floats encode a count-prefixed array as one section of 8-byte
+// words.
 func (e *enc) ints(v []int) {
 	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u64(uint64(int64(x)))
+	if e.b != nil {
+		sec := e.b[e.off : e.off+8*len(v)]
+		for k, x := range v {
+			binary.LittleEndian.PutUint64(sec[8*k:], uint64(int64(x)))
+		}
 	}
+	e.off += 8 * len(v)
 }
 
 func (e *enc) floats(v []float64) {
 	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u64(math.Float64bits(x))
+	if e.b != nil {
+		sec := e.b[e.off : e.off+8*len(v)]
+		for k, x := range v {
+			binary.LittleEndian.PutUint64(sec[8*k:], math.Float64bits(x))
+		}
 	}
+	e.off += 8 * len(v)
 }
 
 func (e *enc) csr(m *sparse.CSR) {
@@ -121,14 +166,21 @@ func (e *enc) csr(m *sparse.CSR) {
 // pat encodes a possibly-nil pattern behind a presence flag.
 func (e *enc) pat(p *pattern.Pattern) {
 	if p == nil {
-		e.b = append(e.b, 0)
+		e.flag(0)
 		return
 	}
-	e.b = append(e.b, 1)
+	e.flag(1)
 	e.u64(uint64(p.Rows))
 	e.u64(uint64(p.NCols))
 	e.ints(p.RowPtr)
 	e.ints(p.Cols)
+}
+
+func (e *enc) flag(v byte) {
+	if e.b != nil {
+		e.b[e.off] = v
+	}
+	e.off++
 }
 
 // dec is the matching bounds-checked reader: a payload that lies about its
@@ -194,26 +246,38 @@ func (d *dec) strs(what string) []string {
 	return v
 }
 
-func (d *dec) ints(what string) []int {
+// section reads an array's word count, bounded by the bytes remaining, and
+// returns its words: one bounds check per array, not per element.
+func (d *dec) section(what string) []byte {
 	n := d.length(what, 8)
 	if d.err != nil {
 		return nil
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(d.i64(what))
+	sec := d.b[d.off : d.off+8*n]
+	d.off += 8 * n
+	return sec
+}
+
+func (d *dec) ints(what string) []int {
+	sec := d.section(what)
+	if d.err != nil {
+		return nil
+	}
+	v := make([]int, len(sec)/8)
+	for k := range v {
+		v[k] = int(int64(binary.LittleEndian.Uint64(sec[8*k:])))
 	}
 	return v
 }
 
 func (d *dec) floats(what string) []float64 {
-	n := d.length(what, 8)
+	sec := d.section(what)
 	if d.err != nil {
 		return nil
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(d.u64(what))
+	v := make([]float64, len(sec)/8)
+	for k := range v {
+		v[k] = math.Float64frombits(binary.LittleEndian.Uint64(sec[8*k:]))
 	}
 	return v
 }
@@ -271,10 +335,10 @@ func (d *dec) pat(what string) *pattern.Pattern {
 // encodeMatrix seals a registered matrix: its aliases in registration
 // order, then the operator.
 func encodeMatrix(a *sparse.CSR, names []string) []byte {
-	var e enc
-	e.strs(names)
-	e.csr(a)
-	return sealFile(kindMatrix, e.b)
+	return seal(kindMatrix, func(e *enc) {
+		e.strs(names)
+		e.csr(a)
+	})
 }
 
 func decodeMatrix(payload []byte) (a *sparse.CSR, names []string, err error) {
@@ -288,22 +352,22 @@ func decodeMatrix(payload []byte) (a *sparse.CSR, names []string, err error) {
 }
 
 // encodeFactor seals a computed preconditioner factor under its cache key:
-// both triangular factors (bit-exact), the base/final patterns and the
-// setup stats, so a rehydrated factor serves warm solves — including the
-// run report's pattern/phase sections — exactly like the one that was
-// computed in-process.
+// G (bit-exact), the base pattern and the setup stats. Gᵀ and the final
+// pattern are not stored: fsai.FromFactors rebuilds Gᵀ with the transpose
+// compute ran, and the final pattern is G's structure, so a rehydrated
+// factor serves warm solves — including the run report's pattern/phase
+// sections — exactly like the one that was computed in-process.
 func encodeFactor(key, fingerprint string, p *fsai.Preconditioner, setupNS int64) []byte {
 	stats, _ := json.Marshal(p.Stats)
-	var e enc
-	e.str(key)
-	e.str(fingerprint)
-	e.i64(setupNS)
-	e.str(string(stats))
-	e.csr(p.G)
-	e.csr(p.GT)
-	e.pat(p.BasePattern)
-	e.pat(p.FinalPattern)
-	return sealFile(kindFactor, e.b)
+	st := string(stats)
+	return seal(kindFactor, func(e *enc) {
+		e.str(key)
+		e.str(fingerprint)
+		e.i64(setupNS)
+		e.str(st)
+		e.csr(p.G)
+		e.pat(p.BasePattern)
+	})
 }
 
 func decodeFactor(payload []byte) (*RecoveredFactor, error) {
@@ -315,9 +379,7 @@ func decodeFactor(payload []byte) (*RecoveredFactor, error) {
 	}
 	stats := d.str("factor stats")
 	f.G = d.csr("factor G")
-	f.GT = d.csr("factor GT")
 	f.Base = d.pat("factor base pattern")
-	f.Final = d.pat("factor final pattern")
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -326,8 +388,11 @@ func decodeFactor(payload []byte) (*RecoveredFactor, error) {
 			return nil, fmt.Errorf("%w: stats: %v", errCorrupt, err)
 		}
 	}
-	if f.G.Rows != f.GT.Rows || f.G.Cols != f.GT.Cols || f.G.NNZ() != f.GT.NNZ() {
-		return nil, fmt.Errorf("%w: factor G/GT shape mismatch", errCorrupt)
+	if f.G.Rows != f.G.Cols {
+		return nil, fmt.Errorf("%w: factor G is %dx%d", errCorrupt, f.G.Rows, f.G.Cols)
+	}
+	if f.Base != nil && (f.Base.Rows != f.G.Rows || f.Base.NCols != f.G.Cols) {
+		return nil, fmt.Errorf("%w: factor base pattern shape does not match G", errCorrupt)
 	}
 	return f, nil
 }

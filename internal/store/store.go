@@ -3,7 +3,7 @@
 // paper's whole economics rest on amortizing the expensive FSAI(E) setup
 // across repeated solves; without durability one crash or deploy discards
 // every factorization and the next solve pays full setup again. With a
-// store attached (fsaid -data-dir), registered matrices and computed G/Gᵀ
+// store attached (fsaid -data-dir), registered matrices and computed
 // factors survive restarts bit-identically, so the first solve after
 // recovery is a warm cache hit.
 //
@@ -11,8 +11,9 @@
 //
 //	matrices/*.bin   one sealed entry per registered matrix: its aliases and
 //	                 operator, named by the hash of its content fingerprint
-//	factors/*.bin    one sealed entry per cached preconditioner factor,
-//	                 named by the hash of its cache key
+//	factors/*.bin    one sealed entry per cached preconditioner factor (G,
+//	                 its base pattern and setup stats), named by the hash
+//	                 of its cache key
 //	quarantine/      files that failed verification at recovery, never deleted
 //
 // The entry files are the store: each is self-describing and checksummed,
@@ -22,9 +23,11 @@
 // lists matrices/ and factors/ and verifies every file — envelope, SHA-256,
 // kind, decode, structure, and that the file sits at the address its own
 // content hashes to — and QUARANTINES whatever fails (a corrupt entry, a
-// stray file, a file of an older format) instead of failing startup:
-// losing one factor costs one recomputation; refusing to start costs the
-// whole cache.
+// stray file, a file of an older format version) instead of failing
+// startup: losing one factor costs one recomputation; refusing to start
+// costs the whole cache. An intact factor entry of the retired kind that
+// also held Gᵀ is deleted, not quarantined, like a factor whose matrix is
+// gone.
 package store
 
 import (
@@ -71,15 +74,16 @@ type RecoveredMatrix struct {
 	Names []string
 }
 
-// RecoveredFactor is a verified preconditioner factor rehydrated at Open.
-// G/GT/patterns/stats are exactly what was persisted; the service rebuilds
-// the Apply scratch via fsai.FromFactors.
+// RecoveredFactor is a verified preconditioner factor rehydrated at Open:
+// G, the base pattern and the stats exactly as persisted. The entry holds
+// neither Gᵀ nor the final pattern; fsai.FromFactors rebuilds both from G
+// (the final pattern is G's structure) along with the Apply scratch.
 type RecoveredFactor struct {
 	Key         string
 	Fingerprint string
 	SetupNS     int64
-	G, GT       *sparse.CSR
-	Base, Final *pattern.Pattern
+	G           *sparse.CSR
+	Base        *pattern.Pattern
 	Stats       fsai.SetupStats
 }
 
@@ -260,14 +264,16 @@ func (s *Store) DeleteMatrix(fingerprint string) error {
 
 // PutFactor persists one computed preconditioner factor under its cache
 // key. The key embeds the matrix fingerprint and every setup-relevant
-// option, exactly like the in-memory cache.
+// option, exactly like the in-memory cache. A factor entry never changes
+// once written, so it is encoded before the lock: only the index check and
+// the file steps hold it.
 func (s *Store) PutFactor(key, fingerprint string, p *fsai.Preconditioner, setupNS int64) error {
+	data := encodeFactor(key, fingerprint, p, setupNS)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.factors[key]; ok {
 		return nil
 	}
-	data := encodeFactor(key, fingerprint, p, setupNS)
 	if err := s.writeEntryLocked(factorFile(key), data); err != nil {
 		return err
 	}
@@ -313,6 +319,16 @@ func (s *Store) recover() {
 	}
 	for _, rel := range s.entryFiles(factorDir) {
 		f, size, err := s.readFactor(rel)
+		if errors.Is(err, errFactorGT) {
+			// An intact entry of the layout that also held Gᵀ: dropped like
+			// a factor whose matrix is gone, and rebuilt by the next cold
+			// solve. Nothing was corrupt: it is not counted.
+			s.log.Info("store factor entry of the retired layout with Gᵀ, dropping",
+				"file", rel)
+			s.bytes += size
+			_ = s.removeEntryLocked(rel, size)
+			continue
+		}
 		if err != nil {
 			s.reject("factor", rel, err)
 			continue
@@ -348,8 +364,12 @@ func (s *Store) entryFiles(sub string) []string {
 	return out
 }
 
+// errFactorGT reports an intact factor entry of kind kindFactorGT.
+var errFactorGT = errors.New("store: factor entry of the retired layout with Gᵀ")
+
 // readEntry reads one entry file and opens its envelope, which must hold
-// an entry of the given kind.
+// an entry of the given kind. An intact kindFactorGT entry read as a factor
+// returns errFactorGT with the file's size.
 func (s *Store) readEntry(rel string, kind byte) ([]byte, int64, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, rel))
 	if err != nil {
@@ -358,6 +378,9 @@ func (s *Store) readEntry(rel string, kind byte) ([]byte, int64, error) {
 	k, payload, err := openFile(data)
 	if err != nil {
 		return nil, 0, err
+	}
+	if kind == kindFactor && k == kindFactorGT {
+		return nil, int64(len(data)), errFactorGT
 	}
 	if k != kind {
 		return nil, 0, fmt.Errorf("%w: wrong entry kind %q", errCorrupt, k)
@@ -386,7 +409,7 @@ func (s *Store) readMatrix(rel string) (RecoveredMatrix, int64, error) {
 func (s *Store) readFactor(rel string) (*RecoveredFactor, int64, error) {
 	payload, size, err := s.readEntry(rel, kindFactor)
 	if err != nil {
-		return nil, 0, err
+		return nil, size, err
 	}
 	f, err := decodeFactor(payload)
 	if err != nil {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -55,6 +58,27 @@ func sameCSR(a, b *sparse.CSR) bool {
 	return true
 }
 
+// csrSHA hashes a CSR's row pointers, column indices and the exact bits of
+// its values.
+func csrSHA(m *sparse.CSR) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, v := range m.RowPtr {
+		put(uint64(v))
+	}
+	for _, v := range m.ColIdx {
+		put(uint64(v))
+	}
+	for _, v := range m.Val {
+		put(math.Float64bits(v))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestRoundTripSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	a, p := fixture(t)
@@ -87,19 +111,18 @@ func TestRoundTripSurvivesReopen(t *testing.T) {
 	}
 	// Bit-identical factors are the whole point: a warm solve after restart
 	// must reproduce the original arithmetic exactly.
-	if !sameCSR(f.G, p.G) || !sameCSR(f.GT, p.GT) {
-		t.Fatal("recovered factors are not bit-identical to the computed ones")
+	if !sameCSR(f.G, p.G) {
+		t.Fatal("recovered factor is not bit-identical to the computed one")
 	}
-	if f.Base == nil || f.Final == nil ||
-		f.Base.NNZ() != p.BasePattern.NNZ() || f.Final.NNZ() != p.FinalPattern.NNZ() {
-		t.Fatal("recovered patterns do not match")
+	if f.Base == nil || f.Base.NNZ() != p.BasePattern.NNZ() {
+		t.Fatal("recovered base pattern does not match")
 	}
 	if f.Stats.Rows != p.Stats.Rows || f.Stats.DirectFlops != p.Stats.DirectFlops {
 		t.Fatalf("recovered stats = %+v, want %+v", f.Stats, p.Stats)
 	}
 	// Rehydration path used by the service: the reconstructed preconditioner
 	// must Apply without the original in-process state.
-	re := fsai.FromFactors(f.G, f.GT, f.Base, f.Final, f.Stats, 1)
+	re := fsai.FromFactors(f.G, f.Base, f.Stats, 1)
 	z1 := make([]float64, a.Rows)
 	z2 := make([]float64, a.Rows)
 	r := make([]float64, a.Rows)
@@ -449,10 +472,10 @@ func TestEntryCopiedUnderAnotherNameIsQuarantined(t *testing.T) {
 func TestVersion1EnvelopeIsQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	a, _ := fixture(t)
-	var e enc
-	e.str("m")
-	e.csr(a)
-	old := sealFile(kindMatrix, e.b)
+	old := seal(kindMatrix, func(e *enc) {
+		e.str("m")
+		e.csr(a)
+	})
 	binary.LittleEndian.PutUint16(old[4:], 1)
 	end := len(old) - sumLen
 	sum := sha256.Sum256(old[:end])
@@ -549,5 +572,62 @@ func TestAliasesSurviveReopen(t *testing.T) {
 	}
 	if got := s2.Stats(); got.Bytes != want.Bytes || got.Matrices != 1 {
 		t.Fatalf("stats after reopen = %+v, want %+v", got, want)
+	}
+}
+
+// TestFactorGTEntryIsDropped: an intact factor entry of the retired kind,
+// which also held Gᵀ and the final pattern, is deleted at Open with a log
+// line, like a factor whose matrix is gone: not quarantined, not counted
+// corrupt. The matrix and its aliases recover.
+func TestFactorGTEntryIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	a, p := fixture(t)
+	fp := a.Fingerprint()
+	key := fp + "|fsaie"
+	s := openStore(t, dir)
+	for _, name := range []string{"lap", "lap2"} {
+		if err := s.PutMatrix(a, fp, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := json.Marshal(p.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := seal(kindFactorGT, func(e *enc) {
+		e.str(key)
+		e.str(fp)
+		e.i64(1234)
+		e.str(string(stats))
+		e.csr(p.G)
+		e.csr(p.GT)
+		e.pat(p.BasePattern)
+		e.pat(p.FinalPattern)
+	})
+	rel := factorFile(key)
+	if err := os.WriteFile(filepath.Join(dir, rel), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	reg := telemetry.NewRegistry()
+	s2, err := Open(dir, Options{Metrics: reg, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, fs := s2.DrainRecovered()
+	if len(ms) != 1 || !slices.Equal(ms[0].Names, []string{"lap", "lap2"}) || len(fs) != 0 {
+		t.Fatalf("recovered %d matrices (%+v), %d factors; want the matrix named [lap lap2] and no factor", len(ms), ms, len(fs))
+	}
+	if st := s2.Stats(); st.Corrupt != 0 || st.Factors != 0 || st.Bytes != s.Stats().Bytes {
+		t.Fatalf("stats = %+v, want no factor, nothing corrupt and the matrix's %d bytes", st, s.Stats().Bytes)
+	}
+	if !strings.Contains(logs.String(), "retired layout") {
+		t.Fatalf("no log line names the dropped entry:\n%s", logs.String())
+	}
+	for _, path := range []string{rel, filepath.Join(quarantineDir, filepath.Base(rel))} {
+		if _, err := os.Stat(filepath.Join(dir, path)); !os.IsNotExist(err) {
+			t.Fatalf("%s still exists (err=%v)", path, err)
+		}
 	}
 }

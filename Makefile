@@ -39,13 +39,15 @@ bench:
 # solve loop shows up as non-zero allocs/op. The FSAI setup benchmarks
 # follow, so setup allocs/op print beside the kernels (setup allocates, but
 # not per row: TestSetupAllocsIndependentOfRows), then the store's factor
-# encode, where a growth copy of the entry shows up as extra allocs/op.
+# encode, where a growth copy of the entry shows up as extra allocs/op,
+# and fsaid's decode of a 4,096-value solve body beside json.Unmarshal.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SpMV|FusedBlas1|BlockPCGIteration|EngineDot' \
 		-benchtime 10x -benchmem \
 		./internal/sparse/ ./internal/kernels/ ./internal/krylov/
 	$(GO) test -run '^$$' -bench '^BenchmarkSetup' -benchtime 10x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench '^BenchmarkEncodeFactor$$' -benchtime 10x -benchmem ./internal/store/
+	$(GO) test -run '^$$' -bench '^BenchmarkParseSolveRequest$$' -benchtime 10x -benchmem ./internal/service/
 
 # Multi-RHS bitwise check (docs/performance.md, "Batched solving"): the
 # SpMM and block-PCG benchmarks across block widths, plus the fsaibench
@@ -111,11 +113,12 @@ clean:
 # values, accept only envelopes seal writes, accept only registrations
 # naming a known matgen spec with nothing after the object, accept only
 # solve requests with in-range knobs and a timeout that fits a
-# time.Duration that survive a marshal/decode round trip, accept only
-# traceparents that round-trip, keep Retry-After waits within [0, 2^31 s],
-# accept a deadline exactly when 0 < ms <= MaxInt64/1e6, and forward a body
-# byte-for-byte with only the allowlisted headers each way. -fuzz takes one
-# target per invocation.
+# time.Duration that survive a marshal/decode round trip and, when the
+# fast decoder took them, decode to the same bits through json.Unmarshal,
+# accept only traceparents that round-trip, keep Retry-After waits within
+# [0, 2^31 s], accept a deadline exactly when 0 < ms <= MaxInt64/1e6, and
+# forward a body byte-for-byte with only the allowlisted headers each way.
+# -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/

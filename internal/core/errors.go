@@ -7,8 +7,8 @@ import (
 
 // SetupReason classifies why an FSAI setup failed. The resilience layer
 // keys its recovery strategy on it: a not-SPD local system is worth a
-// diagonal-shift retry, a pattern blowup calls for a sparser variant, a
-// worker panic or bad input is not retryable at the same rung.
+// diagonal-shift retry, a worker panic or bad input is not retryable at
+// the same rung.
 type SetupReason int
 
 const (
@@ -24,9 +24,6 @@ const (
 	// ReasonMissingDiagonal: a pattern row lacks its diagonal position, so
 	// the local system cannot be normalized.
 	ReasonMissingDiagonal
-	// ReasonPatternBlowup: the extended pattern exceeded the configured
-	// size budget (Options.MaxPatternNNZFactor).
-	ReasonPatternBlowup
 	// ReasonWorkerPanic: a row task panicked; the pool contained it (see
 	// internal/parallel) and setup surfaced it as this typed error.
 	ReasonWorkerPanic
@@ -43,8 +40,6 @@ func (r SetupReason) String() string {
 		return "not-spd"
 	case ReasonMissingDiagonal:
 		return "missing-diagonal"
-	case ReasonPatternBlowup:
-		return "pattern-blowup"
 	case ReasonWorkerPanic:
 		return "worker-panic"
 	default:

@@ -18,7 +18,6 @@ func TestSetupReasonNames(t *testing.T) {
 		ReasonBadInput:        "bad-input",
 		ReasonNotSPD:          "not-spd",
 		ReasonMissingDiagonal: "missing-diagonal",
-		ReasonPatternBlowup:   "pattern-blowup",
 		ReasonWorkerPanic:     "worker-panic",
 	}
 	for r, want := range cases {
@@ -86,28 +85,6 @@ func TestSetupErrorMissingDiagonal(t *testing.T) {
 	se, ok := AsSetupError(err)
 	if !ok || se.Reason != ReasonMissingDiagonal || se.Row != 2 {
 		t.Fatalf("missing diagonal: err=%v", err)
-	}
-}
-
-func TestSetupErrorPatternBlowup(t *testing.T) {
-	a := laplace1D(50)
-	opts := DefaultOptions()
-	opts.Variant = VariantSp
-	opts.Filter = 0 // keep the whole extension
-	opts.MaxPatternNNZFactor = 0.01
-	_, err := Compute(a, opts)
-	se, ok := AsSetupError(err)
-	if !ok || se.Reason != ReasonPatternBlowup {
-		t.Fatalf("blowup budget: err=%v", err)
-	}
-	if se.Reason.Retryable() {
-		t.Errorf("pattern blowup is not shift-retryable")
-	}
-
-	// A permissive budget must not trip.
-	opts.MaxPatternNNZFactor = 100
-	if _, err := Compute(a, opts); err != nil {
-		t.Fatalf("permissive budget failed: %v", err)
 	}
 }
 

@@ -127,27 +127,3 @@ func ExtendPattern(s *pattern.Pattern, elemsPerLine, alignElems int, clip Clip, 
 		return append(dst, row[k:]...)
 	})
 }
-
-// ExtensionOf returns the positions of ext that are not in base, row by row,
-// as a pattern. Both patterns must have identical shapes and base ⊆ ext.
-func ExtensionOf(base, ext *pattern.Pattern) *pattern.Pattern {
-	if base.Rows != ext.Rows || base.NCols != ext.NCols {
-		panic("fsai: ExtensionOf shape mismatch")
-	}
-	out := pattern.New(base.Rows, base.NCols)
-	for i := 0; i < base.Rows; i++ {
-		b, e := base.Row(i), ext.Row(i)
-		kb := 0
-		for _, j := range e {
-			for kb < len(b) && b[kb] < j {
-				kb++
-			}
-			if kb < len(b) && b[kb] == j {
-				continue
-			}
-			out.AppendCol(j)
-		}
-		out.CloseRow(i)
-	}
-	return out
-}

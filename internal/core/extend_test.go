@@ -211,18 +211,6 @@ func TestExtendPatternMaxRowCap(t *testing.T) {
 	}
 }
 
-func TestExtensionOf(t *testing.T) {
-	base := pattern.FromRows(2, 8, [][]int{{0}, {0, 1}})
-	ext := pattern.FromRows(2, 8, [][]int{{0, 1, 2}, {0, 1}})
-	d := ExtensionOf(base, ext)
-	if d.NNZ() != 2 || !d.Contains(0, 1) || !d.Contains(0, 2) {
-		t.Errorf("ExtensionOf wrong: %v row0=%v", d, d.Row(0))
-	}
-	if len(d.Row(1)) != 0 {
-		t.Error("row 1 should have no extension")
-	}
-}
-
 func TestRandomExtendPattern(t *testing.T) {
 	base := pattern.FromRows(64, 64, diagRows(64))
 	rng := rand.New(rand.NewSource(7))

@@ -127,13 +127,6 @@ type Options struct {
 	// ExtendPattern); <= 0 disables the bound. DefaultOptions sets 512.
 	MaxRowNNZ int
 
-	// MaxPatternNNZFactor, when > 0, fails the setup with a typed
-	// ReasonPatternBlowup SetupError if an extended pattern grows beyond
-	// factor × nnz(A). It guards production setups against pathological
-	// fill-in (a blown-up G costs more per iteration than it saves);
-	// 0 disables the check.
-	MaxPatternNNZFactor float64
-
 	// StandardFiltering switches FSAIE to the classical compute-drop-rescale
 	// post-filtering of Algorithm 1 instead of the precalculation strategy,
 	// for the Table 3 comparison.

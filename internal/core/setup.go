@@ -148,14 +148,6 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 				return nil, err
 			}
 		}
-		if opts.MaxPatternNNZFactor > 0 {
-			budget := opts.MaxPatternNNZFactor * float64(a.NNZ())
-			if float64(final.NNZ()) > budget {
-				return nil, setupErrf(ReasonPatternBlowup, -1,
-					"extended pattern has %d entries, budget %.0f (%.3g × nnz(A)=%d)",
-					final.NNZ(), budget, opts.MaxPatternNNZFactor, a.NNZ())
-			}
-		}
 		// Step 7: compute the final G coefficients on the resulting pattern,
 		// a Frobenius-minimal inverse approximation on that pattern.
 		endSolve := rec.phase(PhaseSolve)

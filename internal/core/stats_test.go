@@ -147,22 +147,11 @@ func TestExtensionPatternAndPublishSetupStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fill := p.FinalPattern.Minus(p.BasePattern)
-	if got, want := fill.NNZ(), p.FinalPattern.NNZ()-p.BasePattern.NNZ(); got != want {
-		t.Fatalf("fill nnz = %d, want %d", got, want)
+	if !p.BasePattern.SubsetOf(p.FinalPattern) {
+		t.Fatal("the final pattern lost base entries")
 	}
-	if fill.NNZ() == 0 {
-		t.Fatal("expected nonempty fill-in at filter 0")
-	}
-	for i := 0; i < fill.Rows; i++ {
-		for _, j := range fill.Row(i) {
-			if p.BasePattern.Contains(i, j) {
-				t.Fatalf("fill entry (%d,%d) is in the base pattern", i, j)
-			}
-			if !p.FinalPattern.Contains(i, j) {
-				t.Fatalf("fill entry (%d,%d) not in the final pattern", i, j)
-			}
-		}
+	if fill := p.FinalPattern.NNZ() - p.BasePattern.NNZ(); fill <= 0 {
+		t.Fatalf("fill-in %d at filter 0, want > 0", fill)
 	}
 
 	reg := telemetry.NewRegistry()

@@ -142,58 +142,6 @@ func (p *Pattern) TransposeParallel(workers int) *Pattern {
 	return &Pattern{Rows: t.Rows, NCols: t.Cols, RowPtr: t.RowPtr, Cols: t.ColIdx}
 }
 
-// Union returns the positionwise union of p and q (same shape required).
-func (p *Pattern) Union(q *Pattern) *Pattern {
-	if p.Rows != q.Rows || p.NCols != q.NCols {
-		panic("pattern: Union shape mismatch")
-	}
-	out := New(p.Rows, p.NCols)
-	for i := 0; i < p.Rows; i++ {
-		a, b := p.Row(i), q.Row(i)
-		ka, kb := 0, 0
-		for ka < len(a) || kb < len(b) {
-			switch {
-			case kb == len(b) || (ka < len(a) && a[ka] < b[kb]):
-				out.Cols = append(out.Cols, a[ka])
-				ka++
-			case ka == len(a) || b[kb] < a[ka]:
-				out.Cols = append(out.Cols, b[kb])
-				kb++
-			default:
-				out.Cols = append(out.Cols, a[ka])
-				ka++
-				kb++
-			}
-		}
-		out.RowPtr[i+1] = len(out.Cols)
-	}
-	return out
-}
-
-// Minus returns the positions of p not present in q (same shape required) —
-// e.g. the fill-in-only pattern of an extended factor, final minus base.
-func (p *Pattern) Minus(q *Pattern) *Pattern {
-	if p.Rows != q.Rows || p.NCols != q.NCols {
-		panic("pattern: Minus shape mismatch")
-	}
-	out := New(p.Rows, p.NCols)
-	for i := 0; i < p.Rows; i++ {
-		b := q.Row(i)
-		kb := 0
-		for _, j := range p.Row(i) {
-			for kb < len(b) && b[kb] < j {
-				kb++
-			}
-			if kb < len(b) && b[kb] == j {
-				continue
-			}
-			out.Cols = append(out.Cols, j)
-		}
-		out.RowPtr[i+1] = len(out.Cols)
-	}
-	return out
-}
-
 // Power returns the pattern of p^n for a square pattern p and n >= 1, the
 // symbolic analogue of matrix powering used to build a-priori FSAI patterns
 // (pattern of Ã^N). n == 1 returns a clone.

@@ -51,7 +51,9 @@ func FuzzDecodeRegisterRequest(f *testing.F) {
 // FuzzDecodeSolveRequest feeds arbitrary bodies to the solve handler's
 // decode-and-normalize step. It must never panic; every request it accepts
 // has in-range knobs and comes out of json.Marshal and a second decode
-// unchanged, so a normalized request is a fixed point on the wire.
+// unchanged, so a normalized request is a fixed point on the wire. Every
+// body the fast path accepts, json.Unmarshal accepts too, and decodes to
+// the same request, floats compared by their bits.
 func FuzzDecodeSolveRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"matrix":"lap"}`,
@@ -67,10 +69,34 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 		`{"matrix":"lap","precond":"fsai","resilient":true,"tol":-1,"max_iter":-5}`,
 		`{"MATRIX":"é","hold_ms":-3}`,
 		``, `null`, `[]`, `{"matrix":1}`,
+		`{"matrix":"l\u0061p","precond":"fs\"ai"}`,
+		`{"MATRIX":"lap"}`,
+		`{"matrix":"lap","colour":"blue"}`,
+		`{"matrix":"lap","rhs":null}`,
+		`{"matrix":"lap","rhs":[]}`,
+		`{"matrix":"lap","rhs":[1,2,3],"rhs":[-4.5e-7]}`,
+		`{"matrix":"lap","tol":1e400}`,
+		`{"matrix":"lap","rhs":[1,1e400]}`,
+		`{"matrix":"lap","max_iter":1e3}`,
+		`{"matrix":"lap","rhs":[0.5]}]`,
+		"{\"matrix\":\"l\xffp\"}",
+		`{"matrix":"матрица","precond":null,"resilient":false,"hold_ms":null}`,
+		"\t{ \"matrix\" : \"lap\" , \"precond\":\"fsaie\",\"filter\":0.01,\"line_bytes\":64,\"pattern_power\":1," +
+			"\"tau\":0,\"tol\":1E-8,\"max_iter\":100,\"resilient\":false,\"timeout_ms\":5000," +
+			"\"rhs\":[ 0.25 ,-1e+2,\r\n3.5E-5 ],\"return_solution\":true,\"hold_ms\":0,\"setup_only\":false}\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if fast, ok := decodeSolveFast(body); ok {
+			var ref SolveRequest
+			if err := json.Unmarshal(body, &ref); err != nil {
+				t.Fatalf("fast path accepted %q, encoding/json refuses it: %v", body, err)
+			}
+			if !sameRequest(fast, ref) {
+				t.Fatalf("fast path and encoding/json disagree on %q:\n fast %+v\n json %+v", body, fast, ref)
+			}
+		}
 		req, err := parseSolveRequest(body)
 		if err != nil {
 			return

@@ -416,12 +416,20 @@ func (s *Server) Close() error {
 }
 
 // parseSolveRequest decodes one JSON solve request and normalizes it: the
-// body's decode-and-validate step, without the HTTP around it. Unmarshal
+// body's decode-and-validate step, without the HTTP around it. A body of
+// the shape fsaid's clients send takes decodeSolveFast; any other goes to
+// json.Unmarshal, which decodes it to the same request, so both paths
+// accept the same bodies and every error is encoding/json's. Either
 // rejects anything but whitespace after the object.
 func parseSolveRequest(body []byte) (SolveRequest, error) {
-	var req SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return req, fmt.Errorf("bad solve request: %w", err)
+	req, ok := decodeSolveFast(body)
+	if !ok {
+		// A fresh value: req itself would escape to the heap on every call.
+		ref := new(SolveRequest)
+		if err := json.Unmarshal(body, ref); err != nil {
+			return *ref, fmt.Errorf("bad solve request: %w", err)
+		}
+		req = *ref
 	}
 	return req, normalizeSolveRequest(&req)
 }
@@ -715,9 +723,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// are the stages every reported time is read from.
 	tr := telemetry.NewTracer(nil)
 	root := tr.StartSpan("solve-request")
-	// The body is read whole into a pooled buffer and decoded with
-	// Unmarshal, which copies every string out, so the buffer is reusable
-	// at once.
+	// The body is read whole into a pooled buffer and decoded by
+	// parseSolveRequest, which copies every string out, so the buffer is
+	// reusable at once.
 	decode := tr.StartSpan("decode")
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	buf.Reset()

@@ -156,13 +156,15 @@ func NewCSRFromTriplets(r, c int, ts []Triplet) (*CSR, error) {
 }
 
 // sortDedupRows sorts each row by column and sums duplicates, compacting the
-// storage in place.
+// storage in place. Every row is sorted through one sorter, so building a
+// matrix does not allocate per row.
 func (m *CSR) sortDedupRows() {
 	outPtr := make([]int, m.Rows+1)
+	row := new(rowSorter)
 	w := 0
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		row := rowSorter{cols: m.ColIdx[lo:hi], vals: m.Val[lo:hi]}
+		row.cols, row.vals = m.ColIdx[lo:hi], m.Val[lo:hi]
 		sort.Sort(row)
 		outPtr[i] = w
 		for k := lo; k < hi; k++ {

@@ -61,6 +61,33 @@ func TestTripletsUnsortedInput(t *testing.T) {
 	}
 }
 
+// TestTripletsAllocsIndependentOfRows: building lap64x64 (the 5-point
+// Laplacian on a 64×64 grid, 4,096 rows, triplets in matgen's order)
+// allocates a fixed handful of arrays, not one sorter per row.
+func TestTripletsAllocsIndependentOfRows(t *testing.T) {
+	const nx, ny = 64, 64
+	var ts []Triplet
+	for i := 0; i < nx; i++ {
+		for j := 0; j < ny; j++ {
+			c := i*ny + j
+			ts = append(ts, Triplet{c, c, 4})
+			for _, nb := range [][3]int{{i - 1, j}, {i + 1, j}, {i, j - 1}, {i, j + 1}} {
+				if nb[0] >= 0 && nb[0] < nx && nb[1] >= 0 && nb[1] < ny {
+					ts = append(ts, Triplet{c, nb[0]*ny + nb[1], -1})
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewCSRFromTriplets(nx*ny, nx*ny, ts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("NewCSRFromTriplets on lap64x64 made %.0f allocations, want at most 8", allocs)
+	}
+}
+
 func TestTripletsOutOfRange(t *testing.T) {
 	if _, err := NewCSRFromTriplets(2, 2, []Triplet{{2, 0, 1}}); err == nil {
 		t.Error("row out of range accepted")

@@ -18,6 +18,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Formatting gate: fails listing the unformatted files (fix with gofmt -w).
 fmt:

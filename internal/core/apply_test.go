@@ -1,106 +1,113 @@
 package fsai
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/kernels"
+	"repro/internal/krylov"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
-// TestApplyWorkersSemantics pins the unified Workers convention: <=0 means
-// "all CPUs" and 1 means serial, and every setting computes the same z
-// (SpMV partitioning never changes per-row arithmetic, so the match is
-// exact). Before the kernel-layer rewrite, Workers==0 silently meant serial
-// here while meaning "all CPUs" everywhere else in the stack.
-func TestApplyWorkersSemantics(t *testing.T) {
-	a := matgen.Laplace2D(20, 20)
-	rng := rand.New(rand.NewSource(9))
-	r := make([]float64, a.Rows)
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-
-	base, err := Compute(a, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Workers = 1
-	want := make([]float64, a.Rows)
-	base.Apply(want, r)
-
-	for _, w := range []int{-3, 0, 2, 5} {
-		p, err := Compute(a, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Workers = w
-		z := make([]float64, a.Rows)
-		p.Apply(z, r)
-		for i := range z {
-			if z[i] != want[i] {
-				t.Fatalf("Workers=%d: z[%d]=%g differs from serial %g", w, i, z[i], want[i])
-			}
-		}
-	}
-}
-
-// TestApplyNoAllocsSteadyState checks that Compute pre-allocates Apply's
-// scratch and engine, so applications inside the solve loop stay heap-quiet.
-func TestApplyNoAllocsSteadyState(t *testing.T) {
-	a := matgen.Laplace2D(16, 16)
-	p, err := Compute(a, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	z := make([]float64, a.Rows)
-	r := make([]float64, a.Rows)
-	for i := range r {
-		r[i] = 1
-	}
-	p.Apply(z, r) // warm any lazily-built partition plans
-	allocs := testing.AllocsPerRun(50, func() { p.Apply(z, r) })
-	if allocs != 0 {
-		t.Fatalf("Apply allocates %.1f times per call, want 0", allocs)
-	}
-}
+// A solve applies the factor through ApplyBlock only if the factor is a
+// krylov.BlockPreconditioner; otherwise it falls back to Apply per column.
+var _ krylov.BlockPreconditioner = (*Preconditioner)(nil)
 
 // TestApplyBlockColumnsMatchApply: every column of the factor's block
-// application is bit-identical to Apply on that column, at every block
-// width, on the serial path and on the pooled 2-worker path, and
+// application is bit-identical to the one-column apply of that column on a
+// serial engine, at every block width, on engines of 1 and 2 workers, and
 // steady-state block applications at a fixed width allocate nothing.
 func TestApplyBlockColumnsMatchApply(t *testing.T) {
 	a := matgen.Laplace2D(40, 40)
 	o := DefaultOptions()
 	o.Variant = VariantFull
-	base, err := Compute(a, o)
+	p, err := Compute(a, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.G.PartitionPlan(2).NChunks() != 2 || base.GT.PartitionPlan(2).NChunks() != 2 {
+	if p.G.PartitionPlan(2).NChunks() != 2 || p.GT.PartitionPlan(2).NChunks() != 2 {
 		t.Fatal("fixture too small for 2 workers to split the partition plans")
 	}
 	rng := rand.New(rand.NewSource(17))
 	n := a.Rows
+	serial := kernels.New(n, 1)
+	ref, reftmp := make([]float64, n), make([]float64, n)
 	for _, w := range []int{1, 2} {
-		p := base.CloneForApply(w)
+		e := kernels.New(n, w)
 		for _, k := range []int{1, 2, 3, 5, 8} {
 			r := make([]float64, n*k)
 			for i := range r {
 				r[i] = rng.NormFloat64()
 			}
-			z := make([]float64, n*k)
-			p.ApplyBlock(z, r, k)
-			ref := make([]float64, n)
+			z, tmp := make([]float64, n*k), make([]float64, n*k)
+			p.ApplyBlock(e, z, r, tmp, k)
 			for j := 0; j < k; j++ {
-				p.Apply(ref, r[j*n:(j+1)*n])
+				p.ApplyBlock(serial, ref, r[j*n:(j+1)*n], reftmp, 1)
 				for i, want := range ref {
 					if got := z[j*n+i]; got != want {
-						t.Fatalf("workers=%d k=%d col %d row %d: ApplyBlock %v, Apply %v", w, k, j, i, got, want)
+						t.Fatalf("workers=%d k=%d col %d row %d: ApplyBlock %v, serial apply %v", w, k, j, i, got, want)
 					}
 				}
 			}
-			if allocs := testing.AllocsPerRun(20, func() { p.ApplyBlock(z, r, k) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(20, func() { p.ApplyBlock(e, z, r, tmp, k) }); allocs != 0 {
 				t.Fatalf("workers=%d k=%d: ApplyBlock allocates %.1f times per call, want 0", w, k, allocs)
+			}
+		}
+	}
+}
+
+// TestConcurrentSolvesShareOneFactor: one factor serves concurrent solves.
+// Eight goroutines solve with the same FSAIE(full) factor at once, and every
+// result and x is bit-identical to those of a lone solve with it, at 1 and
+// at 2 workers. The larger matrix is above kernels.ParallelMinLen, so at 2
+// workers the concurrent applies share the factor's partition plans on the
+// pooled path too. The iteration cap keeps the test short under -race;
+// every apply of every iteration is shared either way.
+func TestConcurrentSolvesShareOneFactor(t *testing.T) {
+	for _, a := range []*sparse.CSR{matgen.Laplace2D(40, 40), matgen.Laplace2D(192, 192)} {
+		o := DefaultOptions()
+		o.Variant = VariantFull
+		p, err := Compute(a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := a.Rows
+		b := make([]float64, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		for _, w := range []int{1, 2} {
+			opt := krylov.Options{Tol: 1e-8, MaxIter: 40, Workers: w}
+			want := make([]float64, n)
+			lone := krylov.Solve(a, want, b, p, opt)
+			const solves = 8
+			xs := make([][]float64, solves)
+			res := make([]krylov.Result, solves)
+			var wg sync.WaitGroup
+			for g := range xs {
+				xs[g] = make([]float64, n)
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					res[g] = krylov.Solve(a, xs[g], b, p, opt)
+				}(g)
+			}
+			wg.Wait()
+			for g, x := range xs {
+				if res[g].Iterations != lone.Iterations || res[g].Status != lone.Status ||
+					math.Float64bits(res[g].RelResidual) != math.Float64bits(lone.RelResidual) {
+					t.Fatalf("n=%d workers=%d solve %d: %v after %d iterations, rel %v; lone solve %v after %d, rel %v",
+						n, w, g, res[g].Status, res[g].Iterations, res[g].RelResidual, lone.Status, lone.Iterations, lone.RelResidual)
+				}
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d workers=%d solve %d: x[%d] = %v, lone solve %v", n, w, g, i, x[i], want[i])
+					}
+				}
 			}
 		}
 	}

@@ -243,7 +243,9 @@ func (s *SetupStats) add(o SetupStats) {
 }
 
 // Preconditioner is a computed FSAI factorization M⁻¹ = GᵀG ≈ A⁻¹. It
-// implements krylov.Preconditioner; applying it costs two SpMV products.
+// implements krylov.BlockPreconditioner; applying it costs two SpMV
+// products. It is data: no apply writes to it, so any number of concurrent
+// solves can share one.
 type Preconditioner struct {
 	// G is the lower-triangular factor in CSR.
 	G *sparse.CSR
@@ -256,124 +258,46 @@ type Preconditioner struct {
 	BasePattern, FinalPattern *pattern.Pattern
 	// Stats records setup work for the performance model.
 	Stats SetupStats
-	// Workers is the SpMV parallelism used by Apply. The convention matches
-	// krylov.Options.Workers: <=0 means all CPUs, 1 means serial.
-	Workers int
-
-	tmp  []float64 // apply scratch (rows × k), from the size-keyed pool
-	eng  *kernels.Engine
-	lctx context.Context // pprof label context for Apply's pooled sweeps
 }
 
-// SetLabelContext makes Apply's pooled SpMV dispatches run under ctx's
-// pprof labels (see kernels.Engine.SetLabelContext). krylov.Solve calls
-// this automatically when its own label context is set.
-func (p *Preconditioner) SetLabelContext(ctx context.Context) {
-	p.lctx = ctx
-	if p.eng != nil {
-		p.eng.SetLabelContext(ctx)
-	}
+// Apply computes z = Gᵀ(G r), the FSAI preconditioning operation, on an
+// engine of its own over all CPUs. It serves callers outside a solve; a
+// solve applies the factor through ApplyBlock on the solve's engine.
+func (p *Preconditioner) Apply(z, r []float64) {
+	tmp := kernels.GetBlockScratch(p.G.Rows)
+	p.ApplyBlock(kernels.New(p.G.Rows, 0), z, r, tmp, 1)
+	kernels.PutBlockScratch(tmp)
 }
 
-// Apply computes z = Gᵀ(G r), the FSAI preconditioning operation: the
-// k = 1 ApplyBlock.
-func (p *Preconditioner) Apply(z, r []float64) { p.ApplyBlock(z, r, 1) }
-
-// ApplyBlock computes Z = Gᵀ(G R) for k column-major residual vectors in
-// two sparse product sweeps scheduled on the persistent worker pool with
-// per-matrix nnz-balanced partition plans: the factors' CSR streams are
-// read once for all k columns instead of once per column, which is where
-// the batched solve path earns its per-RHS speedup. Column j of the result
-// is bit-identical to Apply on column j (the product kernels preserve the
-// per-column accumulation order). The (rows × k) scratch comes from the
-// kernels size-keyed pool and the engine is reused across calls (Compute
-// pre-allocates both for k = 1), so steady-state applications at a fixed k
-// perform no heap allocations.
-//
-// ApplyBlock is not safe for concurrent use of one Preconditioner;
-// concurrent solves need their own instance (see CloneForApply).
-func (p *Preconditioner) ApplyBlock(z, r []float64, k int) {
-	w := p.Workers
-	if w <= 0 {
-		w = parallel.MaxWorkers()
-	}
-	if need := p.G.Rows * k; len(p.tmp) != need {
-		if p.tmp != nil {
-			kernels.PutBlockScratch(p.tmp)
-		}
-		p.tmp = kernels.GetBlockScratch(need)
-	}
-	if p.eng == nil || p.eng.Workers() != w {
-		p.eng = kernels.New(p.G.Rows, w)
-		p.eng.SetLabelContext(p.lctx)
-	}
-	p.eng.SpMM(p.G, p.tmp, r, k)
-	p.eng.SpMM(p.GT, z, p.tmp, k)
-}
-
-// initApply pre-allocates Apply's scratch and engine (and the partition
-// plans of both factors) so the first application inside the solve loop
-// allocates nothing.
-func (p *Preconditioner) initApply() {
-	if p.G == nil || p.GT == nil {
-		return
-	}
-	w := p.Workers
-	if w <= 0 {
-		w = parallel.MaxWorkers()
-	}
-	p.tmp = kernels.GetBlockScratch(p.G.Rows)
-	p.eng = kernels.New(p.G.Rows, w)
-	if w > 1 {
-		p.G.PartitionPlan(w)
-		p.GT.PartitionPlan(w)
-	}
-}
-
-// CloneForApply returns a Preconditioner that shares p's (immutable)
-// factors, patterns and stats but owns its own Apply scratch and kernel
-// engine. Apply is not safe for concurrent use of one Preconditioner, so a
-// cache serving one computed factor to many simultaneous solves hands each
-// solve its own clone: the expensive state (G, GT, partition plans) stays
-// shared, only the per-solve scratch is duplicated. workers <= 0 keeps p's
-// worker setting.
-func (p *Preconditioner) CloneForApply(workers int) *Preconditioner {
-	if workers <= 0 {
-		workers = p.Workers
-	}
-	c := &Preconditioner{
-		G:            p.G,
-		GT:           p.GT,
-		BasePattern:  p.BasePattern,
-		FinalPattern: p.FinalPattern,
-		Stats:        p.Stats,
-		Workers:      workers,
-	}
-	c.initApply()
-	return c
+// ApplyBlock computes Z = Gᵀ(G R) for k column-major residual vectors as
+// two sparse product sweeps on e, the solve's engine, with tmp (rows × k)
+// holding G R between them: the factors' CSR streams are read once for all
+// k columns instead of once per column, which is where the batched solve
+// path earns its per-RHS speedup. Column j of the result is bit-identical
+// to the k = 1 apply of column j (the product kernels preserve the
+// per-column accumulation order), and the sweeps allocate nothing once the
+// factors' partition plans for e's worker count exist.
+func (p *Preconditioner) ApplyBlock(e *kernels.Engine, z, r, tmp []float64, k int) {
+	e.SpMM(p.G, tmp, r, k)
+	e.SpMM(p.GT, z, tmp, k)
 }
 
 // FromFactors reconstructs a Preconditioner from a factor G computed
-// earlier, its base pattern and its setup stats, and pre-allocates the
-// Apply scratch exactly like Compute does. It exists for the durable store,
-// which keeps G alone: Gᵀ is rebuilt with the transpose Compute runs, whose
-// result does not depend on workers, so it holds the bits Compute built,
-// and the final pattern is a view of G's structure, as it is in Compute. A
-// factor rehydrated from disk is therefore bit-identical to the one that
-// was computed, and warm solves after a restart reproduce the original
-// arithmetic. base may be nil (ExtensionPct then reads zero). workers
-// follows the krylov convention (<=0: all CPUs).
+// earlier, its base pattern and its setup stats. It exists for the durable
+// store, which keeps G alone: Gᵀ is rebuilt with the transpose Compute
+// runs, here on workers row chunks (<=0: all CPUs). Its result does not
+// depend on workers, so it holds the bits Compute built, and the final
+// pattern is a view of G's structure, as it is in Compute. A factor rehydrated from disk is therefore bit-identical to the
+// one that was computed, and warm solves after a restart reproduce the
+// original arithmetic. base may be nil (ExtensionPct then reads zero).
 func FromFactors(g *sparse.CSR, base *pattern.Pattern, stats SetupStats, workers int) *Preconditioner {
-	p := &Preconditioner{
+	return &Preconditioner{
 		G:            g,
 		GT:           g.TransposeParallel(workers),
 		BasePattern:  base,
 		FinalPattern: structureOf(g),
 		Stats:        stats,
-		Workers:      workers,
 	}
-	p.initApply()
-	return p
 }
 
 // NNZ returns the stored-entry count of the lower factor G.

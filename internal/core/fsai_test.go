@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/krylov"
 	"repro/internal/matgen"
 	"repro/internal/pattern"
@@ -266,9 +267,8 @@ func TestApplyMatchesExplicitProducts(t *testing.T) {
 		}
 	}
 	// Parallel path matches too.
-	p.Workers = 4
 	z2 := make([]float64, n)
-	p.Apply(z2, r)
+	p.ApplyBlock(kernels.New(n, 4), z2, r, make([]float64, n), 1)
 	for i := range z {
 		if math.Abs(z[i]-z2[i]) > 1e-14 {
 			t.Fatalf("parallel Apply mismatch at %d", i)

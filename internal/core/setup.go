@@ -62,7 +62,7 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 		return nil, setupErrf(ReasonBadInput, -1, "line size %dB smaller than one element", opts.LineBytes)
 	}
 
-	p := &Preconditioner{Workers: opts.Workers}
+	p := &Preconditioner{}
 	rec := phaseRecorder{tr: opts.Tracer, stats: &p.Stats}
 	root := opts.Tracer.StartSpan("fsai-setup:" + opts.Variant.String())
 	root.SetAttr("variant", opts.Variant.String())
@@ -174,7 +174,6 @@ func compute(a *sparse.CSR, opts Options) (_ *Preconditioner, err error) {
 	}
 
 	p.GT = p.G.TransposeParallel(opts.Workers)
-	p.initApply()
 	return p, nil
 }
 

@@ -369,7 +369,7 @@ func runMatrix(spec matgen.Spec, opts RawOptions) (MatrixRaw, error) {
 		mr.RandomLVGT = cachesim.CountLineVisits(gpat.Transpose(), elems, align)
 		mr.RandomMissPerNNZ = float64(gm+gtm) / float64(g.NNZ())
 		x := make([]float64, a.Rows)
-		pre := &fsai.Preconditioner{G: g, GT: g.Transpose(), Workers: opts.Workers}
+		pre := &fsai.Preconditioner{G: g, GT: g.Transpose()}
 		res := krylov.Solve(a, x, b, pre, kopt)
 		if res.Status == krylov.StatusCancelled {
 			return mr, fmt.Errorf("solve cancelled: %w", context.Cause(opts.Ctx))

@@ -1,7 +1,7 @@
 // Block (multi-right-hand-side) scratch: the size-keyed pool for the block
 // solver's column-major n×k work vectors (column j of an n×k block b is
-// b[j*n:(j+1)*n], the layout shared with internal/sparse and krylov) and
-// for the factor's block-apply scratch.
+// b[j*n:(j+1)*n], the layout shared with internal/sparse and krylov), the
+// scratch a solve hands its preconditioner's apply included.
 package kernels
 
 import "sync"

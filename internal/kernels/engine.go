@@ -146,9 +146,6 @@ func NewWithPool(n, workers int, pool *parallel.Pool) *Engine {
 	return e
 }
 
-// Workers returns the worker count the engine schedules for.
-func (e *Engine) Workers() int { return e.workers }
-
 // SetLabelContext makes the engine's pooled dispatches run under ctx's
 // pprof labels: the persistent pool workers adopt them per dispatch, so a
 // captured CPU window attributes kernel time on every participant to the

@@ -10,29 +10,27 @@ import (
 )
 
 // fsaiLike is a two-factor test preconditioner applying Z = Gᵀ(G R) with
-// the same one-body shape the FSAI preconditioner uses: Apply is the k = 1
-// ApplyBlock, and ApplyBlock is two engine SpMM sweeps. It lets this
-// package prove the block solver's bit-identity claims without importing
-// internal/core.
+// the same shape the FSAI preconditioner has: ApplyBlock is two SpMM
+// sweeps on the solve's engine through the solve's scratch, and Apply is
+// the k = 1 case on an engine of its own. It lets this package prove the
+// block solver's bit-identity claims without importing internal/core.
 type fsaiLike struct {
 	g, gt *sparse.CSR
-	eng   *kernels.Engine
-	tmp   []float64
+	w     int // Apply's worker count
 }
 
 func newFsaiLike(n, w int) *fsaiLike {
 	g := tridiag(n, -0.2, 1, 0)
-	return &fsaiLike{g: g, gt: g.Transpose(), eng: kernels.New(n, w)}
+	return &fsaiLike{g: g, gt: g.Transpose(), w: w}
 }
 
-func (f *fsaiLike) Apply(z, r []float64) { f.ApplyBlock(z, r, 1) }
+func (f *fsaiLike) Apply(z, r []float64) {
+	f.ApplyBlock(kernels.New(f.g.Rows, f.w), z, r, make([]float64, f.g.Rows), 1)
+}
 
-func (f *fsaiLike) ApplyBlock(z, r []float64, k int) {
-	if len(f.tmp) != f.g.Rows*k {
-		f.tmp = make([]float64, f.g.Rows*k)
-	}
-	f.eng.SpMM(f.g, f.tmp, r, k)
-	f.eng.SpMM(f.gt, z, f.tmp, k)
+func (f *fsaiLike) ApplyBlock(e *kernels.Engine, z, r, tmp []float64, k int) {
+	e.SpMM(f.g, tmp, r, k)
+	e.SpMM(f.gt, z, tmp, k)
 }
 
 func randVec(rng *rand.Rand, n int) []float64 {

@@ -22,13 +22,18 @@ type Preconditioner interface {
 }
 
 // BlockPreconditioner is a Preconditioner that can apply itself to a
-// column-major block of k residuals in one batched pass (its Apply is then
-// the k = 1 case). SolveBlock uses it when available; otherwise it falls
-// back to column-wise Apply (which is arithmetically identical, just
-// without the batched matrix traffic).
+// column-major block of k residuals in one batched pass. SolveBlock uses it
+// when available; otherwise it falls back to column-wise Apply (which is
+// arithmetically identical, just without the batched matrix traffic).
+//
+// ApplyBlock runs its sweeps on e, the solve's engine, so one worker count
+// (Options.Workers) drives every sweep of an iteration and the pooled
+// dispatches carry the solve's pprof labels. tmp is a scratch block of
+// len(z) values that the solve owns. ApplyBlock writes to nothing else, so
+// one preconditioner can serve any number of concurrent solves.
 type BlockPreconditioner interface {
 	Preconditioner
-	ApplyBlock(z, r []float64, k int)
+	ApplyBlock(e *kernels.Engine, z, r, tmp []float64, k int)
 }
 
 // Identity is the no-op preconditioner (plain CG).
@@ -324,16 +329,10 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 		}
 		opt.Metrics.Gauge("kernels.spmv.imbalance_pct").Set(imb)
 	}
+	// One engine runs every sweep of the solve, the preconditioner's
+	// included, and its pooled dispatches adopt the solve's pprof labels.
 	eng := kernels.New(n, opt.Workers)
-	if opt.Ctx != nil {
-		// Pooled kernel dispatches adopt the solve's pprof labels; the
-		// preconditioner's own engine (FSAI's two G sweeps) gets the same
-		// treatment when it supports it.
-		eng.SetLabelContext(opt.Ctx)
-		if lc, ok := m.(interface{ SetLabelContext(context.Context) }); ok {
-			lc.SetLabelContext(opt.Ctx)
-		}
-	}
+	eng.SetLabelContext(opt.Ctx)
 	var start, t0 time.Time
 	if collect {
 		start = time.Now()
@@ -349,7 +348,9 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 	}
 
 	// Work blocks from the size-keyed scratch pool: repeated solves at the
-	// same (rows × k) reuse them instead of allocating.
+	// same (rows × k) reuse them instead of allocating. A block
+	// preconditioner gets one more, for its apply's scratch.
+	bp, _ := m.(BlockPreconditioner)
 	xw := kernels.GetBlockScratch(n * k)
 	r := kernels.GetBlockScratch(n * k)
 	z := kernels.GetBlockScratch(n * k)
@@ -362,6 +363,11 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 		kernels.PutBlockScratch(p)
 		kernels.PutBlockScratch(q)
 	}()
+	var tmp []float64
+	if bp != nil {
+		tmp = kernels.GetBlockScratch(n * k)
+		defer kernels.PutBlockScratch(tmp)
+	}
 	col := func(v []float64, s int) []float64 { return v[s*n : (s+1)*n] }
 
 	// Slot bookkeeping: active columns live compacted in slots [0,nact);
@@ -518,8 +524,8 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 		if collect {
 			t0 = time.Now()
 		}
-		if bp, ok := m.(BlockPreconditioner); ok {
-			bp.ApplyBlock(z[:nact*n], r[:nact*n], nact)
+		if bp != nil {
+			bp.ApplyBlock(eng, z[:nact*n], r[:nact*n], tmp[:nact*n], nact)
 		} else {
 			for s := 0; s < nact; s++ {
 				m.Apply(col(z, s), col(r, s))

@@ -69,14 +69,14 @@ func goldenMatrix(t *testing.T, name string) (*sparse.CSR, []float64) {
 }
 
 // goldenPrecond builds the named preconditioner; FSAI factors are computed
-// serially once and cloned per worker count.
-func goldenPrecond(t *testing.T, name string, a *sparse.CSR) func(workers int) krylov.Preconditioner {
+// serially once, and the solves at every worker count share the factor.
+func goldenPrecond(t *testing.T, name string, a *sparse.CSR) krylov.Preconditioner {
 	t.Helper()
 	switch name {
 	case "none":
-		return func(int) krylov.Preconditioner { return nil }
+		return nil
 	case "jacobi":
-		return func(int) krylov.Preconditioner { return krylov.NewJacobi(a) }
+		return krylov.NewJacobi(a)
 	}
 	o := fsai.DefaultOptions()
 	o.Workers = 1
@@ -92,7 +92,7 @@ func goldenPrecond(t *testing.T, name string, a *sparse.CSR) func(workers int) k
 	if err != nil {
 		t.Fatalf("%s setup: %v", name, err)
 	}
-	return func(workers int) krylov.Preconditioner { return p.CloneForApply(workers) }
+	return p
 }
 
 func bitsSHA(x []float64) string {
@@ -137,7 +137,7 @@ func TestSolveGoldenNumerics(t *testing.T) {
 		b []float64
 	}
 	operators := map[string]operator{}
-	preconds := map[string]func(int) krylov.Preconditioner{}
+	preconds := map[string]krylov.Preconditioner{}
 	for _, c := range cases {
 		op, ok := operators[c.matrix]
 		if !ok {
@@ -145,13 +145,13 @@ func TestSolveGoldenNumerics(t *testing.T) {
 			operators[c.matrix] = op
 		}
 		pkey := c.matrix + "/" + c.precond
-		if preconds[pkey] == nil {
+		if _, ok := preconds[pkey]; !ok {
 			preconds[pkey] = goldenPrecond(t, c.precond, op.a)
 		}
 		name := fmt.Sprintf("%s/%s/w=%d/maxiter=%d", c.matrix, c.precond, c.workers, c.maxIter)
 		t.Run(name, func(t *testing.T) {
 			a, b := op.a, op.b
-			m := preconds[pkey](c.workers)
+			m := preconds[pkey]
 			opt := krylov.DefaultOptions()
 			opt.Workers = c.workers
 			if c.maxIter > 0 {

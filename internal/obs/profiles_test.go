@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -231,5 +232,55 @@ func TestRooflineLowBandwidthFlagging(t *testing.T) {
 	rep := mon.Report()
 	if len(rep.Matrices) != 1 || rep.Matrices[0].LowBandwidthSolves != 1 {
 		t.Fatalf("report: %+v", rep.Matrices)
+	}
+}
+
+// TestCPUProfileDuringSamplerWindow: while a sampler window holds the
+// process's one CPU profile, /debug/pprof/profile answers 503 rather than
+// net/http/pprof's 500 "cpu profiling already in use", with Retry-After
+// set to the seconds left in the window and a body that names the window
+// by its start and points at /profiles, which then lists that window with
+// its CPU profile. Once the sampler stops, the stdlib profile runs.
+func TestCPUProfileDuringSamplerWindow(t *testing.T) {
+	sp := prof.NewSampler(prof.Options{Window: 2 * time.Second, Gap: time.Hour})
+	hs := httptest.NewServer(NewServer(Options{Profiles: sp}).Handler())
+	defer hs.Close()
+	sp.Start()
+	defer sp.Stop()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, _, held := sp.CPUWindow(); held {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the sampler's first window never held the CPU profile")
+		}
+	}
+	code, hdr, body := get(t, hs.URL+"/debug/pprof/profile?seconds=1")
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("profile during a sampler window: status %d %q, want 503", code, body)
+	}
+	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil || secs < 1 || secs > 2 {
+		t.Fatalf("Retry-After %q, want 1 or 2 seconds", hdr.Get("Retry-After"))
+	}
+	if !strings.Contains(body, "/profiles") {
+		t.Fatalf("503 body %q does not point at /profiles", body)
+	}
+
+	sp.Stop()
+	_, _, raw := get(t, hs.URL+"/profiles")
+	var idx struct {
+		Windows []struct {
+			Start      string `json:"start"`
+			CPUSkipped bool   `json:"cpu_skipped"`
+		} `json:"windows"`
+	}
+	if err := json.Unmarshal([]byte(raw), &idx); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Windows) != 1 || idx.Windows[0].CPUSkipped || !strings.Contains(body, idx.Windows[0].Start) {
+		t.Fatalf("503 body %q does not name the one captured window of %s", body, raw)
+	}
+	if code, _, body := get(t, hs.URL+"/debug/pprof/profile?seconds=1"); code != http.StatusOK {
+		t.Fatalf("profile after the sampler stopped: status %d %q, want 200", code, body)
 	}
 }

@@ -8,12 +8,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -106,7 +108,7 @@ func NewServer(opt Options) *Server {
 	// registers on http.DefaultServeMux, which we deliberately avoid.
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/profile", s.handleCPUProfile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
@@ -200,15 +202,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	stream := r.URL.Query().Get("stream") != "" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if !stream {
+	if !wantsStream(r) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.opt.Watcher.State())
 		return
 	}
+	// A finished solve ends the stream after its final event so clients
+	// like the smoke test and curl terminate cleanly.
+	serveEvents(s, w, r, "solve", s.opt.Watcher.Subscribe, func(st SolveState) bool { return st.Done })
+}
+
+// wantsStream reports whether r asks for a server-sent event stream:
+// ?stream=1, or an Accept header naming text/event-stream.
+func wantsStream(r *http.Request) bool {
+	return r.URL.Query().Get("stream") != "" ||
+		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+}
+
+// serveEvents streams what subscribe hands out as server-sent events named
+// event, each carrying one value's JSON, with a comment heartbeat every
+// Heartbeat. The stream ends when the client goes away, the server shuts
+// down, the subscription closes, or last reports the value just sent as
+// the final one (nil: none is).
+func serveEvents[T any](s *Server, w http.ResponseWriter, r *http.Request, event string,
+	subscribe func() (<-chan T, func()), last func(T) bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
@@ -218,21 +237,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	ch, cancel := s.opt.Watcher.Subscribe()
+	ch, cancel := subscribe()
 	defer cancel()
-
-	writeEvent := func(st SolveState) error {
-		data, err := json.Marshal(st)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "event: solve\ndata: %s\n\n", data); err != nil {
-			return err
-		}
-		fl.Flush()
-		return nil
-	}
-
+	// Send the headers now, so a client knows it is subscribed before the
+	// first event or heartbeat.
+	fl.Flush()
 	heartbeat := time.NewTicker(s.opt.Heartbeat)
 	defer heartbeat.Stop()
 	ctx := r.Context()
@@ -243,16 +252,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		case <-s.quit:
 			// Graceful shutdown: end the stream so the handler count drains.
 			return
-		case st, ok := <-ch:
+		case v, ok := <-ch:
 			if !ok {
 				return
 			}
-			if err := writeEvent(st); err != nil {
+			data, err := json.Marshal(v)
+			if err != nil {
 				return
 			}
-			// A finished solve ends the stream after its final event so
-			// clients like the smoke test and curl terminate cleanly.
-			if st.Done {
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
+				return
+			}
+			fl.Flush()
+			if last != nil && last(v) {
 				return
 			}
 		case <-heartbeat.C:
@@ -262,6 +274,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
+}
+
+// handleCPUProfile is net/http/pprof's CPU profile, except while a window
+// of the continuous sampler holds the process's one CPU profile, where the
+// stdlib handler would answer 500: then it answers 503 with Retry-After set
+// to the whole seconds left in the window, and points at that window's own
+// CPU profile under /profiles.
+func (s *Server) handleCPUProfile(w http.ResponseWriter, r *http.Request) {
+	start, end, held := s.opt.Profiles.CPUWindow()
+	if !held {
+		pprof.Profile(w, r)
+		return
+	}
+	secs := max(1, int(math.Ceil(time.Until(end).Seconds())))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	http.Error(w, fmt.Sprintf("cpu profile in use by the continuous profiler's window that started %s; "+
+		"it ends in %ds, and its CPU profile is then /profiles/<id>/cpu for the /profiles window with that start",
+		start.Format(time.RFC3339Nano), secs), http.StatusServiceUnavailable)
 }
 
 // runInfo is one entry in the GET /runs listing.
@@ -327,55 +357,14 @@ func (s *Server) handleRunFile(w http.ResponseWriter, r *http.Request) {
 // handleTraces serves the trace listing (most recent first) or, with
 // ?stream=1 / an SSE Accept header, a live stream of traces as they finish.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	stream := r.URL.Query().Get("stream") != "" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if !stream {
+	if !wantsStream(r) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.opt.Traces.List())
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	ch, cancel := s.opt.Traces.Subscribe()
-	defer cancel()
-
-	heartbeat := time.NewTicker(s.opt.Heartbeat)
-	defer heartbeat.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.quit:
-			return
-		case t, ok := <-ch:
-			if !ok {
-				return
-			}
-			data, err := json.Marshal(t)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: trace\ndata: %s\n\n", data); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-heartbeat.C:
-			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	serveEvents(s, w, r, "trace", s.opt.Traces.Subscribe, nil)
 }
 
 // handleTraceByID serves one full span tree by trace id.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/matgen"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func get(t *testing.T, url string) (int, http.Header, string) {
@@ -399,6 +400,79 @@ func TestServerShutdownDrainsSSE(t *testing.T) {
 	// Shutdown is idempotent and safe on the already-stopped server.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second Shutdown: %v", err)
+	}
+}
+
+// TestServerTracesStream reads /traces?stream=1 over HTTP: the response
+// headers come as soon as the handler has subscribed, the first heartbeat
+// no sooner than the Heartbeat interval, a trace recorded after
+// subscribing arrives as one "event: trace" carrying its JSON, and
+// Shutdown ends the stream.
+func TestServerTracesStream(t *testing.T) {
+	const heartbeat = 300 * time.Millisecond
+	rec := trace.NewRecorder(8, "", telemetry.NewRegistry())
+	s := NewServer(Options{Traces: rec, Heartbeat: heartbeat})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	t0 := time.Now()
+	resp, err := http.Get("http://" + addr.String() + "/traces?stream=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if d := time.Since(t0); d >= heartbeat {
+		t.Fatalf("response headers after %v, not before the first %v heartbeat", d, heartbeat)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type %q, want text/event-stream", ct)
+	}
+	br := bufio.NewReader(resp.Body)
+	line, err := br.ReadString('\n')
+	if err != nil || line != ": heartbeat\n" {
+		t.Fatalf("first line %q (%v), want a heartbeat", line, err)
+	}
+	if d := time.Since(t0); d < heartbeat {
+		t.Fatalf("first heartbeat after %v, before the %v interval", d, heartbeat)
+	}
+
+	tr := &trace.Trace{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8), JobID: "j-000001",
+		Root: telemetry.SpanSnapshot{Name: "solve-request", NS: 1000}}
+	rec.Record(tr)
+	want, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		line, err = br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended before the trace event: %v", err)
+		}
+		if line == "event: trace\n" {
+			break
+		}
+		if line != ": heartbeat\n" && line != "\n" {
+			t.Fatalf("unexpected line %q before the trace event", line)
+		}
+	}
+	if line, _ = br.ReadString('\n'); line != "data: "+string(want)+"\n" {
+		t.Fatalf("trace event data %q, want %q", line, want)
+	}
+	if line, _ = br.ReadString('\n'); line != "\n" {
+		t.Fatalf("trace event not terminated by a blank line: %q", line)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	rest, _ := io.ReadAll(br)
+	if strings.Contains(string(rest), "event: trace") {
+		t.Fatalf("a second trace event after the one recorded: %q", rest)
 	}
 }
 

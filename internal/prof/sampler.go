@@ -68,6 +68,9 @@ type Sampler struct {
 	// /debug/pprof/profile can still hold it; that surfaces as a skipped
 	// window, not an error.
 	cpuMu sync.Mutex
+	// cpuHeld is the window that holds the CPU profiler, nil while none
+	// does; see CPUWindow.
+	cpuHeld atomic.Pointer[Window]
 
 	started  time.Time
 	bookNS   atomic.Int64 // cumulative bookkeeping (non-sleep) nanos
@@ -170,6 +173,8 @@ func (s *Sampler) capture(d time.Duration, stop <-chan struct{}) *Window {
 		s.cpuMu.Unlock()
 		w.CPUSkipped = true
 		s.skipped.Inc()
+	} else {
+		s.cpuHeld.Store(&Window{Start: t0, End: t0.Add(d)})
 	}
 	setup := time.Since(t0)
 
@@ -186,6 +191,7 @@ func (s *Sampler) capture(d time.Duration, stop <-chan struct{}) *Window {
 	b0 := time.Now()
 	if err == nil {
 		pprof.StopCPUProfile()
+		s.cpuHeld.Store(nil)
 		s.cpuMu.Unlock()
 		w.CPU = cpuBuf.Bytes()
 	}
@@ -229,6 +235,20 @@ func snapshot(name string) []byte {
 		return nil
 	}
 	return buf.Bytes()
+}
+
+// CPUWindow reports whether one of s's windows holds the process's one CPU
+// profile and, if so, when that window started (its start in the index)
+// and when it is due to end. Nil-safe: a nil sampler holds nothing.
+func (s *Sampler) CPUWindow() (start, end time.Time, ok bool) {
+	if s == nil {
+		return
+	}
+	w := s.cpuHeld.Load()
+	if w == nil {
+		return
+	}
+	return w.Start, w.End, true
 }
 
 // Windows returns the retained windows, oldest first.

@@ -15,9 +15,9 @@ import (
 )
 
 // CachedPrecond is one cache entry: a computed FSAI-family factor and what
-// its setup cost. The Preconditioner is the canonical copy — Apply state is
-// per-solve, so every consumer clones it with CloneForApply and the
-// expensive parts (G, Gᵀ, partition plans) stay shared.
+// its setup cost. The factor is immutable data that every solve applies on
+// its own engine and scratch, so all solves that hit the entry share P
+// itself.
 type CachedPrecond struct {
 	Key     string
 	P       *fsai.Preconditioner

@@ -180,7 +180,7 @@ func TestSolveResponseCompact(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	res := krylov.Solve(a, x, b, p.CloneForApply(workers), krylov.Options{Tol: 1e-8, MaxIter: 10000, Workers: workers})
+	res := krylov.Solve(a, x, b, p, krylov.Options{Tol: 1e-8, MaxIter: 10000, Workers: workers})
 	if res.Iterations != warm.Iterations || len(warm.X) != len(x) {
 		t.Fatalf("in-process solve: %d iterations, %d values; daemon: %d, %d",
 			res.Iterations, len(x), warm.Iterations, len(warm.X))

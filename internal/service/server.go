@@ -1164,7 +1164,7 @@ func (s *Server) solveColumns(ctx context.Context, g *group) ([]*SolveResponse, 
 				return nil, nil, err
 			}
 			entry = e
-			return e.P.CloneForApply(s.opt.Workers), e.P, nil
+			return e.P, e.P, nil
 		}
 		setup := trace.StartSpan(ctx, "setup")
 		defer func() { setupNS += setup.End().Nanoseconds() }()

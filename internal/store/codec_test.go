@@ -250,7 +250,7 @@ func TestRestoredFactorEqualsComputed(t *testing.T) {
 	}
 	for _, f := range recovered {
 		want := computed[f.Key]
-		got := fsai.FromFactors(f.G, f.Base, f.Stats, want.Workers)
+		got := fsai.FromFactors(f.G, f.Base, f.Stats, 0)
 		if csrSHA(got.G) != csrSHA(want.G) || csrSHA(got.GT) != csrSHA(want.GT) {
 			t.Errorf("%s: restored G or Gᵀ differs from the computed one", f.Key)
 		}

@@ -129,7 +129,6 @@ func TestRoundTripSurvivesReopen(t *testing.T) {
 	for i := range r {
 		r[i] = float64(i%7) - 3
 	}
-	p.Workers = 1
 	p.Apply(z1, r)
 	re.Apply(z2, r)
 	for i := range z1 {

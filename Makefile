@@ -16,8 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The second pass vets the module for arm64, so the Go row loop that every
+# GOARCH without internal/sparse's amd64 assembly body runs keeps compiling;
+# on amd64, vet's asmdecl checks the assembly's frame offsets.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	cd bench && $(GO) vet ./...
 
 # Formatting gate: fails listing the unformatted files (fix with gofmt -w).
@@ -37,7 +41,10 @@ bench:
 
 # Quick pass over the hot-path kernel benchmarks (docs/performance.md): a
 # few iterations each, -benchmem so an alloc regression in the steady-state
-# solve loop shows up as non-zero allocs/op. The FSAI setup benchmarks
+# solve loop shows up as non-zero allocs/op. BenchmarkSpMVBody times the A,
+# G and Gᵀ sweeps of lap64x64 and Laplace3D(48,48,48) on the Go row loop
+# and on the amd64 assembly one, so its go/asm lines give the kernel ratio.
+# The FSAI setup benchmarks
 # follow, so setup allocs/op print beside the kernels (setup allocates, but
 # not per row: TestSetupAllocsIndependentOfRows), then the store's factor
 # encode, where a growth copy of the entry shows up as extra allocs/op,
@@ -105,23 +112,26 @@ chaos:
 clean:
 	$(GO) clean ./...
 
-# Fuzz smoke: each of the nine native fuzz targets runs for 10s on top of
-# its seed corpus. The targets feed untrusted bytes (MatrixMarket files,
-# store entry envelopes and payloads, registration and solve request bodies,
-# the traceparent, Retry-After and X-Fsaid-Deadline-Ms headers, and the
-# body and headers the cluster router forwards) to the decoders and assert
-# they never panic, only return structurally valid matrices with finite
-# values, accept only envelopes seal writes, accept only registrations
-# naming a known matgen spec with nothing after the object, accept only
-# solve requests with in-range knobs and a timeout that fits a
-# time.Duration that survive a marshal/decode round trip and, when the
-# fast decoder took them, decode to the same bits through json.Unmarshal,
-# accept only traceparents that round-trip, keep Retry-After waits within
-# [0, 2^31 s], accept a deadline exactly when 0 < ms <= MaxInt64/1e6, and
-# forward a body byte-for-byte with only the allowlisted headers each way.
+# Fuzz smoke: each of the ten native fuzz targets runs for 10s on top of
+# its seed corpus. Nine feed untrusted bytes (MatrixMarket files, store
+# entry envelopes and payloads, registration and solve request bodies, the
+# traceparent, Retry-After and X-Fsaid-Deadline-Ms headers, and the body
+# and headers the cluster router forwards) to the decoders and assert they
+# never panic, only return structurally valid matrices with finite values,
+# accept only envelopes seal writes, accept only registrations naming a
+# known matgen spec with nothing after the object, accept only solve
+# requests with in-range knobs and a timeout that fits a time.Duration that
+# survive a marshal/decode round trip and, when the fast decoder took them,
+# decode to the same bits through json.Unmarshal, accept only traceparents
+# that round-trip, keep Retry-After waits within [0, 2^31 s], accept a
+# deadline exactly when 0 < ms <= MaxInt64/1e6, and forward a body
+# byte-for-byte with only the allowlisted headers each way. The tenth,
+# FuzzSpMVBody, decodes CSRs, well formed or not, and asserts the SpMV row
+# loop's assembly body matches its Go body: the same panic or the same y.
 # -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/mmio/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpMVBody$$' -fuzztime 10s ./internal/sparse/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/trace/

@@ -265,7 +265,7 @@ type Preconditioner struct {
 // solve applies the factor through ApplyBlock on the solve's engine.
 func (p *Preconditioner) Apply(z, r []float64) {
 	tmp := kernels.GetBlockScratch(p.G.Rows)
-	p.ApplyBlock(kernels.New(p.G.Rows, 0), z, r, tmp, 1)
+	p.ApplyBlock(kernels.New(p.G.Rows, 0), z, r, *tmp, 1)
 	kernels.PutBlockScratch(tmp)
 }
 

@@ -11,9 +11,11 @@ import "sync"
 // allocating them per call.
 var blockScratch sync.Map // int -> *sync.Pool of *[]float64
 
-// GetBlockScratch returns a buffer of length n from the size-keyed pool.
-// Contents are unspecified; callers must initialize what they read.
-func GetBlockScratch(n int) []float64 {
+// GetBlockScratch returns a buffer of length n from the size-keyed pool,
+// as the pointer the pool holds it by: hand that pointer back to
+// PutBlockScratch, so the round trip allocates nothing. Contents are
+// unspecified; callers must initialize what they read.
+func GetBlockScratch(n int) *[]float64 {
 	p, ok := blockScratch.Load(n)
 	if !ok {
 		p, _ = blockScratch.LoadOrStore(n, &sync.Pool{New: func() any {
@@ -21,14 +23,13 @@ func GetBlockScratch(n int) []float64 {
 			return &s
 		}})
 	}
-	return *(p.(*sync.Pool).Get().(*[]float64))
+	return p.(*sync.Pool).Get().(*[]float64)
 }
 
 // PutBlockScratch returns a buffer obtained from GetBlockScratch to its
 // size-keyed pool.
-func PutBlockScratch(s []float64) {
-	if p, ok := blockScratch.Load(len(s)); ok {
-		sc := s
-		p.(*sync.Pool).Put(&sc)
+func PutBlockScratch(s *[]float64) {
+	if p, ok := blockScratch.Load(len(*s)); ok {
+		p.(*sync.Pool).Put(s)
 	}
 }

@@ -57,20 +57,32 @@ func TestSpMMBitIdenticalToSpMV(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops pooled objects at random, so a round trip through the
+// pool may allocate.
+var raceEnabled bool
+
 // TestBlockScratchPoolReuse checks the size-keyed scratch pool hands back
-// buffers of the exact requested length.
+// buffers of the exact requested length, and that a Get/Put round trip
+// allocates nothing once the pool holds a buffer of that length.
 func TestBlockScratchPoolReuse(t *testing.T) {
 	for _, n := range []int{128, 128 * 8, 999} {
 		s := GetBlockScratch(n)
-		if len(s) != n {
-			t.Fatalf("GetBlockScratch(%d) returned len %d", n, len(s))
+		if len(*s) != n {
+			t.Fatalf("GetBlockScratch(%d) returned len %d", n, len(*s))
 		}
 		PutBlockScratch(s)
 		s2 := GetBlockScratch(n)
-		if len(s2) != n {
-			t.Fatalf("reused buffer has len %d want %d", len(s2), n)
+		if len(*s2) != n {
+			t.Fatalf("reused buffer has len %d want %d", len(*s2), n)
 		}
 		PutBlockScratch(s2)
+		if raceEnabled {
+			continue
+		}
+		if a := testing.AllocsPerRun(100, func() { PutBlockScratch(GetBlockScratch(n)) }); a != 0 {
+			t.Errorf("n=%d: %v allocations per Get/Put round trip, want 0", n, a)
+		}
 	}
 }
 

@@ -21,6 +21,11 @@
 //     ParallelMinLen elements — a vector's length, or rows×k for SpMM —
 //     runs serially on the caller, bit-identical to the reference kernels.
 //
+// SpMM's rows run sparse.(*CSR).MulMatRange, whose single-column row loop
+// is an assembly body on amd64 and the Go body elsewhere. The two produce
+// the same bits, so SpMM's result depends neither on which body the GOARCH
+// runs nor on the worker count.
+//
 // An Engine is NOT safe for concurrent use; give each solve its own. All
 // engines share the process-wide worker pool, whose busy-fallback keeps
 // concurrent solves correct (they degrade to inline execution instead of

@@ -351,22 +351,21 @@ func solveBlock(a *sparse.CSR, x, b []float64, k int, m Preconditioner, opt Opti
 	// same (rows × k) reuse them instead of allocating. A block
 	// preconditioner gets one more, for its apply's scratch.
 	bp, _ := m.(BlockPreconditioner)
-	xw := kernels.GetBlockScratch(n * k)
-	r := kernels.GetBlockScratch(n * k)
-	z := kernels.GetBlockScratch(n * k)
-	p := kernels.GetBlockScratch(n * k)
-	q := kernels.GetBlockScratch(n * k)
+	work := [5]*[]float64{}
+	for i := range work {
+		work[i] = kernels.GetBlockScratch(n * k)
+	}
 	defer func() {
-		kernels.PutBlockScratch(xw)
-		kernels.PutBlockScratch(r)
-		kernels.PutBlockScratch(z)
-		kernels.PutBlockScratch(p)
-		kernels.PutBlockScratch(q)
+		for _, w := range work {
+			kernels.PutBlockScratch(w)
+		}
 	}()
+	xw, r, z, p, q := *work[0], *work[1], *work[2], *work[3], *work[4]
 	var tmp []float64
 	if bp != nil {
-		tmp = kernels.GetBlockScratch(n * k)
-		defer kernels.PutBlockScratch(tmp)
+		tb := kernels.GetBlockScratch(n * k)
+		defer kernels.PutBlockScratch(tb)
+		tmp = *tb
 	}
 	col := func(v []float64, s int) []float64 { return v[s*n : (s+1)*n] }
 

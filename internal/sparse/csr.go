@@ -8,6 +8,11 @@
 // CSR matrices keep the column indices of every row sorted ascending; all
 // constructors in this package establish that invariant and all kernels
 // rely on it.
+//
+// Every product sums each row in one fixed order, so its bits do not
+// depend on the column group, the row chunking or the worker count, nor on
+// which body runs the single-column row loop: the Go body, or on amd64 the
+// assembly body that reproduces its arithmetic (spmm.go).
 package sparse
 
 import (

@@ -21,8 +21,11 @@ import (
 // column group it falls in, so column j of a k-column product is
 // bit-identical to the k = 1 product with that column for every k, and
 // row-chunked (parallel) evaluation is bit-identical to serial evaluation
-// for any worker count. The batched solve paths rely on this to return the
-// same bits as unbatched solves.
+// for any worker count. The single-column loop has two bodies with that
+// one order: mulColGo, in Go, and on amd64 an assembly body (spmv_amd64.s)
+// whose scalar SSE2 rounds each product and sum on its own as the Go body
+// compiles, so every y bit is the Go body's on either. The batched solve
+// paths rely on this to return the same bits as unbatched solves.
 
 // MulMatRange computes Y[lo:hi, :] = (A X)[lo:hi, :] for the row range
 // [lo,hi) over k column-major vectors. It performs no dimension checks: it
@@ -31,7 +34,9 @@ import (
 //
 // Columns are processed in groups of four so the row's value/index stream
 // is loaded once per group; the remainder runs a two-column group and then
-// a single column (all of k = 1).
+// a single column (all of k = 1). The single column runs mulCol: on amd64
+// the assembly row loop, checked like the Go body and handing it any row
+// it cannot prove in bounds, elsewhere the Go body itself.
 func (m *CSR) MulMatRange(y, x []float64, k, lo, hi int) {
 	rp, ci, v := m.RowPtr, m.ColIdx, m.Val
 	rows, cols := m.Rows, m.Cols
@@ -116,22 +121,35 @@ func (m *CSR) MulMatRange(y, x []float64, k, lo, hi int) {
 		j += 2
 	}
 	if j < k {
-		x0 := x[j*cols : (j+1)*cols]
-		y0 := y[j*rows : (j+1)*rows]
-		for i := lo; i < hi; i++ {
-			p, end := rp[i], rp[i+1]
-			var a0, a1, a2, a3 float64
-			for ; p+4 <= end; p += 4 {
-				a0 += v[p] * x0[ci[p]]
-				a1 += v[p+1] * x0[ci[p+1]]
-				a2 += v[p+2] * x0[ci[p+2]]
-				a3 += v[p+3] * x0[ci[p+3]]
-			}
-			for ; p < end; p++ {
-				a0 += v[p] * x0[ci[p]]
-			}
-			y0[i] = (a0 + a1) + (a2 + a3)
+		m.mulCol(y[j*rows:(j+1)*rows], x[j*cols:(j+1)*cols], lo, hi)
+	}
+}
+
+// spmvBlockRows bounds the rows one call of the amd64 assembly row loop
+// sweeps. Go cannot preempt assembly asynchronously, so mulCol runs a long
+// range as blocks of at most this many rows, and a garbage-collector
+// stop-the-world waits for one block at most.
+const spmvBlockRows = 4096
+
+// mulColGo is the single-column row loop, y0[lo:hi] = (A x0)[lo:hi]: the
+// k = 1 product and the last column of every odd k. It is the body mulCol
+// runs on every GOARCH without an assembly body, the body the amd64 one
+// hands what it cannot prove safe, and the tests' reference for it.
+func (m *CSR) mulColGo(y0, x0 []float64, lo, hi int) {
+	rp, ci, v := m.RowPtr, m.ColIdx, m.Val
+	for i := lo; i < hi; i++ {
+		p, end := rp[i], rp[i+1]
+		var a0, a1, a2, a3 float64
+		for ; p+4 <= end; p += 4 {
+			a0 += v[p] * x0[ci[p]]
+			a1 += v[p+1] * x0[ci[p+1]]
+			a2 += v[p+2] * x0[ci[p+2]]
+			a3 += v[p+3] * x0[ci[p+3]]
 		}
+		for ; p < end; p++ {
+			a0 += v[p] * x0[ci[p]]
+		}
+		y0[i] = (a0 + a1) + (a2 + a3)
 	}
 }
 
